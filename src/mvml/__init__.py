@@ -2,6 +2,7 @@
 
 from .data import (
     MultiViewDataset,
+    StackGeometry,
     ViewData,
     WeightStack,
     indicator_from,

@@ -28,6 +28,7 @@ generation).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from dataclasses import replace
@@ -37,10 +38,8 @@ import numpy as np
 
 from .dataset_io import load_dataset, save_dataset
 from .errors import (
-    DatasetFormatError,
     GenerationFailure,
     InvalidInput,
-    IoError,
     MvmlError,
     NonFiniteObjective,
     SingularSystem,
@@ -49,14 +48,15 @@ from .experiments import (
     DEFAULT_LAMBDA_GRID,
     DEFAULT_MU_GRID,
     ExperimentConfig,
+    _atomic_write,
+    _csv_text,
     bench_subgradient,
     derive_seed,
-    export_report,
     load_source,
     prediction_stack_with_sublabels,
     run_experiment,
 )
-from .masking import SyntheticSpec, corrupt, generate_synthetic
+from .masking import SyntheticSpec, _check_seed, corrupt, generate_synthetic
 from .metrics import evaluate_predictions, rank_diagnostics
 from .solver import Variant, fit, predict
 
@@ -111,10 +111,7 @@ def _out_dir(args, config=None):
 
 
 def _write_json(path, payload):
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-    )
-    return path
+    return _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def save_weights(w, path):
@@ -168,20 +165,11 @@ def _cmd_fit(args):
             "converged": trace.converged,
             "final_objective": trace.objective[-1],
             "final_residual": trace.residual[-1],
-            "convergence": {
-                "objective": trace.objective,
-                "surrogate": trace.surrogate,
-                "residual": trace.residual,
-            },
+            "convergence": trace.to_dict(),
         },
     )
     if args.format == "csv":
-        lines = ["iteration,objective,surrogate,residual"]
-        for t in range(trace.iterations):
-            lines.append(
-                f"{t + 1},{trace.objective[t]!r},{trace.surrogate[t]!r},{trace.residual[t]!r}"
-            )
-        (out / "convergence.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _atomic_write(out / "convergence.csv", _csv_text(trace.rows()))
     print(f"fit finished in {trace.iterations} iterations "
           f"(converged={trace.converged}); weights in {out}")
     return 0
@@ -192,7 +180,9 @@ def _cmd_predict(args):
     w = load_weights(args.weights)
     scores = predict(w, ds)
     out = _out_dir(args)
-    np.savetxt(out / "scores.csv", scores, delimiter=",", fmt="%.17g")
+    text = io.StringIO()
+    np.savetxt(text, scores, delimiter=",", fmt="%.17g")
+    _atomic_write(out / "scores.csv", text.getvalue())
     print(f"wrote scores for {scores.shape[0]} samples to {out / 'scores.csv'}")
     return 0
 
@@ -205,8 +195,8 @@ def _cmd_evaluate(args):
     report = evaluate_predictions(scores, truth)
     out = _out_dir(args)
     if args.format == "csv":
-        lines = ["metric,value"] + [f"{k},{v!r}" for k, v in report.to_dict().items()]
-        (out / "metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = [["metric", "value"]] + [[k, repr(v)] for k, v in report.to_dict().items()]
+        _atomic_write(out / "metrics.csv", _csv_text(rows))
     else:
         _write_json(out / "metrics.json", report.to_dict())
     for name, value in report.to_dict().items():
@@ -245,13 +235,13 @@ def _cmd_ablate(args):
     return 0
 
 
-def _grid_command(args, name, values, update):
+def _grid_command(args, name, field):
     config = _experiment_config(args)
     out = _out_dir(args, config)
     rows = {}
-    for value in values:
-        vcfg = update(config, value)
-        vcfg = replace(vcfg, outputs=str(out / f"{name}_{value:g}"))
+    for value in (float(v) for v in args.grid):
+        vcfg = replace(config, solver=replace(config.solver, **{field: value}),
+                       outputs=str(out / f"{name}_{value:g}"))
         record = run_experiment(vcfg, fmt=args.format)
         rows[f"{value:g}"] = {
             "summary": record.summary,
@@ -265,21 +255,11 @@ def _grid_command(args, name, values, update):
 
 
 def _cmd_sweep_lambda(args):
-    return _grid_command(
-        args,
-        "lambda",
-        [float(v) for v in args.grid],
-        lambda cfg, v: replace(cfg, solver=replace(cfg.solver, lam=v)),
-    )
+    return _grid_command(args, "lambda", "lam")
 
 
 def _cmd_study_mu(args):
-    return _grid_command(
-        args,
-        "mu",
-        [float(v) for v in args.grid],
-        lambda cfg, v: replace(cfg, solver=replace(cfg.solver, mu=v)),
-    )
+    return _grid_command(args, "mu", "mu")
 
 
 def _parse_size(text):
@@ -305,11 +285,11 @@ def _cmd_bench_subgrad(args):
     if args.out:
         out = _out_dir(args)
         if args.format == "csv":
-            lines = ["n,c,kernel_seconds,oracle_seconds"]
+            table = [["n", "c", "kernel_seconds", "oracle_seconds"]]
             for row in rows:
                 oracle = "" if row["oracle_seconds"] is None else repr(row["oracle_seconds"])
-                lines.append(f"{row['n']},{row['c']},{row['kernel_seconds']!r},{oracle}")
-            (out / "bench_subgrad.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+                table.append([str(row["n"]), str(row["c"]), repr(row["kernel_seconds"]), oracle])
+            _atomic_write(out / "bench_subgrad.csv", _csv_text(table))
         else:
             _write_json(out / "bench_subgrad.json", rows)
     return 0
@@ -390,6 +370,8 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
+        if args.seed is not None:
+            _check_seed(args.seed, "--seed")
         return args.func(args)
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ order; a de-aligned dataset only promises per-view consistency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,6 +164,54 @@ def sublabel_rows(view, k):
     if not 0 <= k < view.n_labels:
         raise InvalidInput(f"label index {k} out of range [0, {view.n_labels})")
     return np.flatnonzero((view.labels[:, k] == 1.0) & ~view.missing_rows)
+
+
+class StackGeometry:
+    """Row layout of a dataset's present-row prediction stack.
+
+    The stack puts each view's present rows one block after another, in
+    view order and in ascending sample order inside a block. The
+    objective scores the whole stack (global term) and, for each label
+    ``k``, the rows tagged positive for ``k`` (local terms), so every
+    per-label stack is the row selection ``stack[label_index[k]]``.
+
+    Attributes
+    ----------
+    features : list of (n_i, d_i) arrays, each view's present rows.
+    blocks : list of slices, the stack rows of each view.
+    labels : (N, c) array, the labels stacked over the present rows.
+    indicator : (N, c) array, 1.0 where a stacked tag is observed.
+    label_index : list of c index arrays, ascending, possibly empty.
+    active_index : the nonempty entries of ``label_index``; a label
+        positive nowhere adds nothing to the objective.
+    """
+
+    def __init__(self, ds):
+        present = [present_rows(view) for view in ds.views]
+        self.features = [view.features[rows] for view, rows in zip(ds.views, present)]
+        ends = np.cumsum([rows.size for rows in present])
+        self.blocks = [slice(end - rows.size, end) for rows, end in zip(present, ends)]
+        self.labels = np.vstack([view.labels[rows] for view, rows in zip(ds.views, present)])
+        self.indicator = (self.labels != 0.0).astype(float)
+        self.label_index = [np.flatnonzero(col == 1.0) for col in self.labels.T]
+        self.active_index = [rows for rows in self.label_index if rows.size]
+
+    def stack(self, w):
+        """The present-row prediction stack of weights ``w``, shape ``(N, c)``."""
+        if w.n_views != len(self.features):
+            raise InvalidInput(
+                f"weights cover {w.n_views} views, dataset has {len(self.features)}"
+            )
+        if w.n_labels != self.labels.shape[1]:
+            raise InvalidInput(
+                f"weights predict {w.n_labels} labels, dataset has {self.labels.shape[1]}"
+            )
+        for i, (feats, wi) in enumerate(zip(self.features, w.weights)):
+            if feats.shape[1] != wi.shape[0]:
+                raise InvalidInput(
+                    f"view {i} has {feats.shape[1]} features, weights expect {wi.shape[0]}"
+                )
+        return np.vstack([feats @ wi for feats, wi in zip(self.features, w.weights)])
 
 
 def stack_predictions(ds, w, rows_per_view):

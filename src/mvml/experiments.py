@@ -12,24 +12,23 @@ timing fields are stripped.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
-import tempfile
+import secrets
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import MultiViewDataset, ViewData
+from .data import MultiViewDataset, StackGeometry, ViewData
 from .dataset_io import load_dataset
 from .errors import InvalidInput, IoError, MvmlError
 from .linalg import trace_norm_subgradient
-from .masking import CorruptionSpec, SyntheticSpec, corrupt, generate_synthetic
+from .masking import CorruptionSpec, SyntheticSpec, _check_seed, corrupt, generate_synthetic
 from .metrics import evaluate_predictions
-from .solver import SolverConfig, SolverTrace, Variant, fit, predict
+from .solver import SolverConfig, SolverTrace, fit, predict
 
 METRIC_NAMES = ("one_minus_hamming", "one_minus_ranking", "average_precision", "auc")
 
@@ -43,6 +42,10 @@ DEFAULT_MU_GRID = (1.0, 5.0, 10.0)
 _STREAM_SPLIT = 0
 _STREAM_CORRUPT = 1
 _STREAM_INIT = 2
+
+
+def _fields_dict(spec):
+    return {f.name: getattr(spec, f.name) for f in fields(spec)}
 
 
 def derive_seed(base, *key):
@@ -63,6 +66,7 @@ class SplitSpec:
             raise InvalidInput(
                 f"train_fraction must lie in (0, 1), got {self.train_fraction!r}"
             )
+        _check_seed(self.seed, "split seed")
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.source, (SyntheticSpec, str)):
             raise InvalidInput("source must be a SyntheticSpec or a dataset directory path")
+        if isinstance(self.repeats, bool) or not isinstance(self.repeats, (int, np.integer)):
+            raise InvalidInput(f"repeats must be an integer, got {self.repeats!r}")
         if self.repeats < 1:
             raise InvalidInput(f"repeats must be at least 1, got {self.repeats}")
 
@@ -97,24 +103,9 @@ class ExperimentConfig:
             source = {"path": self.source}
         return {
             "dataset": source,
-            "corruption": {
-                "alpha": self.corruption.alpha,
-                "beta": self.corruption.beta,
-                "dealign": self.corruption.dealign,
-                "seed": self.corruption.seed,
-            },
-            "solver": {
-                "lam": self.solver.lam,
-                "mu": self.solver.mu,
-                "max_iters": self.solver.max_iters,
-                "rel_tol": self.solver.rel_tol,
-                "variant": self.solver.variant.value,
-                "init_seed": self.solver.init_seed,
-            },
-            "split": {
-                "train_fraction": self.split.train_fraction,
-                "seed": self.split.seed,
-            },
+            "corruption": _fields_dict(self.corruption),
+            "solver": {**_fields_dict(self.solver), "variant": self.solver.variant.value},
+            "split": _fields_dict(self.split),
             "repeats": self.repeats,
             "outputs": self.outputs,
         }
@@ -156,49 +147,29 @@ class ExperimentConfig:
                 raise InvalidInput(f"unknown dataset.synthetic keys: {sorted(syn)}")
             source = SyntheticSpec(**mapped)
 
-        def section(name, cls, defaults):
+        defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+
+        def section(name):
             body = raw.get(name, {})
             if not isinstance(body, dict):
                 raise InvalidInput(f"config section '{name}' must be an object")
-            merged = {**defaults, **body}
-            extra = set(merged) - set(defaults)
+            extra = set(body) - {f.name for f in fields(defaults[name])}
             if extra:
                 raise InvalidInput(f"unknown {name} keys: {sorted(extra)}")
             try:
-                return cls(**merged)
+                return replace(defaults[name], **body)
             except TypeError as exc:
                 raise InvalidInput(f"bad {name} section: {exc}")
 
-        corruption = section(
-            "corruption",
-            CorruptionSpec,
-            {"alpha": 0.0, "beta": 0.0, "dealign": False, "seed": 0},
-        )
-        solver = section(
-            "solver",
-            SolverConfig,
-            {
-                "lam": 0.5,
-                "mu": 5.0,
-                "max_iters": 200,
-                "rel_tol": 1e-6,
-                "variant": "full",
-                "init_seed": 0,
-            },
-        )
-        split = section("split", SplitSpec, {"train_fraction": 0.7, "seed": 0})
-        repeats = raw.get("repeats", 10)
-        if not isinstance(repeats, int):
-            raise InvalidInput("repeats must be an integer")
         outputs = raw.get("outputs")
         if outputs is not None and not isinstance(outputs, str):
             raise InvalidInput("outputs must be a string path")
         return ExperimentConfig(
             source=source,
-            corruption=corruption,
-            solver=solver,
-            split=split,
-            repeats=repeats,
+            corruption=section("corruption"),
+            solver=section("solver"),
+            split=section("split"),
+            repeats=raw.get("repeats", defaults["repeats"]),
             outputs=outputs,
         )
 
@@ -233,11 +204,7 @@ class RepeatResult:
                 "final_surrogate": self.final_surrogate,
                 "final_residual": self.final_residual,
             },
-            "convergence": {
-                "objective": list(self.trace.objective),
-                "surrogate": list(self.trace.surrogate),
-                "residual": list(self.trace.residual),
-            },
+            "convergence": self.trace.to_dict(),
             "timing": {
                 "fit_seconds": self.fit_seconds,
                 "iteration_seconds": list(self.trace.seconds),
@@ -328,14 +295,8 @@ def run_repeat(ds, config, repeat):
 
     scores = predict(w, test)
     report = evaluate_predictions(scores, _clean_truth(test))
-    metrics = {
-        "one_minus_hamming": report.one_minus_hamming,
-        "one_minus_ranking": report.one_minus_ranking,
-        "average_precision": report.average_precision,
-        "auc": report.auc,
-    }
     return RepeatResult(
-        metrics=metrics,
+        metrics={name: getattr(report, name) for name in METRIC_NAMES},
         n_test=test.n_samples,
         iterations=trace.iterations,
         converged=trace.converged,
@@ -385,8 +346,10 @@ def run_experiment(config, fmt="json"):
 def _atomic_write(path, text):
     path = Path(path)
     os.makedirs(path.parent, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        # mode 0o666 less the umask, as open() gives; the kernel applies the umask
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -421,18 +384,9 @@ def export_report(record, fmt, out_dir):
         )
     written.append(_atomic_write(out / "metrics.csv", _csv_text(rows)))
     for r, repeat in enumerate(record.repeats):
-        rows = [["iteration", "objective", "surrogate", "residual"]]
-        trace = repeat.trace
-        for t in range(trace.iterations):
-            rows.append(
-                [
-                    str(t + 1),
-                    repr(trace.objective[t]),
-                    repr(trace.surrogate[t]),
-                    repr(trace.residual[t]),
-                ]
-            )
-        written.append(_atomic_write(out / f"convergence_{r:02d}.csv", _csv_text(rows)))
+        written.append(
+            _atomic_write(out / f"convergence_{r:02d}.csv", _csv_text(repeat.trace.rows()))
+        )
     return written
 
 
@@ -451,24 +405,8 @@ def prediction_stack_with_sublabels(ds, w):
     ``rows_per_label[k]`` indexes the stack rows whose sample is tagged
     positive for label ``k`` in its view.
     """
-    from .data import present_rows, sublabel_rows
-
-    blocks = []
-    rows_per_label = [[] for _ in range(ds.n_labels)]
-    offset = 0
-    for view, wi in zip(ds.views, w.weights):
-        present = present_rows(view)
-        blocks.append(view.features[present] @ wi)
-        for k in range(ds.n_labels):
-            sub = sublabel_rows(view, k)
-            if sub.size:
-                rows_per_label[k].append(offset + np.searchsorted(present, sub))
-        offset += present.size
-    stack = np.vstack(blocks)
-    rows_per_label = [
-        np.concatenate(parts) if parts else np.zeros(0, dtype=int) for parts in rows_per_label
-    ]
-    return stack, rows_per_label
+    geometry = StackGeometry(ds)
+    return geometry.stack(w), geometry.label_index
 
 
 def bench_subgradient(

@@ -71,15 +71,24 @@ def symmetric_eig(b):
     return EigenPair(np.ascontiguousarray(values[::-1]), np.ascontiguousarray(vectors[:, ::-1]))
 
 
+def _gram(a):
+    """The smaller Gram product of ``a`` and whether it is ``a.T @ a``.
+
+    numpy forms either product by a symmetric rank-k update, so the
+    result is exactly symmetric and LAPACK may read one triangle of it.
+    """
+    tall = a.shape[0] >= a.shape[1]
+    return (a.T @ a if tall else a @ a.T), tall
+
+
 def _gram_eig(a):
     """Eigendecomposition of the smaller Gram product of ``a``.
 
-    Returns ``(values, vectors, tall)`` where ``tall`` is True when the
-    decomposed product is ``a.T @ a``. Values are clamped at zero.
+    Returns ``(values, vectors, tall)`` with the values ascending and
+    clamped at zero; ``tall`` is True when the product is ``a.T @ a``.
     """
-    tall = a.shape[0] >= a.shape[1]
-    gram = a.T @ a if tall else a @ a.T
-    values, vectors = symmetric_eig(gram)
+    gram, tall = _gram(a)
+    values, vectors = np.linalg.eigh(gram)
     return np.maximum(values, 0.0), vectors, tall
 
 
@@ -88,8 +97,8 @@ def singular_values(a):
     a = _as_finite_matrix(a)
     if a.size == 0:
         return np.zeros(min(a.shape))
-    values, _, _ = _gram_eig(a)
-    return np.sqrt(values)
+    values = np.linalg.eigvalsh(_gram(a)[0])  # values only
+    return np.sqrt(np.maximum(values[::-1], 0.0))
 
 
 def nuclear_norm(a):
@@ -140,7 +149,7 @@ def trace_norm_subgradient(a):
     if a.size == 0:
         return np.zeros_like(a)
     values, vectors, tall = _gram_eig(a)
-    cut = EIG_DROP_TOL * max(float(values[0]), 1.0)
+    cut = EIG_DROP_TOL * max(float(values[-1]), 1.0)
     keep = values > cut
     if not np.any(keep):
         return np.zeros_like(a)

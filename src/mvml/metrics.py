@@ -9,7 +9,7 @@ per metric so results are reproducible down to the bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.stats
@@ -122,14 +122,7 @@ class MetricsReport:
                 raise InvalidInput(f"{name} must lie in [0, 1], got {value!r}")
 
     def to_dict(self):
-        return {
-            "one_minus_hamming": self.one_minus_hamming,
-            "one_minus_ranking": self.one_minus_ranking,
-            "average_precision": self.average_precision,
-            "auc": self.auc,
-            "n_test": self.n_test,
-            "n_labels": self.n_labels,
-        }
+        return asdict(self)
 
 
 def evaluate_predictions(scores, truth):
@@ -157,13 +150,7 @@ class RankDiagnostics:
     sub_nuclear_median: float
 
     def to_dict(self):
-        return {
-            "entire_rank": self.entire_rank,
-            "entire_nuclear": self.entire_nuclear,
-            "sub_ranks": list(self.sub_ranks),
-            "sub_nuclear_mean": self.sub_nuclear_mean,
-            "sub_nuclear_median": self.sub_nuclear_median,
-        }
+        return {**asdict(self), "sub_ranks": list(self.sub_ranks)}
 
 
 def _numeric_rank(a, tol):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import indicator_from, present_rows, stack_predictions, sublabel_rows
+from .data import StackGeometry
 from .errors import InvalidInput
 from .linalg import nuclear_norm
 
@@ -43,30 +43,25 @@ class ObjectiveValue:
         return self.loss + self.lam * self.regularizer
 
 
-def _check_pair(ds, w):
-    if w.n_views != ds.n_views:
-        raise InvalidInput(f"weights cover {w.n_views} views, dataset has {ds.n_views}")
-    if w.n_labels != ds.n_labels:
-        raise InvalidInput(f"weights predict {w.n_labels} labels, dataset has {ds.n_labels}")
-    for i, (view, wi) in enumerate(zip(ds.views, w.weights)):
-        if view.n_features != wi.shape[0]:
-            raise InvalidInput(
-                f"view {i} has {view.n_features} features, weights expect {wi.shape[0]}"
-            )
+def stack_loss(geometry, stack):
+    """Half the squared error of a present-row ``stack`` over observed tags."""
+    resid = geometry.indicator * (stack - geometry.labels)
+    return 0.5 * float(np.sum(resid * resid))
+
+
+def _stack_regularizer(geometry, stack):
+    local = sum(nuclear_norm(stack[rows]) for rows in geometry.active_index)
+    return local, nuclear_norm(stack)
 
 
 def masked_loss(ds, w):
     """Half the squared prediction error over observed label entries.
 
     Entries with a zero tag and rows missing from a view contribute
-    nothing; views are summed in order.
+    nothing.
     """
-    _check_pair(ds, w)
-    total = 0.0
-    for view, wi in zip(ds.views, w.weights):
-        resid = indicator_from(view) * (view.features @ wi - view.labels)
-        total += 0.5 * float(np.sum(resid * resid))
-    return total
+    geometry = StackGeometry(ds)
+    return stack_loss(geometry, geometry.stack(w))
 
 
 def regularizer_value(ds, w):
@@ -78,21 +73,18 @@ def regularizer_value(ds, w):
     ``global`` is the nuclear norm of the prediction stack over all
     present rows.
     """
-    _check_pair(ds, w)
-    local = 0.0
-    for k in range(ds.n_labels):
-        rows = [sublabel_rows(view, k) for view in ds.views]
-        if sum(r.size for r in rows) == 0:
-            continue
-        local += nuclear_norm(stack_predictions(ds, w, rows))
-    global_term = nuclear_norm(stack_predictions(ds, w, [present_rows(v) for v in ds.views]))
-    return local, global_term
+    geometry = StackGeometry(ds)
+    return _stack_regularizer(geometry, geometry.stack(w))
 
 
 def objective(ds, w, lam):
     """Evaluate the full objective at ``(ds, w)`` for trade-off ``lam``."""
     if not np.isfinite(lam) or lam < 0:
         raise InvalidInput(f"lam must be a nonnegative finite scalar, got {lam!r}")
-    loss = masked_loss(ds, w)
-    local, global_term = regularizer_value(ds, w)
-    return ObjectiveValue(loss=loss, local_term=local, global_term=global_term, lam=float(lam))
+    geometry = StackGeometry(ds)
+    stack = geometry.stack(w)
+    local, global_term = _stack_regularizer(geometry, stack)
+    return ObjectiveValue(
+        loss=stack_loss(geometry, stack), local_term=local, global_term=global_term,
+        lam=float(lam),
+    )

@@ -1,20 +1,25 @@
 """Single-loop CCCP+ADMM solver for the per-view linear predictor stack.
 
-The concave global term is linearized at the previous iterate through a
-trace-norm subgradient, the per-label stacks are split into auxiliary
-variables with scaled multipliers, and each sweep performs one pass of
+Everything runs on the present-row prediction stack ``P`` of
+``data.StackGeometry``: view ``i`` owns the block ``P_i = Xp_i W_i``,
+where ``Xp_i`` holds its present rows, and label ``k``'s stack is the
+row selection ``P[idx_k]`` of the rows tagged positive for ``k``. The
+concave global term is linearized at the previous iterate through the
+trace-norm subgradient ``G = subgrad ||P||_*``, each label stack is split
+into an auxiliary ``Z_k`` with a scaled multiplier ``L_k``, and one
+sweep is
 
-    W  <-  solve per view:  mu * (sum_k Xk' Xk) W =
-             lam * Xp' G_prev  +  sum_k Xk' (mu Zk - Lk)
-             - X' (P o (X W_prev - Y))
-    Zk <-  svt(Xk W + Lk / mu, lam / mu)
-    Lk <-  Lk + mu * (Xk W - Zk)
+    R    =  -I o (P - Y)  +  lam * G  +  sum_k scatter_k(mu Z_k - L_k)
+    W_i  <- (mu Xp_i' D_i Xp_i)^-1  Xp_i' R[block_i]
+    Z_k  <- svt(P[idx_k] + L_k / mu, lam / mu)
+    L_k  <- L_k + mu * (P[idx_k] - Z_k)
 
-where Xk gathers the rows tagged positive for label k across views, Xp
-the present rows, and P the observed-entry indicator. The loss enters
-the W step through its gradient at the previous iterate, so each view
-solves one cached SPD system per sweep. Labels whose positive stack is
-empty in every view are dropped from the splitting entirely.
+with ``I`` the observed-entry indicator, ``Y`` the stacked labels,
+``scatter_k`` adding a label's rows back at ``idx_k``, and ``D_i`` the
+per-row count of positive tags. The loss enters the W step through its
+gradient at the previous iterate, so each view does one GEMM and one
+solve against an SPD factor computed once per fit. Labels positive
+nowhere are dropped from the splitting.
 """
 
 from __future__ import annotations
@@ -25,15 +30,12 @@ from enum import Enum
 
 import numpy as np
 
-from .data import (
-    MultiViewDataset,
-    WeightStack,
-    indicator_from,
-    present_rows,
-    sublabel_rows,
-)
+from .blas import single_threaded
+from .data import MultiViewDataset, StackGeometry, WeightStack
 from .errors import AllViewsMissing, InvalidInput, NonFiniteObjective
 from .linalg import SpdFactor, nuclear_norm, svt, trace_norm_subgradient
+from .masking import _check_seed
+from .objective import stack_loss as _masked_loss_from_preds  # module-level, so tests can stub it
 
 
 class Variant(str, Enum):
@@ -62,6 +64,7 @@ class SolverConfig:
             raise InvalidInput(f"max_iters must be at least 1, got {self.max_iters}")
         if not (np.isfinite(self.rel_tol) and self.rel_tol >= 0):
             raise InvalidInput(f"rel_tol must be nonnegative, got {self.rel_tol!r}")
+        _check_seed(self.init_seed, "init_seed")
         object.__setattr__(self, "variant", Variant(self.variant))
 
 
@@ -85,6 +88,21 @@ class SolverTrace:
         self.residual.append(float(residual))
         self.seconds.append(float(seconds))
 
+    def to_dict(self):
+        """The convergence series; timings stay out, so reports compare exactly."""
+        return {
+            "objective": list(self.objective),
+            "surrogate": list(self.surrogate),
+            "residual": list(self.residual),
+        }
+
+    def rows(self):
+        """CSV cells: a header, then one row per sweep with floats in ``repr``."""
+        rows = [["iteration", "objective", "surrogate", "residual"]]
+        for t, values in enumerate(zip(self.objective, self.surrogate, self.residual), 1):
+            rows.append([str(t), *map(repr, values)])
+        return rows
+
 
 @dataclass
 class SolverState:
@@ -96,161 +114,105 @@ class SolverState:
     iteration: int = 0
 
 
-class _Workspace:
-    """Row bookkeeping and cached factorizations shared across sweeps."""
-
-    def __init__(self, ds, config):
-        self.ds = ds
-        self.mu = config.mu
-        self.features = [v.features for v in ds.views]
-        self.labels = [v.labels for v in ds.views]
-        self.indicator = [indicator_from(v) for v in ds.views]
-        self.present = [present_rows(v) for v in ds.views]
-
-        # per-label positive rows, one entry per view; labels empty everywhere drop out
-        self.active_labels = []
-        self.label_rows = []
-        self.label_splits = []
-        for k in range(ds.n_labels):
-            rows = [sublabel_rows(v, k) for v in ds.views]
-            if sum(r.size for r in rows) == 0:
-                continue
-            self.active_labels.append(k)
-            self.label_rows.append(rows)
-            self.label_splits.append(np.cumsum([r.size for r in rows])[:-1])
-
-        # boundaries of the per-view blocks inside the present-row stack
-        self.present_splits = np.cumsum([p.size for p in self.present])[:-1]
-
-        # mu * sum_k Xk' Xk == mu * X' diag(w) X with w = positive-tag counts
-        self.factors = []
-        for view, feats in zip(ds.views, self.features):
-            weight = ((view.labels == 1.0) & ~view.missing_rows[:, None]).sum(axis=1)
-            gram = (feats * weight[:, None]).T @ feats
-            self.factors.append(SpdFactor(self.mu * gram))
-
-    def predictions(self, w):
-        return [feats @ wi for feats, wi in zip(self.features, w.weights)]
-
-    def present_stack(self, preds):
-        return np.vstack([p[rows] for p, rows in zip(preds, self.present)])
-
-    def label_stack(self, preds, a):
-        rows = self.label_rows[a]
-        return np.vstack([p[r] for p, r in zip(preds, rows)])
-
-
-def _make_state(ds, config):
-    return _Workspace(ds, config)
-
-
-def init_state(ds, config):
-    """Random weights scaled by 1/sqrt(d) per view, zero splits and multipliers."""
-    config = _coerce_config(config)
-    rng = np.random.default_rng(np.random.SeedSequence([config.init_seed]))
-    weights = []
-    for view in ds.views:
-        d = view.n_features
-        weights.append(rng.standard_normal((d, ds.n_labels)) / np.sqrt(d))
-    ws = _Workspace(ds, config)
-    z = [np.zeros((sum(r.size for r in rows), ds.n_labels)) for rows in ws.label_rows]
-    mult = [np.zeros_like(zk) for zk in z]
-    return SolverState(w=WeightStack(weights), z=z, multipliers=mult, iteration=0)
-
-
 def _coerce_config(config):
     if not isinstance(config, SolverConfig):
         raise InvalidInput("config must be a SolverConfig")
     return config
 
 
-def _update_w_impl(ws, state, config, grad_prev):
-    preds_prev = ws.predictions(state.w)
+def _label_stacks(geometry, stack):
+    return [stack[rows] for rows in geometry.active_index]
+
+
+def _initial_state(geometry, config):
+    rng = np.random.default_rng(np.random.SeedSequence([config.init_seed]))
+    c = geometry.labels.shape[1]
+    weights = []
+    for feats in geometry.features:
+        d = feats.shape[1]
+        weights.append(rng.standard_normal((d, c)) / np.sqrt(d))
+    z = [np.zeros((rows.size, c)) for rows in geometry.active_index]
+    mult = [np.zeros_like(zk) for zk in z]
+    return SolverState(w=WeightStack(weights), z=z, multipliers=mult, iteration=0)
+
+
+def init_state(ds, config):
+    """Random weights scaled by 1/sqrt(d) per view, zero splits and multipliers."""
+    return _initial_state(StackGeometry(ds), _coerce_config(config))
+
+
+def _factor_views(geometry, mu):
+    """Cached factors of mu * sum_k Xk' Xk = mu * Xp' diag(positive-tag counts) Xp."""
+    counts = (geometry.labels == 1.0).sum(axis=1)
+    factors = []
+    for feats, block in zip(geometry.features, geometry.blocks):
+        gram = (feats * counts[block, None]).T @ feats
+        factors.append(SpdFactor(mu * gram))
+    return factors
+
+
+def _update_w(geometry, factors, stack, state, config, grad_prev):
+    """W step from the stack of ``state.w``; one GEMM and one cached solve per view."""
     use_grad = grad_prev is not None and config.lam > 0
+    if use_grad and grad_prev.shape != stack.shape:
+        raise InvalidInput(f"grad_prev must have shape {stack.shape}, got {grad_prev.shape}")
+    resid = -geometry.indicator * (stack - geometry.labels)
     if use_grad:
-        n_present = sum(p.size for p in ws.present)
-        if grad_prev.shape != (n_present, ws.ds.n_labels):
-            raise InvalidInput(
-                f"grad_prev must have shape ({n_present}, {ws.ds.n_labels}), "
-                f"got {grad_prev.shape}"
-            )
-        grad_blocks = np.split(grad_prev, ws.present_splits)
-
-    new_weights = []
-    for i, feats in enumerate(ws.features):
-        n, c = feats.shape[0], ws.ds.n_labels
-        # sum_k Xk' (mu Zk - Lk), gathered through an n x c scatter per view
-        gathered = np.zeros((n, c))
-        for a in range(len(ws.active_labels)):
-            rows_i = ws.label_rows[a][i]
-            if rows_i.size == 0:
-                continue
-            block = np.split(ws.mu * state.z[a] - state.multipliers[a], ws.label_splits[a])[i]
-            gathered[rows_i] += block
-        rhs = feats.T @ gathered
-        rhs -= feats.T @ (ws.indicator[i] * (preds_prev[i] - ws.labels[i]))
-        if use_grad:
-            rhs += config.lam * feats[ws.present[i]].T @ grad_blocks[i]
-        new_weights.append(ws.factors[i].solve(rhs))
-    return WeightStack(new_weights)
+        resid += config.lam * grad_prev
+    for rows, zk, mk in zip(geometry.active_index, state.z, state.multipliers):
+        resid[rows] += config.mu * zk - mk
+    return WeightStack([
+        factor.solve(feats.T @ resid[block])
+        for feats, block, factor in zip(geometry.features, geometry.blocks, factors)
+    ])
 
 
-def _update_z_impl(ws, state, config):
-    preds = ws.predictions(state.w)
+def _update_z(label_stacks, multipliers, config):
     tau = config.lam / config.mu
-    out = []
-    for a in range(len(ws.active_labels)):
-        arg = ws.label_stack(preds, a) + state.multipliers[a] / config.mu
-        out.append(svt(arg, tau))
-    return out
+    return [svt(stack + mult / config.mu, tau) for stack, mult in zip(label_stacks, multipliers)]
 
 
-def _update_multipliers_impl(ws, state, config):
-    preds = ws.predictions(state.w)
-    out = []
-    for a in range(len(ws.active_labels)):
-        out.append(state.multipliers[a] + config.mu * (ws.label_stack(preds, a) - state.z[a]))
-    return out
+def _update_multipliers(label_stacks, multipliers, z, config):
+    return [m + config.mu * (stack - zk) for m, stack, zk in zip(multipliers, label_stacks, z)]
 
 
 def update_w(state, ds, config, grad_prev=None):
     """One W sweep; ``grad_prev`` is the trace-norm subgradient of the
     present-row prediction stack at the previous weights (or None)."""
     config = _coerce_config(config)
-    return _update_w_impl(_Workspace(ds, config), state, config, grad_prev)
+    geometry = StackGeometry(ds)
+    stack = geometry.stack(state.w)
+    factors = _factor_views(geometry, config.mu)
+    return _update_w(geometry, factors, stack, state, config, grad_prev)
 
 
 def update_z(state, ds, config):
     """Shrink each active per-label stack by lam/mu around the multipliers."""
     config = _coerce_config(config)
-    return _update_z_impl(_Workspace(ds, config), state, config)
+    geometry = StackGeometry(ds)
+    label_stacks = _label_stacks(geometry, geometry.stack(state.w))
+    return _update_z(label_stacks, state.multipliers, config)
 
 
 def update_multipliers(state, ds, config):
     """Ascend the scaled multipliers along the current primal residuals."""
     config = _coerce_config(config)
-    return _update_multipliers_impl(_Workspace(ds, config), state, config)
-
-
-def _masked_loss_from_preds(ws, preds):
-    total = 0.0
-    for ind, pred, labels in zip(ws.indicator, preds, ws.labels):
-        resid = ind * (pred - labels)
-        total += 0.5 * float(np.sum(resid * resid))
-    return total
+    geometry = StackGeometry(ds)
+    label_stacks = _label_stacks(geometry, geometry.stack(state.w))
+    return _update_multipliers(label_stacks, state.multipliers, state.z, config)
 
 
 def _rel_change(curr, prev):
     return abs(curr - prev) / max(abs(prev), 1e-12)
 
 
-def _fit_loss_only(ds, ws, config):
+def _fit_loss_only(geometry, config):
     start = time.perf_counter()
     weights = []
-    for feats, labels, ind in zip(ws.features, ws.labels, ws.indicator):
-        d, c = feats.shape[1], labels.shape[1]
-        w = np.zeros((d, c))
-        for k in range(c):
+    for feats, block in zip(geometry.features, geometry.blocks):
+        labels, ind = geometry.labels[block], geometry.indicator[block]
+        w = np.zeros((feats.shape[1], labels.shape[1]))
+        for k in range(labels.shape[1]):
             mask = ind[:, k]
             if not mask.any():
                 continue  # nothing observed for this label in this view
@@ -258,7 +220,7 @@ def _fit_loss_only(ds, ws, config):
             w[:, k] = SpdFactor(cols.T @ feats).solve(feats.T @ (mask * labels[:, k]))
         weights.append(w)
     w = WeightStack(weights)
-    loss = _masked_loss_from_preds(ws, ws.predictions(w))
+    loss = _masked_loss_from_preds(geometry, geometry.stack(w))
     if not np.isfinite(loss):
         raise NonFiniteObjective(1, loss)
     trace = SolverTrace(converged=True)
@@ -266,8 +228,9 @@ def _fit_loss_only(ds, ws, config):
     return w, trace
 
 
+@single_threaded()
 def fit(ds, config):
-    """Run the solver to tolerance or the sweep budget.
+    """Run the solver to tolerance or the sweep budget, with BLAS on one thread.
 
     Returns ``(weights, trace)``. The trace's objective column holds the
     variant's own objective: the full loss + lam * (local - global) for
@@ -276,37 +239,34 @@ def fit(ds, config):
     ``NonFiniteObjective`` as soon as the objective stops being finite.
     """
     config = _coerce_config(config)
-    ws = _Workspace(ds, config)
+    geometry = StackGeometry(ds)
     if config.variant is Variant.LOSS_ONLY:
-        return _fit_loss_only(ds, ws, config)
+        return _fit_loss_only(geometry, config)
 
-    state = init_state(ds, config)
+    factors = _factor_views(geometry, config.mu)
+    state = _initial_state(geometry, config)
     trace = SolverTrace()
-    preds = ws.predictions(state.w)
+    stack = geometry.stack(state.w)
+    use_grad = config.variant is Variant.FULL and config.lam > 0
     f_prev = None
     for t in range(1, config.max_iters + 1):
         t0 = time.perf_counter()
-        use_grad = config.variant is Variant.FULL and config.lam > 0
-        grad_prev = trace_norm_subgradient(ws.present_stack(preds)) if use_grad else None
+        grad_prev = trace_norm_subgradient(stack) if use_grad else None
+        w = _update_w(geometry, factors, stack, state, config, grad_prev)
+        stack = geometry.stack(w)
+        label_stacks = _label_stacks(geometry, stack)
+        z = _update_z(label_stacks, state.multipliers, config)
+        mult = _update_multipliers(label_stacks, state.multipliers, z, config)
+        residual = max(
+            (float(np.linalg.norm(s - zk)) for s, zk in zip(label_stacks, z)), default=0.0
+        )
 
-        w = _update_w_impl(ws, state, config, grad_prev)
-        preds = ws.predictions(w)
-        stacks = [ws.label_stack(preds, a) for a in range(len(ws.active_labels))]
-
-        tau = config.lam / config.mu
-        z = [svt(stack + mult / config.mu, tau) for stack, mult in zip(stacks, state.multipliers)]
-        mult = [
-            m + config.mu * (stack - zk) for m, stack, zk in zip(state.multipliers, stacks, z)
-        ]
-        residual = max((float(np.linalg.norm(s - zk)) for s, zk in zip(stacks, z)), default=0.0)
-
-        loss = _masked_loss_from_preds(ws, preds)
-        local = sum(nuclear_norm(s) for s in stacks)
+        loss = _masked_loss_from_preds(geometry, stack)
+        local = sum(nuclear_norm(s) for s in label_stacks)
         if config.variant is Variant.FULL:
-            present = ws.present_stack(preds)
-            f = loss + config.lam * (local - nuclear_norm(present))
+            f = loss + config.lam * (local - nuclear_norm(stack))
             if use_grad:
-                surrogate = loss + config.lam * (local - float(np.sum(present * grad_prev)))
+                surrogate = loss + config.lam * (local - float(np.sum(stack * grad_prev)))
             else:
                 surrogate = f
         else:

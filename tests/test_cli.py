@@ -241,3 +241,22 @@ def test_numerical_failure_exits_two(tmp_path, capsys):
     code = main(["synth", "--config", config, "--out", str(tmp_path / "o")])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv_tail, overrides",
+    [
+        (["ablate"], {"split": {**SMALL_CONFIG["split"], "seed": -1}}),
+        (["ablate"], {"solver": {**SMALL_CONFIG["solver"], "init_seed": -1}}),
+        (["ablate"], {"repeats": True}),
+        (["synth", "--seed", "-1"], {}),
+        (["bench-subgrad", "--sizes", "60x5", "--seed", "-1"], {}),
+    ],
+    ids=["split-seed", "init-seed", "bool-repeats", "synth-master-seed", "bench-seed"],
+)
+def test_bad_seeds_and_counts_exit_one(tmp_path, capsys, argv_tail, overrides):
+    config = write_config(tmp_path, **overrides)
+    code = main([*argv_tail, "--config", config, "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

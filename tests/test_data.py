@@ -6,6 +6,7 @@ import pytest
 from mvml import (
     InvalidInput,
     MultiViewDataset,
+    StackGeometry,
     ViewData,
     WeightStack,
     indicator_from,
@@ -177,6 +178,42 @@ class TestStackPredictions:
         w = make_weights(rng, (3, 3), 2)
         with pytest.raises(InvalidInput):
             stack_predictions(ds, w, [np.arange(6)])  # one list for two views
+
+
+class TestStackGeometry:
+    def test_label_rows_select_the_per_label_stacks(self, rng):
+        ds = make_dataset(rng, n=14, c=4, dims=(3, 5, 2), with_missing=True, aligned=False)
+        w = make_weights(rng, (3, 5, 2), 4)
+        geometry = StackGeometry(ds)
+        stack = geometry.stack(w)
+        # products over different row subsets may differ in the last bit
+        np.testing.assert_allclose(
+            stack, stack_predictions(ds, w, [present_rows(v) for v in ds.views]),
+            rtol=1e-12, atol=1e-14)
+        for k, rows in enumerate(geometry.label_index):
+            want = stack_predictions(ds, w, [sublabel_rows(v, k) for v in ds.views])
+            np.testing.assert_allclose(stack[rows], want, rtol=1e-12, atol=1e-14)
+
+    def test_blocks_hold_each_views_present_labels(self, rng):
+        ds = make_dataset(rng, n=10, c=3, dims=(2, 3), with_missing=True)
+        geometry = StackGeometry(ds)
+        assert geometry.blocks[-1].stop == geometry.labels.shape[0]
+        for view, block in zip(ds.views, geometry.blocks):
+            rows = present_rows(view)
+            np.testing.assert_array_equal(geometry.labels[block], view.labels[rows])
+            np.testing.assert_array_equal(geometry.indicator[block], indicator_from(view)[rows])
+
+    def test_label_positive_nowhere_selects_no_rows(self):
+        views = [view_from([[1.0, -1.0], [0.0, -1.0]], seed=s) for s in (0, 1)]
+        geometry = StackGeometry(MultiViewDataset(views=views, aligned=True))
+        np.testing.assert_array_equal(geometry.label_index[0], [0, 2])
+        assert geometry.label_index[1].size == 0
+
+    def test_rejects_mismatched_weights(self, rng):
+        geometry = StackGeometry(make_dataset(rng, n=6, c=2, dims=(3, 4)))
+        for dims, c in (((3,), 2), ((3, 4), 3), ((3, 5), 2)):
+            with pytest.raises(InvalidInput):
+                geometry.stack(make_weights(rng, dims, c))
 
 
 class TestPresentRows:

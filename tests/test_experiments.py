@@ -1,6 +1,8 @@
 """Experiment pipeline: seeds, splits, repeat orchestration, reports, bench."""
 
 import json
+import os
+import stat
 from dataclasses import replace
 
 import numpy as np
@@ -319,6 +321,17 @@ def test_csv_report_layout(tmp_path):
             assert float(cells[1]) == rep.trace.objective[t]
             assert float(cells[2]) == rep.trace.surrogate[t]
             assert float(cells[3]) == rep.trace.residual[t]
+
+
+def test_report_files_get_the_mode_open_gives(tmp_path):
+    record = run_experiment(small_config(repeats=1, solver=SolverConfig(lam=0.0, variant="loss_only")))
+    old = os.umask(0o027)
+    try:
+        written = export_report(record, "csv", tmp_path)
+    finally:
+        os.umask(old)
+    assert [stat.S_IMODE(path.stat().st_mode) for path in written] == [0o640] * len(written)
+    assert sorted(tmp_path.iterdir()) == sorted(written)  # no temporary file left behind
 
 
 def test_export_rejects_unknown_format(tmp_path):

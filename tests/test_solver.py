@@ -22,7 +22,8 @@ from mvml import (
 )
 from mvml.linalg import RIDGE_SCALE
 from mvml.masking import SyntheticSpec, generate_synthetic
-from mvml.data import present_rows, sublabel_rows
+from mvml.data import present_rows, stack_predictions, sublabel_rows
+from mvml.objective import objective
 
 import oracles
 from conftest import make_dataset
@@ -310,6 +311,74 @@ class TestFit:
         for name in ("full", "loss_only", "loss_plus_local"):
             w, _ = fit(ds, SolverConfig(lam=0.2, max_iters=5, variant=name))
             assert w.n_views == ds.n_views
+
+
+def edge_case_dataset(rng, case, n=20):
+    """Two views, the second partly missing, shaped to hit one edge case."""
+    c = 1 if case == "single_label" else 3
+    dims = (3, 8) if case == "wide_view" else (3, 4)
+    missing = [np.zeros(n, dtype=bool), rng.random(n) < 0.3]
+    if case == "wide_view":
+        missing[1] = np.arange(n) >= 5  # 5 present rows against 8 features
+    views = []
+    for i, d in enumerate(dims):
+        labels = np.where(rng.random((n, c)) < 0.5, 1.0, -1.0)
+        labels[rng.random((n, c)) < 0.2] = 0.0
+        if c > 1:
+            labels[np.arange(n), rng.integers(0, c, size=n)] = 1.0
+        if case == "label_in_one_view" and i == 1:
+            labels[:, 2] = -1.0
+        if case == "label_nowhere":
+            labels[:, 1] = -1.0
+        features = rng.standard_normal((n, d))
+        features[missing[i]] = 0.0
+        labels[missing[i]] = 0.0
+        views.append(ViewData(features=features, labels=labels, missing_rows=missing[i]))
+    return MultiViewDataset(views=views, aligned=True)
+
+
+class TestFitComposesBlockUpdates:
+    @pytest.mark.parametrize("sweeps", [1, 5])
+    def test_fit_equals_manual_rounds(self, rng, sweeps):
+        ds = make_dataset(rng, n=30, c=4, dims=(3, 5), with_missing=True, aligned=False,
+                          ensure_positive_per_row=True)
+        cfg = SolverConfig(lam=0.6, mu=3.0, max_iters=sweeps, rel_tol=0.0, init_seed=4)
+        w_fit, trace = fit(ds, cfg)
+        assert trace.iterations == sweeps
+
+        state = init_state(ds, cfg)
+        for _ in range(sweeps):
+            stack = stack_predictions(ds, state.w, [present_rows(v) for v in ds.views])
+            w = update_w(state, ds, cfg, grad_prev=trace_norm_subgradient(stack))
+            z = update_z(SolverState(w=w, z=state.z, multipliers=state.multipliers), ds, cfg)
+            mult = update_multipliers(
+                SolverState(w=w, z=z, multipliers=state.multipliers), ds, cfg)
+            state = SolverState(w=w, z=z, multipliers=mult, iteration=state.iteration + 1)
+        for got, want in zip(w_fit.weights, state.w.weights):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize(
+        "case", ["single_label", "label_in_one_view", "label_nowhere", "wide_view"])
+    def test_objective_agrees_with_trace_on_edge_shapes(self, rng, case):
+        ds = edge_case_dataset(rng, case)
+        positives = [sum(int((v.labels[:, k] == 1).sum()) for v in ds.views)
+                     for k in range(ds.n_labels)]
+        if case == "single_label":
+            assert ds.n_labels == 1
+        elif case == "label_in_one_view":
+            assert (ds.views[0].labels[:, 2] == 1).any()
+            assert not (ds.views[1].labels[:, 2] == 1).any()
+        elif case == "label_nowhere":
+            assert positives[1] == 0
+        else:
+            assert present_rows(ds.views[1]).size < ds.views[1].n_features
+
+        cfg = SolverConfig(lam=0.5, mu=5.0, max_iters=4, rel_tol=0.0, init_seed=2)
+        w, trace = fit(ds, cfg)
+        assert trace.iterations == 4
+        assert np.isfinite(trace.objective).all()
+        total = objective(ds, w, cfg.lam).total
+        assert abs(total - trace.objective[-1]) <= 1e-12 * abs(trace.objective[-1])
 
 
 class TestPredict:
