@@ -31,11 +31,13 @@ import argparse
 import io
 import json
 import sys
+import zipfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+from .data import WeightStack
 from .dataset_io import load_dataset, save_dataset
 from .errors import (
     GenerationFailure,
@@ -120,13 +122,20 @@ def save_weights(w, path):
 
 
 def load_weights(path):
-    from .data import WeightStack
-
+    """The weight stack ``save_weights`` wrote: an ``.npz`` of ``view0``, ``view1``, ..."""
     path = Path(path)
     if not path.is_file():
         raise InvalidInput(f"weights file {path} does not exist")
-    with np.load(path) as payload:
-        names = sorted(payload.files, key=lambda s: int(s.removeprefix("view")))
+    try:
+        payload = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise InvalidInput(f"weights file {path} is not an .npz archive: {exc}")
+    if not isinstance(payload, np.lib.npyio.NpzFile):
+        raise InvalidInput(f"weights file {path} holds one array, not an .npz archive")
+    with payload:
+        names = [f"view{i}" for i in range(len(payload.files))]
+        if set(payload.files) != set(names):
+            raise InvalidInput(f"weights file {path} holds {payload.files}, not view0, view1, ...")
         return WeightStack([payload[name] for name in names])
 
 

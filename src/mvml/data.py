@@ -166,6 +166,17 @@ def sublabel_rows(view, k):
     return np.flatnonzero((view.labels[:, k] == 1.0) & ~view.missing_rows)
 
 
+def check_weight_shapes(w, n_features, n_labels):
+    """Raise ``InvalidInput`` unless ``w`` holds one ``(n_features[i], n_labels)`` per view."""
+    if w.n_views != len(n_features):
+        raise InvalidInput(f"weights cover {w.n_views} views, dataset has {len(n_features)}")
+    if w.n_labels != n_labels:
+        raise InvalidInput(f"weights predict {w.n_labels} labels, dataset has {n_labels}")
+    for i, (d, wi) in enumerate(zip(n_features, w.weights)):
+        if d != wi.shape[0]:
+            raise InvalidInput(f"view {i} has {d} features, weights expect {wi.shape[0]}")
+
+
 class StackGeometry:
     """Row layout of a dataset's present-row prediction stack.
 
@@ -198,19 +209,7 @@ class StackGeometry:
 
     def stack(self, w):
         """The present-row prediction stack of weights ``w``, shape ``(N, c)``."""
-        if w.n_views != len(self.features):
-            raise InvalidInput(
-                f"weights cover {w.n_views} views, dataset has {len(self.features)}"
-            )
-        if w.n_labels != self.labels.shape[1]:
-            raise InvalidInput(
-                f"weights predict {w.n_labels} labels, dataset has {self.labels.shape[1]}"
-            )
-        for i, (feats, wi) in enumerate(zip(self.features, w.weights)):
-            if feats.shape[1] != wi.shape[0]:
-                raise InvalidInput(
-                    f"view {i} has {feats.shape[1]} features, weights expect {wi.shape[0]}"
-                )
+        check_weight_shapes(w, [feats.shape[1] for feats in self.features], self.labels.shape[1])
         return np.vstack([feats @ wi for feats, wi in zip(self.features, w.weights)])
 
 
@@ -221,20 +220,11 @@ def stack_predictions(ds, w, rows_per_view):
     ``ds.views[i].features[rows_per_view[i]] @ w.weights[i]``. Empty
     selections contribute zero-row blocks.
     """
-    if len(rows_per_view) != ds.n_views or w.n_views != ds.n_views:
-        raise InvalidInput(
-            f"need one row selection and one weight matrix per view "
-            f"({ds.n_views}), got {len(rows_per_view)} and {w.n_views}"
-        )
-    if w.n_labels != ds.n_labels:
-        raise InvalidInput(f"weights predict {w.n_labels} labels, dataset has {ds.n_labels}")
+    if len(rows_per_view) != ds.n_views:
+        raise InvalidInput(f"need {ds.n_views} row selections, got {len(rows_per_view)}")
+    check_weight_shapes(w, [view.n_features for view in ds.views], ds.n_labels)
     blocks = []
     for i, (view, rows) in enumerate(zip(ds.views, rows_per_view)):
-        if view.n_features != w.weights[i].shape[0]:
-            raise InvalidInput(
-                f"view {i} has {view.n_features} features, weights expect "
-                f"{w.weights[i].shape[0]}"
-            )
         rows = np.asarray(rows, dtype=int).reshape(-1)
         if rows.size and (rows.min() < 0 or rows.max() >= view.n_samples):
             raise InvalidInput(f"row selection for view {i} out of range")

@@ -26,17 +26,21 @@ from .data import MultiViewDataset, StackGeometry, ViewData
 from .dataset_io import load_dataset
 from .errors import InvalidInput, IoError, MvmlError
 from .linalg import trace_norm_subgradient
-from .masking import CorruptionSpec, SyntheticSpec, _check_seed, corrupt, generate_synthetic
-from .metrics import evaluate_predictions
+from .masking import (
+    CorruptionSpec, SyntheticSpec, _check_int, _check_seed, corrupt, generate_synthetic,
+)
+from .metrics import METRIC_NAMES, evaluate_predictions
 from .solver import SolverConfig, SolverTrace, fit, predict
-
-METRIC_NAMES = ("one_minus_hamming", "one_minus_ranking", "average_precision", "auc")
 
 # Keys treated as wall-clock noise and ignored by report comparisons.
 TIMING_KEYS = ("timing",)
 
 DEFAULT_LAMBDA_GRID = (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0)
 DEFAULT_MU_GRID = (1.0, 5.0, 10.0)
+
+# Omitted dataset.synthetic fields of a config file take these values, not
+# SyntheticSpec's, where they differ; "dims" gives the features of every view.
+CONFIG_SYNTHETIC_DEFAULTS = {"positives_per_sample": 3, "noise_sigma": 0.6, "dims": 40}
 
 # Sub-seed stream tags for per-repeat derivation.
 _STREAM_SPLIT = 0
@@ -46,6 +50,36 @@ _STREAM_INIT = 2
 
 def _fields_dict(spec):
     return {f.name: getattr(spec, f.name) for f in fields(spec)}
+
+
+def _config_object(name, body):
+    if not isinstance(body, dict):
+        raise InvalidInput(f"config section '{name}' must be an object")
+    return body
+
+
+def _section(name, body, default):
+    """``default`` with the fields that the config section ``body`` sets."""
+    extra = set(_config_object(name, body)) - {f.name for f in fields(default)}
+    if extra:
+        raise InvalidInput(f"unknown {name} keys: {sorted(extra)}")
+    try:
+        return replace(default, **body)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"bad {name} section: {exc}")
+
+
+def _synthetic_section(body):
+    """The SyntheticSpec of a config file; ``views`` may stand for ``n_views``."""
+    body = dict(_config_object("dataset.synthetic", body))
+    if "views" in body:
+        if "n_views" in body:
+            raise InvalidInput("dataset.synthetic takes views or n_views, not both")
+        body["n_views"] = body.pop("views")
+    n_views = _check_int(body.get("n_views", SyntheticSpec.n_views), "n_views")
+    dims = (CONFIG_SYNTHETIC_DEFAULTS["dims"],) * n_views
+    default = SyntheticSpec(**{**CONFIG_SYNTHETIC_DEFAULTS, "n_views": n_views, "dims": dims})
+    return _section("dataset.synthetic", body, default)
 
 
 def derive_seed(base, *key):
@@ -81,24 +115,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.source, (SyntheticSpec, str)):
             raise InvalidInput("source must be a SyntheticSpec or a dataset directory path")
-        if isinstance(self.repeats, bool) or not isinstance(self.repeats, (int, np.integer)):
-            raise InvalidInput(f"repeats must be an integer, got {self.repeats!r}")
-        if self.repeats < 1:
+        if _check_int(self.repeats, "repeats") < 1:
             raise InvalidInput(f"repeats must be at least 1, got {self.repeats}")
 
     def to_dict(self):
         if isinstance(self.source, SyntheticSpec):
-            source = {
-                "synthetic": {
-                    "n": self.source.n,
-                    "c": self.source.c,
-                    "views": self.source.n_views,
-                    "dims": list(self.source.dims),
-                    "positives_per_sample": self.source.positives_per_sample,
-                    "noise_sigma": self.source.noise_sigma,
-                    "seed": self.source.seed,
-                }
-            }
+            synthetic = _fields_dict(self.source)
+            synthetic["views"] = synthetic.pop("n_views")
+            synthetic["dims"] = list(synthetic["dims"])
+            source = {"synthetic": synthetic}
         else:
             source = {"path": self.source}
         return {
@@ -114,61 +139,28 @@ class ExperimentConfig:
     def from_dict(raw):
         if not isinstance(raw, dict):
             raise InvalidInput("experiment config must be a JSON object")
-        known = {"dataset", "corruption", "solver", "split", "repeats", "outputs"}
-        unknown = set(raw) - known
+        defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+        unknown = set(raw) - ({"dataset", *defaults} - {"source"})
         if unknown:
             raise InvalidInput(f"unknown config keys: {sorted(unknown)}")
 
-        dataset = raw.get("dataset")
-        if not isinstance(dataset, dict) or not ({"synthetic", "path"} & set(dataset)):
-            raise InvalidInput("config needs dataset.synthetic or dataset.path")
+        dataset = _config_object("dataset", raw.get("dataset", {}))
+        if len(dataset) != 1 or not set(dataset) <= {"synthetic", "path"}:
+            raise InvalidInput("config needs one of dataset.synthetic and dataset.path")
         if "path" in dataset:
             source = dataset["path"]
             if not isinstance(source, str):
                 raise InvalidInput("dataset.path must be a string")
         else:
-            syn = dict(dataset["synthetic"])
-            mapped = {
-                "n": syn.pop("n", 2000),
-                "c": syn.pop("c", 30),
-                "n_views": syn.pop("views", syn.pop("n_views", 3)),
-                "positives_per_sample": syn.pop("positives_per_sample", 3),
-                "noise_sigma": syn.pop("noise_sigma", 0.6),
-                "seed": syn.pop("seed", 0),
-            }
-            if "dims" in syn:
-                mapped["dims"] = tuple(syn.pop("dims"))
-            else:
-                mapped["dims"] = SyntheticSpec(
-                    n=mapped["n"], c=mapped["c"], n_views=mapped["n_views"],
-                    dims=tuple([40] * mapped["n_views"]),
-                ).dims
-            if syn:
-                raise InvalidInput(f"unknown dataset.synthetic keys: {sorted(syn)}")
-            source = SyntheticSpec(**mapped)
-
-        defaults = {f.name: f.default for f in fields(ExperimentConfig)}
-
-        def section(name):
-            body = raw.get(name, {})
-            if not isinstance(body, dict):
-                raise InvalidInput(f"config section '{name}' must be an object")
-            extra = set(body) - {f.name for f in fields(defaults[name])}
-            if extra:
-                raise InvalidInput(f"unknown {name} keys: {sorted(extra)}")
-            try:
-                return replace(defaults[name], **body)
-            except TypeError as exc:
-                raise InvalidInput(f"bad {name} section: {exc}")
+            source = _synthetic_section(dataset["synthetic"])
 
         outputs = raw.get("outputs")
         if outputs is not None and not isinstance(outputs, str):
             raise InvalidInput("outputs must be a string path")
         return ExperimentConfig(
             source=source,
-            corruption=section("corruption"),
-            solver=section("solver"),
-            split=section("split"),
+            **{name: _section(name, raw.get(name, {}), defaults[name])
+               for name in ("corruption", "solver", "split")},
             repeats=raw.get("repeats", defaults["repeats"]),
             outputs=outputs,
         )

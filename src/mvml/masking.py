@@ -44,6 +44,13 @@ def _rng(*key):
     return np.random.default_rng(np.random.SeedSequence(list(key)))
 
 
+def _check_int(value, name):
+    """Reject floats and bools, which ``range`` and ``int`` would fail on or truncate."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_seed(seed, name="seed"):
     if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
         raise InvalidInput(f"{name} must be an integer in [0, 2**64), got {seed!r}")
@@ -63,11 +70,14 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "c", "n_views", "positives_per_sample"):
+            _check_int(getattr(self, name), name)
         if self.c < 1 or self.n < self.c:
             raise InvalidInput(f"need n >= c >= 1, got n={self.n}, c={self.c}")
         if self.n_views < 1:
             raise InvalidInput("need at least one view")
-        dims = tuple(int(d) for d in self.dims)
+        listed = isinstance(self.dims, (tuple, list, np.ndarray))
+        dims = tuple(_check_int(d, "dims entry") for d in self.dims) if listed else ()
         if len(dims) != self.n_views or any(d < 1 for d in dims):
             raise InvalidInput(
                 f"dims must list one positive dimension per view, got {self.dims!r}"

@@ -17,6 +17,9 @@ import scipy.stats
 from .errors import InvalidInput, UndefinedMetric
 from .linalg import nuclear_norm, singular_values
 
+# The four headline metrics, all larger-is-better, in report order.
+METRIC_NAMES = ("one_minus_hamming", "one_minus_ranking", "average_precision", "auc")
+
 RANK_TOL = 1e-8
 
 
@@ -116,7 +119,7 @@ class MetricsReport:
     n_labels: int
 
     def __post_init__(self):
-        for name in ("one_minus_hamming", "one_minus_ranking", "average_precision", "auc"):
+        for name in METRIC_NAMES:
             value = getattr(self, name)
             if not (np.isfinite(value) and -1e-12 <= value <= 1 + 1e-12):
                 raise InvalidInput(f"{name} must lie in [0, 1], got {value!r}")

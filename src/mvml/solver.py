@@ -25,16 +25,17 @@ nowhere are dropped from the splitting.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
 from .blas import single_threaded
-from .data import MultiViewDataset, StackGeometry, WeightStack
+from .data import MultiViewDataset, StackGeometry, WeightStack, check_weight_shapes
 from .errors import AllViewsMissing, InvalidInput, NonFiniteObjective
 from .linalg import SpdFactor, nuclear_norm, svt, trace_norm_subgradient
-from .masking import _check_seed
+from .masking import _check_int, _check_seed
+from .objective import ObjectiveValue
 from .objective import stack_loss as _masked_loss_from_preds  # module-level, so tests can stub it
 
 
@@ -60,7 +61,7 @@ class SolverConfig:
             raise InvalidInput(f"lam must be nonnegative and finite, got {self.lam!r}")
         if not (np.isfinite(self.mu) and self.mu > 0):
             raise InvalidInput(f"mu must be positive and finite, got {self.mu!r}")
-        if self.max_iters < 1:
+        if _check_int(self.max_iters, "max_iters") < 1:
             raise InvalidInput(f"max_iters must be at least 1, got {self.max_iters}")
         if not (np.isfinite(self.rel_tol) and self.rel_tol >= 0):
             raise InvalidInput(f"rel_tol must be nonnegative, got {self.rel_tol!r}")
@@ -153,11 +154,8 @@ def _factor_views(geometry, mu):
 
 def _update_w(geometry, factors, stack, state, config, grad_prev):
     """W step from the stack of ``state.w``; one GEMM and one cached solve per view."""
-    use_grad = grad_prev is not None and config.lam > 0
-    if use_grad and grad_prev.shape != stack.shape:
-        raise InvalidInput(f"grad_prev must have shape {stack.shape}, got {grad_prev.shape}")
     resid = -geometry.indicator * (stack - geometry.labels)
-    if use_grad:
+    if grad_prev is not None:
         resid += config.lam * grad_prev
     for rows, zk, mk in zip(geometry.active_index, state.z, state.multipliers):
         resid[rows] += config.mu * zk - mk
@@ -182,6 +180,8 @@ def update_w(state, ds, config, grad_prev=None):
     config = _coerce_config(config)
     geometry = StackGeometry(ds)
     stack = geometry.stack(state.w)
+    if grad_prev is not None and grad_prev.shape != stack.shape:
+        raise InvalidInput(f"grad_prev must have shape {stack.shape}, got {grad_prev.shape}")
     factors = _factor_views(geometry, config.mu)
     return _update_w(geometry, factors, stack, state, config, grad_prev)
 
@@ -261,17 +261,15 @@ def fit(ds, config):
             (float(np.linalg.norm(s - zk)) for s, zk in zip(label_stacks, z)), default=0.0
         )
 
-        loss = _masked_loss_from_preds(geometry, stack)
-        local = sum(nuclear_norm(s) for s in label_stacks)
-        if config.variant is Variant.FULL:
-            f = loss + config.lam * (local - nuclear_norm(stack))
-            if use_grad:
-                surrogate = loss + config.lam * (local - float(np.sum(stack * grad_prev)))
-            else:
-                surrogate = f
-        else:
-            f = loss + config.lam * local
-            surrogate = f
+        value = ObjectiveValue(
+            loss=_masked_loss_from_preds(geometry, stack),
+            local_term=sum(nuclear_norm(s) for s in label_stacks),
+            global_term=nuclear_norm(stack) if config.variant is Variant.FULL else 0.0,
+            lam=config.lam,
+        )
+        f = surrogate = value.total
+        if use_grad:  # the CCCP surrogate linearizes the global term at the previous stack
+            surrogate = replace(value, global_term=float(np.sum(stack * grad_prev))).total
         if not np.isfinite(f):
             raise NonFiniteObjective(t, f)
 
@@ -293,18 +291,11 @@ def predict(w, test):
         raise InvalidInput("test must be a MultiViewDataset")
     if not test.aligned:
         raise InvalidInput("prediction averages across views, which needs aligned rows")
-    if w.n_views != test.n_views:
-        raise InvalidInput(f"weights cover {w.n_views} views, dataset has {test.n_views}")
-    if w.n_labels != test.n_labels:
-        raise InvalidInput(f"weights predict {w.n_labels} labels, dataset has {test.n_labels}")
+    check_weight_shapes(w, [view.n_features for view in test.views], test.n_labels)
     n, c = test.n_samples, test.n_labels
     scores = np.zeros((n, c))
     counts = np.zeros(n)
-    for i, (view, wi) in enumerate(zip(test.views, w.weights)):
-        if view.n_features != wi.shape[0]:
-            raise InvalidInput(
-                f"view {i} has {view.n_features} features, weights expect {wi.shape[0]}"
-            )
+    for view, wi in zip(test.views, w.weights):
         present = ~view.missing_rows
         scores[present] += view.features[present] @ wi
         counts += present

@@ -260,3 +260,39 @@ def test_bad_seeds_and_counts_exit_one(tmp_path, capsys, argv_tail, overrides):
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv_tail, overrides",
+    [
+        (["ablate"], {"solver": {**SMALL_CONFIG["solver"], "max_iters": 2.5}}),
+        (["synth"], {"dataset": {"synthetic": {**SMALL_CONFIG["dataset"]["synthetic"],
+                                               "n": 40.5}}}),
+        (["synth"], {"dataset": {"synthetic": {**SMALL_CONFIG["dataset"]["synthetic"],
+                                               "dims": [5.5, 6]}}}),
+        (["synth"], {"dataset": {"synthetic": {**SMALL_CONFIG["dataset"]["synthetic"],
+                                               "dims": 5}}}),
+        (["synth"], {"dataset": {"synthetic": "x"}}),
+    ],
+    ids=["float-max-iters", "float-n", "float-dims", "scalar-dims", "synthetic-not-object"],
+)
+def test_malformed_config_fields_exit_one(tmp_path, capsys, argv_tail, overrides):
+    config = write_config(tmp_path, **overrides)
+    code = main([*argv_tail, "--config", config, "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("kind", ["misnamed-arrays", "not-npz"])
+def test_malformed_weights_exit_one(pipeline, tmp_path, capsys, kind):
+    weights = tmp_path / "w.npz"
+    if kind == "misnamed-arrays":
+        np.savez(weights, first=np.zeros((5, 5)), second=np.zeros((6, 5)))
+    else:
+        weights.write_text("not an archive\n")
+    code = main(["predict", "--weights", str(weights), "--data", pipeline["clean"],
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvml import (
     CorruptionSpec,
@@ -15,6 +17,7 @@ from mvml import (
     SolverConfig,
     SplitSpec,
     SyntheticSpec,
+    Variant,
     bench_subgradient,
     corrupt,
     evaluate_predictions,
@@ -237,6 +240,71 @@ def test_config_dict_round_trip_path():
         outputs="/tmp/out",
     )
     assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def synthetic_specs(draw):
+    c = draw(st.integers(1, 50))
+    n_views = draw(st.integers(1, 4))
+    return SyntheticSpec(
+        n=draw(st.integers(c, 10**6)),
+        c=c,
+        n_views=n_views,
+        dims=tuple(draw(st.lists(st.integers(1, 10**4), min_size=n_views, max_size=n_views))),
+        positives_per_sample=draw(st.integers(1, c)),
+        noise_sigma=draw(st.floats(0.0, 1e6)),
+        seed=draw(SEEDS),
+    )
+
+
+EXPERIMENT_CONFIGS = st.builds(
+    ExperimentConfig,
+    source=synthetic_specs() | st.text(),
+    corruption=st.builds(
+        CorruptionSpec, alpha=st.floats(0.0, 1.0, exclude_max=True), beta=st.floats(0.0, 1.0),
+        dealign=st.booleans(), seed=SEEDS,
+    ),
+    solver=st.builds(
+        SolverConfig, lam=st.floats(0.0, 1e6), mu=st.floats(0.0, 1e6, exclude_min=True),
+        max_iters=st.integers(1, 10**6), rel_tol=st.floats(0.0, 1.0),
+        variant=st.sampled_from(Variant), init_seed=SEEDS,
+    ),
+    split=st.builds(
+        SplitSpec, train_fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        seed=SEEDS,
+    ),
+    repeats=st.integers(1, 1000),
+    outputs=st.none() | st.text(),
+)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(EXPERIMENT_CONFIGS)
+def test_config_dict_round_trip_property(config):
+    assert ExperimentConfig.from_dict(config.to_dict()) == config
+    from_json = ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict())))
+    assert from_json == config
+    assert from_json.config_hash == config.config_hash
+
+
+def test_from_dict_takes_n_views_for_views():
+    by_alias = ExperimentConfig.from_dict({"dataset": {"synthetic": {"n": 40, "views": 2}}})
+    by_field = ExperimentConfig.from_dict({"dataset": {"synthetic": {"n": 40, "n_views": 2}}})
+    assert by_alias == by_field
+    assert by_alias.source.dims == (40, 40)
+    with pytest.raises(InvalidInput, match="not both"):
+        ExperimentConfig.from_dict(
+            {"dataset": {"synthetic": {"n": 40, "views": 2, "n_views": 2}}})
+
+
+def test_from_dict_rejects_ambiguous_datasets():
+    with pytest.raises(InvalidInput):
+        ExperimentConfig.from_dict({"dataset": {"path": "x", "synthetic": {}}})
+    with pytest.raises(InvalidInput):
+        ExperimentConfig.from_dict({"dataset": {"path": "x", "bogus": 1}})
 
 
 def test_from_dict_fills_defaults():
