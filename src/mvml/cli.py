@@ -167,16 +167,7 @@ def _cmd_fit(args):
     ds = load_source(config)
     w, trace = fit(ds, config.solver)
     save_weights(w, out / "weights.npz")
-    _write_json(
-        out / "fit.json",
-        {
-            "iterations": trace.iterations,
-            "converged": trace.converged,
-            "final_objective": trace.objective[-1],
-            "final_residual": trace.residual[-1],
-            "convergence": trace.to_dict(),
-        },
-    )
+    _write_json(out / "fit.json", {**trace.summary(), "convergence": trace.to_dict()})
     if args.format == "csv":
         _atomic_write(out / "convergence.csv", _csv_text(trace.rows()))
     print(f"fit finished in {trace.iterations} iterations "

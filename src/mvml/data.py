@@ -15,23 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
-
-
-def _bool_vector(x, n, name):
-    arr = np.asarray(x)
-    if arr.dtype != np.bool_:
-        if not np.isin(arr, (0, 1)).all():
-            raise InvalidInput(f"{name} must be boolean or 0/1 valued")
-        arr = arr.astype(bool)
-    if arr.shape != (n,):
-        raise InvalidInput(f"{name} must have shape ({n},), got {arr.shape}")
-    return arr
+from .errors import InvalidInput, LabelDomainViolation, NonFiniteEntry
 
 
 @dataclass(eq=False)
 class ViewData:
-    """One view: features ``(n, d)``, labels ``(n, c)``, missing flags ``(n,)``."""
+    """One view: features ``(n, d)``, labels ``(n, c)``, missing flags ``(n,)``.
+
+    The one place a view is validated; each error names the first bad row.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -40,19 +32,35 @@ class ViewData:
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
         labels = np.asarray(self.labels, dtype=float)
+        missing = np.asarray(self.missing_rows)
         if feats.ndim != 2:
             raise InvalidInput(f"features must be 2-D, got shape {feats.shape}")
         if labels.ndim != 2 or labels.shape[0] != feats.shape[0]:
             raise InvalidInput(
                 f"labels must be 2-D with {feats.shape[0]} rows, got shape {labels.shape}"
             )
-        if feats.size and not np.all(np.isfinite(feats)):
-            raise InvalidInput("features contain non-finite entries")
-        if not np.isin(labels, (-1.0, 0.0, 1.0)).all():
-            raise InvalidInput("labels must take values in {-1, 0, +1}")
-        missing = _bool_vector(self.missing_rows, feats.shape[0], "missing_rows")
-        if np.any(feats[missing]) or np.any(labels[missing]):
-            raise InvalidInput("missing rows must be all-zero in features and labels")
+        bad = np.argwhere(~np.isfinite(feats))
+        if bad.size:
+            r, j = bad[0]
+            raise NonFiniteEntry(f"features row {r}, column {j} is not finite")
+        bad = np.argwhere(~np.isin(labels, (-1.0, 0.0, 1.0)))
+        if bad.size:
+            r, j = bad[0]
+            raise LabelDomainViolation(
+                f"labels row {r}, column {j} is {labels[r, j]!r}, expected -1, 0, or +1"
+            )
+        if missing.shape != (feats.shape[0],):
+            raise InvalidInput(
+                f"missing_rows must have shape ({feats.shape[0]},), got {missing.shape}"
+            )
+        if missing.dtype != np.bool_:
+            bad = np.flatnonzero(~np.isin(missing, (0, 1)))
+            if bad.size:
+                raise InvalidInput(f"missing row {bad[0]} must be 0 or 1")
+            missing = missing.astype(bool)
+        stored = np.flatnonzero(missing)[feats[missing].any(axis=1) | labels[missing].any(axis=1)]
+        if stored.size:
+            raise InvalidInput(f"row {stored[0]} is flagged missing but stored nonzero")
         self.features = feats
         self.labels = labels
         self.missing_rows = missing
@@ -78,6 +86,9 @@ class MultiViewDataset:
     aligned: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.aligned, (bool, np.bool_)):
+            raise InvalidInput(f"aligned must be a boolean, got {self.aligned!r}")
+        self.aligned = bool(self.aligned)
         if not self.views:
             raise InvalidInput("dataset needs at least one view")
         self.views = list(self.views)
@@ -168,6 +179,8 @@ def sublabel_rows(view, k):
 
 def check_weight_shapes(w, n_features, n_labels):
     """Raise ``InvalidInput`` unless ``w`` holds one ``(n_features[i], n_labels)`` per view."""
+    if not isinstance(w, WeightStack):
+        raise InvalidInput(f"weights must be a WeightStack, got {type(w).__name__}")
     if w.n_views != len(n_features):
         raise InvalidInput(f"weights cover {w.n_views} views, dataset has {len(n_features)}")
     if w.n_labels != n_labels:
@@ -198,6 +211,8 @@ class StackGeometry:
     """
 
     def __init__(self, ds):
+        if not isinstance(ds, MultiViewDataset):
+            raise InvalidInput(f"expected a MultiViewDataset, got {type(ds).__name__}")
         present = [present_rows(view) for view in ds.views]
         self.features = [view.features[rows] for view, rows in zip(ds.views, present)]
         ends = np.cumsum([rows.size for rows in present])

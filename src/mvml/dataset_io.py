@@ -65,14 +65,12 @@ def load_dataset(path):
         raise SchemaViolation(f"{manifest_path} is not valid JSON: {exc}")
 
     _require(isinstance(manifest, dict), f"{manifest_path}: manifest must be a JSON object")
-    for field_name in ("n", "c", "V"):
+    for field_name in ("n", "c", "V"):  # type, not isinstance: a JSON true is an int too
         _require(
-            isinstance(manifest.get(field_name), int) and manifest[field_name] >= 0,
+            type(manifest.get(field_name)) is int and manifest[field_name] >= 0,
             f"{manifest_path}: field '{field_name}' must be a nonnegative integer",
         )
     n, c, n_views = manifest["n"], manifest["c"], manifest["V"]
-    aligned = manifest.get("aligned", True)
-    _require(isinstance(aligned, bool), f"{manifest_path}: field 'aligned' must be a boolean")
     views_meta = manifest.get("views")
     _require(isinstance(views_meta, list), f"{manifest_path}: field 'views' must be a list")
     _require(
@@ -87,7 +85,7 @@ def load_dataset(path):
         _require(isinstance(name, str), f"{manifest_path}: views[{idx}].name must be a string")
         dim = meta.get("dim")
         _require(
-            isinstance(dim, int) and dim >= 1,
+            type(dim) is int and dim >= 1,
             f"view '{name}': field 'dim' must be a positive integer",
         )
         for field_name in ("features_file", "labels_file"):
@@ -97,49 +95,23 @@ def load_dataset(path):
             )
 
         feats = _read_csv(root / meta["features_file"], n, dim, name, "features")
-        bad = ~np.isfinite(feats)
-        if bad.any():
-            r, col = np.argwhere(bad)[0]
-            raise NonFiniteEntry(
-                f"view '{name}': features row {int(r)}, column {int(col)} is not finite"
-            )
-
         labels = _read_csv(root / meta["labels_file"], n, c, name, "labels")
-        bad = ~np.isin(labels, (-1.0, 0.0, 1.0))
-        if bad.any():
-            r, col = np.argwhere(bad)[0]
-            raise LabelDomainViolation(
-                f"view '{name}': labels row {int(r)}, column {int(col)} is "
-                f"{labels[r, col]!r}, expected -1, 0, or +1"
-            )
-
         missing = np.zeros(n, dtype=bool)
         if meta.get("missing_file") is not None:
             _require(
                 isinstance(meta["missing_file"], str),
                 f"view '{name}': field 'missing_file' must be a file name",
             )
-            flags = _read_csv(root / meta["missing_file"], n, 1, name, "missing")[:, 0]
-            bad = ~np.isin(flags, (0.0, 1.0))
-            if bad.any():
-                r = int(np.flatnonzero(bad)[0])
-                raise SchemaViolation(f"view '{name}': missing row {r} must be 0 or 1")
-            missing = flags.astype(bool)
-
-        stored_nonzero = np.any(feats[missing]) or np.any(labels[missing])
-        if stored_nonzero:
-            r = next(
-                int(j)
-                for j in np.flatnonzero(missing)
-                if np.any(feats[j]) or np.any(labels[j])
-            )
-            raise SchemaViolation(
-                f"view '{name}': row {r} is flagged missing but stored nonzero"
-            )
-        views.append(ViewData(features=feats, labels=labels, missing_rows=missing))
+            missing = _read_csv(root / meta["missing_file"], n, 1, name, "missing")[:, 0]
+        try:
+            views.append(ViewData(features=feats, labels=labels, missing_rows=missing))
+        except (NonFiniteEntry, LabelDomainViolation) as exc:
+            raise type(exc)(f"view '{name}': {exc}")
+        except InvalidInput as exc:
+            raise SchemaViolation(f"view '{name}': {exc}")
 
     try:
-        return MultiViewDataset(views=views, aligned=aligned)
+        return MultiViewDataset(views=views, aligned=manifest.get("aligned", True))
     except InvalidInput as exc:
         raise SchemaViolation(f"{root}: {exc}")
 

@@ -50,12 +50,12 @@ class SchemaViolation(DatasetFormatError):
     """The manifest or a data file does not match the documented schema."""
 
 
-class NonFiniteEntry(DatasetFormatError):
-    """A feature file contains a NaN or infinite entry."""
+class NonFiniteEntry(DatasetFormatError, InvalidInput):
+    """A view's features contain a NaN or infinite entry."""
 
 
-class LabelDomainViolation(DatasetFormatError):
-    """A label file contains a value outside {-1, 0, +1}."""
+class LabelDomainViolation(DatasetFormatError, InvalidInput):
+    """A view's labels contain a value outside {-1, 0, +1}."""
 
 
 class IoError(MvmlError):

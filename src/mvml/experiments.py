@@ -27,7 +27,8 @@ from .dataset_io import load_dataset
 from .errors import InvalidInput, IoError, MvmlError
 from .linalg import trace_norm_subgradient
 from .masking import (
-    CorruptionSpec, SyntheticSpec, _check_int, _check_seed, corrupt, generate_synthetic,
+    CorruptionSpec, SyntheticSpec, _check_int, _check_real, _check_seed, _set_checked, corrupt,
+    generate_synthetic,
 )
 from .metrics import METRIC_NAMES, evaluate_predictions
 from .solver import SolverConfig, SolverTrace, fit, predict
@@ -65,7 +66,7 @@ def _section(name, body, default):
         raise InvalidInput(f"unknown {name} keys: {sorted(extra)}")
     try:
         return replace(default, **body)
-    except (TypeError, ValueError) as exc:
+    except InvalidInput as exc:
         raise InvalidInput(f"bad {name} section: {exc}")
 
 
@@ -96,11 +97,12 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _set_checked(self, _check_real, "train_fraction")
+        _set_checked(self, _check_seed, "seed")
         if not (np.isfinite(self.train_fraction) and 0 < self.train_fraction < 1):
             raise InvalidInput(
                 f"train_fraction must lie in (0, 1), got {self.train_fraction!r}"
             )
-        _check_seed(self.seed, "split seed")
 
 
 @dataclass(frozen=True)
@@ -115,8 +117,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.source, (SyntheticSpec, str)):
             raise InvalidInput("source must be a SyntheticSpec or a dataset directory path")
-        if _check_int(self.repeats, "repeats") < 1:
+        _set_checked(self, _check_int, "repeats")
+        if self.repeats < 1:
             raise InvalidInput(f"repeats must be at least 1, got {self.repeats}")
+        if self.outputs is not None and not isinstance(self.outputs, str):
+            raise InvalidInput("outputs must be a string path")
 
     def to_dict(self):
         if isinstance(self.source, SyntheticSpec):
@@ -149,20 +154,14 @@ class ExperimentConfig:
             raise InvalidInput("config needs one of dataset.synthetic and dataset.path")
         if "path" in dataset:
             source = dataset["path"]
-            if not isinstance(source, str):
-                raise InvalidInput("dataset.path must be a string")
         else:
             source = _synthetic_section(dataset["synthetic"])
-
-        outputs = raw.get("outputs")
-        if outputs is not None and not isinstance(outputs, str):
-            raise InvalidInput("outputs must be a string path")
         return ExperimentConfig(
             source=source,
             **{name: _section(name, raw.get(name, {}), defaults[name])
                for name in ("corruption", "solver", "split")},
             repeats=raw.get("repeats", defaults["repeats"]),
-            outputs=outputs,
+            outputs=raw.get("outputs"),
         )
 
     @property
@@ -189,13 +188,7 @@ class RepeatResult:
         return {
             "metrics": dict(self.metrics),
             "n_test": self.n_test,
-            "solver": {
-                "iterations": self.iterations,
-                "converged": self.converged,
-                "final_objective": self.final_objective,
-                "final_surrogate": self.final_surrogate,
-                "final_residual": self.final_residual,
-            },
+            "solver": self.trace.summary(),
             "convergence": self.trace.to_dict(),
             "timing": {
                 "fit_seconds": self.fit_seconds,
@@ -264,13 +257,6 @@ def load_source(config):
     return load_dataset(config.source)
 
 
-def _clean_truth(test):
-    truth = test.views[0].labels
-    if not np.isin(truth, (-1.0, 1.0)).all():
-        raise InvalidInput("test split labels must be fully observed (+/-1)")
-    return truth
-
-
 def run_repeat(ds, config, repeat):
     """Split, corrupt the training half, fit, and score one repeat."""
     train_idx, test_idx = split_indices(ds.n_samples, config.split, repeat)
@@ -286,15 +272,11 @@ def run_repeat(ds, config, repeat):
     fit_seconds = time.perf_counter() - t0
 
     scores = predict(w, test)
-    report = evaluate_predictions(scores, _clean_truth(test))
+    report = evaluate_predictions(scores, test.views[0].labels)
     return RepeatResult(
         metrics={name: getattr(report, name) for name in METRIC_NAMES},
         n_test=test.n_samples,
-        iterations=trace.iterations,
-        converged=trace.converged,
-        final_objective=trace.objective[-1],
-        final_surrogate=trace.surrogate[-1],
-        final_residual=trace.residual[-1],
+        **trace.summary(),
         trace=trace,
         fit_seconds=fit_seconds,
     )
@@ -414,9 +396,11 @@ def bench_subgradient(
     ``oracle_memory_limit`` bytes skip the oracle (reported as None).
     Returns one row per size with mean seconds per method.
     """
+    if _check_int(repeats, "repeats") < 1:
+        raise InvalidInput(f"repeats must be at least 1, got {repeats}")
     results = []
     for n, c in sizes:
-        if n < 1 or c < 1:
+        if _check_int(n, "n") < 1 or _check_int(c, "c") < 1:
             raise InvalidInput(f"sizes must be positive, got ({n}, {c})")
         rng = np.random.default_rng(np.random.SeedSequence([seed, n, c]))
         a = rng.standard_normal((n, c))

@@ -21,6 +21,7 @@ fixed seed reproduces the same dataset bit-for-bit on every platform.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +52,23 @@ def _check_int(value, name):
     return int(value)
 
 
+def _check_real(value, name):
+    """Reject strings, None and bools, which ``np.isfinite`` would fail on or take as 0/1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInput(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _check_seed(seed, name="seed"):
-    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
+    if not 0 <= _check_int(seed, name) < 2**64:
         raise InvalidInput(f"{name} must be an integer in [0, 2**64), got {seed!r}")
     return int(seed)
+
+
+def _set_checked(spec, check, *names):
+    """Store each named field of a frozen dataclass as ``check`` returns it."""
+    for name in names:
+        object.__setattr__(spec, name, check(getattr(spec, name), name))
 
 
 @dataclass(frozen=True)
@@ -70,8 +84,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "c", "n_views", "positives_per_sample"):
-            _check_int(getattr(self, name), name)
+        _set_checked(self, _check_int, "n", "c", "n_views", "positives_per_sample")
+        _set_checked(self, _check_real, "noise_sigma")
+        _set_checked(self, _check_seed, "seed")
         if self.c < 1 or self.n < self.c:
             raise InvalidInput(f"need n >= c >= 1, got n={self.n}, c={self.c}")
         if self.n_views < 1:
@@ -89,7 +104,6 @@ class SyntheticSpec:
             )
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise InvalidInput(f"noise_sigma must be nonnegative, got {self.noise_sigma!r}")
-        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -102,11 +116,15 @@ class CorruptionSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _set_checked(self, _check_real, "alpha", "beta")
+        _set_checked(self, _check_seed, "seed")
+        if not isinstance(self.dealign, (bool, np.bool_)):
+            raise InvalidInput(f"dealign must be a boolean, got {self.dealign!r}")
+        object.__setattr__(self, "dealign", bool(self.dealign))
         if not (np.isfinite(self.alpha) and 0 <= self.alpha < 1):
             raise InvalidInput(f"alpha must lie in [0, 1), got {self.alpha!r}")
         if not (np.isfinite(self.beta) and 0 <= self.beta <= 1):
             raise InvalidInput(f"beta must lie in [0, 1], got {self.beta!r}")
-        _check_seed(self.seed)
 
 
 def _cluster_labels(spec, rng):

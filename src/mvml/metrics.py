@@ -16,6 +16,7 @@ import scipy.stats
 
 from .errors import InvalidInput, UndefinedMetric
 from .linalg import nuclear_norm, singular_values
+from .masking import _check_int, _check_real
 
 # The four headline metrics, all larger-is-better, in report order.
 METRIC_NAMES = ("one_minus_hamming", "one_minus_ranking", "average_precision", "auc")
@@ -199,19 +200,16 @@ def rank_diagnostics(pred, sublabel_rows_per_label, tol=None):
     )
 
 
-def nemenyi_cd(n_methods, n_results, q_alpha, conventional=False):
+def nemenyi_cd(n_methods, n_results, q_alpha):
     """Critical distance for a mean-rank diagram.
 
-    Default: ``q_alpha * sqrt(k (k + 1) / N)`` for ``k`` methods over
-    ``N`` results, matching the study tables this package reproduces.
-    With ``conventional=True`` the classical normalization
-    ``q_alpha * sqrt(k (k + 1) / (6 N))`` is used instead.
+    ``q_alpha * sqrt(k (k + 1) / N)`` for ``k`` methods over ``N``
+    results, matching the study tables this package reproduces.
     """
-    if not isinstance(n_methods, (int, np.integer)) or n_methods < 2:
-        raise InvalidInput(f"n_methods must be an integer >= 2, got {n_methods!r}")
-    if not isinstance(n_results, (int, np.integer)) or n_results < 1:
-        raise InvalidInput(f"n_results must be a positive integer, got {n_results!r}")
-    if not (np.isfinite(q_alpha) and q_alpha > 0):
+    if _check_int(n_methods, "n_methods") < 2:
+        raise InvalidInput(f"n_methods must be at least 2, got {n_methods!r}")
+    if _check_int(n_results, "n_results") < 1:
+        raise InvalidInput(f"n_results must be at least 1, got {n_results!r}")
+    if not (np.isfinite(_check_real(q_alpha, "q_alpha")) and q_alpha > 0):
         raise InvalidInput(f"q_alpha must be positive, got {q_alpha!r}")
-    denom = 6 * n_results if conventional else n_results
-    return float(q_alpha * math.sqrt(n_methods * (n_methods + 1) / denom))
+    return float(q_alpha * math.sqrt(n_methods * (n_methods + 1) / n_results))

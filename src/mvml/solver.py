@@ -34,7 +34,7 @@ from .blas import single_threaded
 from .data import MultiViewDataset, StackGeometry, WeightStack, check_weight_shapes
 from .errors import AllViewsMissing, InvalidInput, NonFiniteObjective
 from .linalg import SpdFactor, nuclear_norm, svt, trace_norm_subgradient
-from .masking import _check_int, _check_seed
+from .masking import _check_int, _check_real, _check_seed, _set_checked
 from .objective import ObjectiveValue
 from .objective import stack_loss as _masked_loss_from_preds  # module-level, so tests can stub it
 
@@ -57,16 +57,21 @@ class SolverConfig:
     init_seed: int = 0
 
     def __post_init__(self):
+        _set_checked(self, _check_real, "lam", "mu", "rel_tol")
+        _set_checked(self, _check_int, "max_iters")
+        _set_checked(self, _check_seed, "init_seed")
+        try:
+            object.__setattr__(self, "variant", Variant(self.variant))
+        except ValueError:
+            raise InvalidInput(f"unknown solver variant {self.variant!r}")
         if not (np.isfinite(self.lam) and self.lam >= 0):
             raise InvalidInput(f"lam must be nonnegative and finite, got {self.lam!r}")
         if not (np.isfinite(self.mu) and self.mu > 0):
             raise InvalidInput(f"mu must be positive and finite, got {self.mu!r}")
-        if _check_int(self.max_iters, "max_iters") < 1:
+        if self.max_iters < 1:
             raise InvalidInput(f"max_iters must be at least 1, got {self.max_iters}")
         if not (np.isfinite(self.rel_tol) and self.rel_tol >= 0):
             raise InvalidInput(f"rel_tol must be nonnegative, got {self.rel_tol!r}")
-        _check_seed(self.init_seed, "init_seed")
-        object.__setattr__(self, "variant", Variant(self.variant))
 
 
 @dataclass
@@ -88,6 +93,16 @@ class SolverTrace:
         self.surrogate.append(float(surrogate))
         self.residual.append(float(residual))
         self.seconds.append(float(seconds))
+
+    def summary(self):
+        """Sweep count, stop flag, and the last value of each series."""
+        return {
+            "iterations": self.iterations,
+            "converged": self.converged,
+            "final_objective": self.objective[-1],
+            "final_surrogate": self.surrogate[-1],
+            "final_residual": self.residual[-1],
+        }
 
     def to_dict(self):
         """The convergence series; timings stay out, so reports compare exactly."""

@@ -92,6 +92,11 @@ def test_fit_outputs(pipeline):
         assert payload["view1"].shape == (6, 5)
 
 
+def test_fit_json_carries_the_final_surrogate(pipeline):
+    fit_json = json.loads((pipeline["root"] / "runs" / "fit" / "fit.json").read_text())
+    assert fit_json["final_surrogate"] == fit_json["convergence"]["surrogate"][-1]
+
+
 def test_predict_writes_scores(pipeline):
     scores = np.loadtxt(pipeline["root"] / "runs" / "pred" / "scores.csv", delimiter=",")
     assert scores.shape == (60, 5)
@@ -251,8 +256,10 @@ def test_numerical_failure_exits_two(tmp_path, capsys):
         (["ablate"], {"repeats": True}),
         (["synth", "--seed", "-1"], {}),
         (["bench-subgrad", "--sizes", "60x5", "--seed", "-1"], {}),
+        (["bench-subgrad", "--sizes", "60x5", "--repeats", "0"], {}),
     ],
-    ids=["split-seed", "init-seed", "bool-repeats", "synth-master-seed", "bench-seed"],
+    ids=["split-seed", "init-seed", "bool-repeats", "synth-master-seed", "bench-seed",
+         "bench-zero-repeats"],
 )
 def test_bad_seeds_and_counts_exit_one(tmp_path, capsys, argv_tail, overrides):
     config = write_config(tmp_path, **overrides)
@@ -273,8 +280,10 @@ def test_bad_seeds_and_counts_exit_one(tmp_path, capsys, argv_tail, overrides):
         (["synth"], {"dataset": {"synthetic": {**SMALL_CONFIG["dataset"]["synthetic"],
                                                "dims": 5}}}),
         (["synth"], {"dataset": {"synthetic": "x"}}),
+        (["synth"], {"corruption": {**SMALL_CONFIG["corruption"], "dealign": "false"}}),
     ],
-    ids=["float-max-iters", "float-n", "float-dims", "scalar-dims", "synthetic-not-object"],
+    ids=["float-max-iters", "float-n", "float-dims", "scalar-dims", "synthetic-not-object",
+         "string-dealign"],
 )
 def test_malformed_config_fields_exit_one(tmp_path, capsys, argv_tail, overrides):
     config = write_config(tmp_path, **overrides)

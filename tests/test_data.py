@@ -6,6 +6,7 @@ import pytest
 from mvml import (
     InvalidInput,
     MultiViewDataset,
+    NonFiniteEntry,
     StackGeometry,
     ViewData,
     WeightStack,
@@ -56,6 +57,15 @@ class TestViewData:
             ViewData(features=features, labels=np.zeros((2, 2)),
                      missing_rows=np.zeros(2, dtype=bool))
 
+    def test_non_finite_entry_names_its_row_and_column(self):
+        features = np.zeros((3, 2))
+        features[1, 0] = np.nan
+        with pytest.raises(NonFiniteEntry) as info:
+            ViewData(features=features, labels=np.zeros((3, 2)),
+                     missing_rows=np.zeros(3, dtype=bool))
+        assert isinstance(info.value, InvalidInput)
+        assert "row 1" in str(info.value) and "column 0" in str(info.value)
+
 
 class TestMultiViewDataset:
     def test_rejects_sample_missing_everywhere_when_aligned(self):
@@ -69,6 +79,12 @@ class TestMultiViewDataset:
         views = [view_from(np.zeros((3, 2)), missing=missing, seed=s) for s in (0, 1)]
         ds = MultiViewDataset(views=views, aligned=False)
         assert ds.n_views == 2
+
+    def test_aligned_must_be_a_boolean(self):
+        views = [view_from(np.zeros((3, 2)))]
+        assert MultiViewDataset(views=views, aligned=np.bool_(False)).aligned is False
+        with pytest.raises(InvalidInput):
+            MultiViewDataset(views=views, aligned="false")
 
     def test_rejects_inconsistent_shapes(self):
         views = [view_from(np.zeros((3, 2))), view_from(np.zeros((4, 2)), seed=1)]

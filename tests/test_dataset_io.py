@@ -135,6 +135,26 @@ class TestLoadErrors:
         with pytest.raises(SchemaViolation):
             load_dataset(root)
 
+    @pytest.mark.parametrize("where", ["V", "dim"])
+    def test_boolean_counts_rejected(self, tmp_path, where):
+        root = copy_fixture(tmp_path)
+        if where == "V":  # true == 1, which would load the first view alone
+            edit_manifest(root, lambda m: (
+                m.__setitem__("V", True),
+                m.__setitem__("views", [m["views"][0]]),
+            ))
+        else:  # view 'hue' has one feature column
+            edit_manifest(root, lambda m: m["views"][2].__setitem__("dim", True))
+        with pytest.raises(SchemaViolation):
+            load_dataset(root)
+
+    def test_aligned_flag_must_be_a_boolean(self, tmp_path):
+        root = copy_fixture(tmp_path)
+        edit_manifest(root, lambda m: m.__setitem__("aligned", "false"))
+        with pytest.raises(SchemaViolation) as info:
+            load_dataset(root)
+        assert "aligned" in str(info.value)
+
     def test_view_count_mismatch(self, tmp_path):
         root = copy_fixture(tmp_path)
         edit_manifest(root, lambda m: m.__setitem__("V", 2))

@@ -3,7 +3,7 @@
 import json
 import os
 import stat
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -329,6 +329,68 @@ def test_from_dict_rejects_unknown_keys():
         ExperimentConfig.from_dict({"dataset": {"synthetic": {"rows": 10}}})
 
 
+# (spec class, arguments it cannot do without, the config section that sets it)
+CONFIG_SPECS = [
+    (SyntheticSpec, {}, "dataset.synthetic"),
+    (CorruptionSpec, {}, "corruption"),
+    (SolverConfig, {"lam": 0.5}, "solver"),
+    (SplitSpec, {}, "split"),
+]
+
+
+SPEC_FIELDS = [
+    (spec, required, section, f.name)
+    for spec, required, section in CONFIG_SPECS for f in fields(spec)
+]
+
+
+@pytest.mark.parametrize("bad", ["x", None])
+@pytest.mark.parametrize(
+    "spec, required, section, name", SPEC_FIELDS,
+    ids=[f"{section}.{name}" for _, _, section, name in SPEC_FIELDS],
+)
+def test_every_spec_field_rejects_strings_and_none(spec, required, section, name, bad):
+    with pytest.raises(InvalidInput):
+        spec(**{**required, name: bad})
+    if section == "dataset.synthetic":
+        raw = {"dataset": {"synthetic": {name: bad}}}
+    else:
+        raw = {"dataset": {"path": "data"}, section: {name: bad}}
+    with pytest.raises(InvalidInput):
+        ExperimentConfig.from_dict(raw)
+
+
+def test_configs_store_plain_python_scalars():
+    five = ExperimentConfig.from_dict({"dataset": {"path": "d"}, "solver": {"mu": 5}})
+    five_point_oh = ExperimentConfig.from_dict({"dataset": {"path": "d"}, "solver": {"mu": 5.0}})
+    assert five.solver.mu == 5.0 and type(five.solver.mu) is float
+    assert five.config_hash == five_point_oh.config_hash
+
+    from_numpy = ExperimentConfig(
+        source="d",
+        corruption=CorruptionSpec(alpha=np.float64(0.25), dealign=np.bool_(True)),
+        solver=SolverConfig(lam=np.float32(0.5), max_iters=np.int64(7)),
+        split=SplitSpec(seed=np.int64(3)),
+        repeats=np.int64(2),
+    )
+    from_python = ExperimentConfig(
+        source="d",
+        corruption=CorruptionSpec(alpha=0.25, dealign=True),
+        solver=SolverConfig(lam=0.5, max_iters=7),
+        split=SplitSpec(seed=3),
+        repeats=2,
+    )
+    assert from_numpy.config_hash == from_python.config_hash
+    assert type(from_numpy.corruption.dealign) is bool
+
+
+def test_outputs_must_be_a_string():
+    with pytest.raises(InvalidInput):
+        ExperimentConfig(source="d", outputs=5)
+    with pytest.raises(InvalidInput):
+        ExperimentConfig.from_dict({"dataset": {"path": "d"}, "outputs": 5})
+
+
 def test_from_dict_rejects_malformed_sections():
     with pytest.raises(InvalidInput):
         ExperimentConfig.from_dict("not a dict")
@@ -451,3 +513,10 @@ def test_bench_subgradient_memory_guard_skips_oracle():
 def test_bench_subgradient_rejects_bad_sizes():
     with pytest.raises(InvalidInput):
         bench_subgradient(sizes=((0, 5),), repeats=1)
+
+
+def test_bench_subgradient_rejects_non_integer_sizes_and_repeats():
+    with pytest.raises(InvalidInput):
+        bench_subgradient(sizes=((2.5, 3),), repeats=1)
+    with pytest.raises(InvalidInput):
+        bench_subgradient(sizes=((50, 5),), repeats=0)

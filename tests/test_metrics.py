@@ -271,10 +271,6 @@ class TestNemenyiCd:
     def test_three_methods_twenty_results(self):
         assert nemenyi_cd(3, 20, 2.344) == pytest.approx(1.816, abs=1e-3)
 
-    def test_conventional_normalization(self):
-        assert nemenyi_cd(6, 20, 2.850, conventional=True) == pytest.approx(
-            1.686, abs=1e-3)
-
     def test_rejects_invalid_counts(self):
         with pytest.raises(InvalidInput):
             nemenyi_cd(1, 20, 2.850)
@@ -282,3 +278,9 @@ class TestNemenyiCd:
             nemenyi_cd(6, 0, 2.850)
         with pytest.raises(InvalidInput):
             nemenyi_cd(6, 20, 0.0)
+
+    def test_rejects_boolean_counts(self):
+        with pytest.raises(InvalidInput):
+            nemenyi_cd(True, 20, 2.850)
+        with pytest.raises(InvalidInput):
+            nemenyi_cd(6, True, 2.850)

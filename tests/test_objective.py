@@ -131,6 +131,11 @@ class TestObjective:
         with pytest.raises(InvalidInput):
             objective(ds, w, -0.1)
 
+    def test_rejects_a_plain_list_of_weights(self, rng):
+        ds = make_dataset(rng, n=6, c=2, dims=(3, 4))
+        with pytest.raises(InvalidInput):
+            objective(ds, list(make_weights(rng, (3, 4), 2).weights), 0.5)
+
     def test_total_nonnegative_guard(self, rng):
         for _ in range(25):
             n = int(rng.integers(8, 30))

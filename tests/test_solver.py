@@ -306,6 +306,10 @@ class TestFit:
             fit(ds, SolverConfig(lam=0.5, max_iters=5, init_seed=1))
         assert info.value.iteration == 1
 
+    def test_rejects_a_non_dataset(self):
+        with pytest.raises(InvalidInput):
+            fit(None, SolverConfig(lam=0.5, max_iters=2))
+
     def test_variants_accept_string_names(self, rng):
         ds = small_training_set(rng, n=20)
         for name in ("full", "loss_only", "loss_plus_local"):
@@ -447,3 +451,8 @@ class TestPredict:
         w = WeightStack([rng.standard_normal((5, 2))])
         with pytest.raises(InvalidInput):
             predict(w, ds)
+
+    def test_rejects_a_plain_list_of_weights(self, rng):
+        ds = make_dataset(rng, n=6, c=2, dims=(3,))
+        with pytest.raises(InvalidInput):
+            predict([rng.standard_normal((3, 2))], ds)
