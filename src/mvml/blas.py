@@ -1,8 +1,8 @@
-"""Scoped thread count of the OpenBLAS builds bundled with numpy and scipy.
+"""Scoped thread count of the OpenBLAS build bundled with numpy.
 
-On the many small products of a solver sweep, the worker pools of the
-two builds cost more in wake-ups and spinning than a second core saves.
-Where the bundled libraries are not found, nothing changes.
+On the many small products of a solver sweep, the worker pool costs
+more in wake-ups and spinning than a second core saves. Where the
+bundled library is not found, nothing changes.
 """
 
 from __future__ import annotations
@@ -14,25 +14,25 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy
-import scipy
 
 
 @functools.cache
 def _controls():
-    """(getter, setter) of each bundled OpenBLAS: numpy's 64-bit-int build, scipy's 32-bit one."""
+    """(getter, setter) of numpy's bundled OpenBLAS, or none where it is not found."""
     controls = []
-    for package in (numpy, scipy):
-        libs = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
-        for path in sorted(libs.glob("libscipy_openblas*.so*")):
-            lib = ctypes.CDLL(str(path))
-            for suffix in ("64_", ""):
-                getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-                setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-                if getter and setter:
-                    getter.argtypes, getter.restype = [], ctypes.c_int
-                    setter.argtypes, setter.restype = [ctypes.c_int], None
-                    controls.append((getter, setter))
-                    break
+    libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("lib*openblas*.so*")):
+        # the symbols carry the part of the file name between lib and openblas
+        prefix = path.name[len("lib") : path.name.index("openblas")]
+        lib = ctypes.CDLL(str(path))
+        for suffix in ("64_", ""):
+            getter = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            setter = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if getter and setter:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                controls.append((getter, setter))
+                break
     return tuple(controls)
 
 
@@ -43,12 +43,12 @@ _saved = ()  # counts found when the outermost block opened
 
 @contextmanager
 def single_threaded():
-    """Run the block with every bundled OpenBLAS pool at one thread.
+    """Run the block with numpy's bundled OpenBLAS pool at one thread.
 
-    The counts are process-wide: the first block to open (in any
-    thread) saves them and the last to close restores them, so
-    overlapping blocks in several threads leave them as found. BLAS
-    calls of other threads run on one thread while any block is open.
+    The count is process-wide: the first block to open (in any thread)
+    saves it and the last to close restores it, so overlapping blocks
+    in several threads leave it as found. BLAS calls of other threads
+    run on one thread while any block is open.
     """
     global _depth, _saved
     with _lock:

@@ -245,7 +245,7 @@ def _grid_command(args, name, field):
         record = run_experiment(vcfg, fmt=args.format)
         rows[f"{value:g}"] = {
             "summary": record.summary,
-            "iterations": [r.iterations for r in record.repeats],
+            "iterations": [r.trace.iterations for r in record.repeats],
         }
         print(f"{name}={value:g}: " + ", ".join(
             f"{metric}={stats['mean']:.4f}" for metric, stats in record.summary.items()

@@ -176,11 +176,6 @@ class ExperimentConfig:
 class RepeatResult:
     metrics: dict
     n_test: int
-    iterations: int
-    converged: bool
-    final_objective: float
-    final_surrogate: float
-    final_residual: float
     trace: SolverTrace
     fit_seconds: float
 
@@ -276,7 +271,6 @@ def run_repeat(ds, config, repeat):
     return RepeatResult(
         metrics={name: getattr(report, name) for name in METRIC_NAMES},
         n_test=test.n_samples,
-        **trace.summary(),
         trace=trace,
         fit_seconds=fit_seconds,
     )
@@ -399,7 +393,10 @@ def bench_subgradient(
     if _check_int(repeats, "repeats") < 1:
         raise InvalidInput(f"repeats must be at least 1, got {repeats}")
     results = []
-    for n, c in sizes:
+    for size in sizes:
+        if not isinstance(size, (tuple, list)) or len(size) != 2:
+            raise InvalidInput(f"each size must be an (n, c) pair, got {size!r}")
+        n, c = size
         if _check_int(n, "n") < 1 or _check_int(c, "c") < 1:
             raise InvalidInput(f"sizes must be positive, got ({n}, {c})")
         rng = np.random.default_rng(np.random.SeedSequence([seed, n, c]))

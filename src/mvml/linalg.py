@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInput, SingularSystem
 
@@ -196,11 +195,12 @@ def svt(a, tau):
 
 
 class SpdFactor:
-    """Cached Cholesky factorization of ``m + ridge * I``.
+    """Cached inverse Cholesky factor of ``m + ridge * I``.
 
     The ridge is ``RIDGE_SCALE * trace(m) / dim``, fixed at
-    construction. Instances are immutable after ``__init__`` and may be
-    shared freely across threads; ``solve`` allocates its own output.
+    construction; a solve is two products with the inverted factor.
+    Instances are immutable after ``__init__`` and may be shared
+    freely across threads; ``solve`` allocates its own output.
 
     Raises
     ------
@@ -217,7 +217,7 @@ class SpdFactor:
         sym = 0.5 * (m + m.T)
         sym[np.diag_indices_from(sym)] += self.ridge
         try:
-            self._factor = scipy.linalg.cho_factor(sym, lower=True, check_finite=False)
+            self._inv_lower = np.linalg.inv(np.linalg.cholesky(sym))
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(
                 f"Cholesky factorization failed for {self.dim}x{self.dim} system "
@@ -231,7 +231,7 @@ class SpdFactor:
             raise InvalidInput(f"rhs has {rhs.shape[0]} rows, expected {self.dim}")
         if rhs.size and not np.all(np.isfinite(rhs)):
             raise InvalidInput("rhs contains non-finite entries")
-        return scipy.linalg.cho_solve(self._factor, rhs, check_finite=False)
+        return self._inv_lower.T @ (self._inv_lower @ rhs)
 
 
 def spd_solve(m, rhs):

@@ -56,7 +56,10 @@ def _check_real(value, name):
     """Reject strings, None and bools, which ``np.isfinite`` would fail on or take as 0/1."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidInput(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidInput(f"{name} is too large for a float") from None
 
 
 def _check_seed(seed, name="seed"):

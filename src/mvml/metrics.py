@@ -12,7 +12,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.stats
 
 from .errors import InvalidInput, UndefinedMetric
 from .linalg import nuclear_norm, singular_values
@@ -95,14 +94,14 @@ def adapted_auc(scores, truth):
     scores, truth = _check_scores_truth(scores, truth)
     per_label = []
     for k in range(scores.shape[1]):
-        col_truth = truth[:, k]
-        n_pos = int(np.count_nonzero(col_truth == 1.0))
-        n_neg = int(np.count_nonzero(col_truth == -1.0))
-        if n_pos == 0 or n_neg == 0:
+        pos = scores[truth[:, k] == 1.0, k]
+        neg = np.sort(scores[truth[:, k] == -1.0, k])
+        if pos.size == 0 or neg.size == 0:
             continue
-        ranks = scipy.stats.rankdata(scores[:, k], method="average")
-        u = float(np.sum(ranks[col_truth == 1.0])) - n_pos * (n_pos + 1) / 2
-        per_label.append(u / (n_pos * n_neg))
+        # integer counts of negatives below, and below or tied: U is exact
+        below = int(np.searchsorted(neg, pos, "left").sum())
+        below_or_tied = int(np.searchsorted(neg, pos, "right").sum())
+        per_label.append((below + below_or_tied) / 2 / (pos.size * neg.size))
     if not per_label:
         raise UndefinedMetric("no label has both positive and negative samples")
     return float(np.mean(per_label))

@@ -281,9 +281,10 @@ def test_bad_seeds_and_counts_exit_one(tmp_path, capsys, argv_tail, overrides):
                                                "dims": 5}}}),
         (["synth"], {"dataset": {"synthetic": "x"}}),
         (["synth"], {"corruption": {**SMALL_CONFIG["corruption"], "dealign": "false"}}),
+        (["ablate"], {"solver": {**SMALL_CONFIG["solver"], "lam": 10**400}}),
     ],
     ids=["float-max-iters", "float-n", "float-dims", "scalar-dims", "synthetic-not-object",
-         "string-dealign"],
+         "string-dealign", "huge-lam"],
 )
 def test_malformed_config_fields_exit_one(tmp_path, capsys, argv_tail, overrides):
     config = write_config(tmp_path, **overrides)

@@ -168,9 +168,9 @@ def test_single_repeat_matches_manual_pipeline():
 
     rep = record.repeats[0]
     assert rep.n_test == test.n_samples
-    assert rep.iterations == trace.iterations
-    assert rep.converged == trace.converged
-    assert rep.final_objective == trace.objective[-1]
+    assert rep.trace.iterations == trace.iterations
+    assert rep.trace.converged == trace.converged
+    assert rep.trace.objective[-1] == trace.objective[-1]
     assert rep.metrics["one_minus_hamming"] == report.one_minus_hamming
     assert rep.metrics["one_minus_ranking"] == report.one_minus_ranking
     assert rep.metrics["average_precision"] == report.average_precision
@@ -384,6 +384,13 @@ def test_configs_store_plain_python_scalars():
     assert type(from_numpy.corruption.dealign) is bool
 
 
+def test_real_fields_reject_integers_too_large_for_a_float():
+    with pytest.raises(InvalidInput):
+        SolverConfig(lam=10**400)
+    with pytest.raises(InvalidInput):
+        ExperimentConfig.from_dict({"dataset": {"path": "d"}, "solver": {"lam": 10**400}})
+
+
 def test_outputs_must_be_a_string():
     with pytest.raises(InvalidInput):
         ExperimentConfig(source="d", outputs=5)
@@ -444,7 +451,7 @@ def test_csv_report_layout(tmp_path):
     for r, rep in enumerate(record.repeats):
         lines = (tmp_path / f"convergence_{r:02d}.csv").read_text().splitlines()
         assert lines[0] == "iteration,objective,surrogate,residual"
-        assert len(lines) == 1 + rep.iterations
+        assert len(lines) == 1 + rep.trace.iterations
         for t, line in enumerate(lines[1:]):
             cells = line.split(",")
             assert int(cells[0]) == t + 1
@@ -520,3 +527,9 @@ def test_bench_subgradient_rejects_non_integer_sizes_and_repeats():
         bench_subgradient(sizes=((2.5, 3),), repeats=1)
     with pytest.raises(InvalidInput):
         bench_subgradient(sizes=((50, 5),), repeats=0)
+
+
+@pytest.mark.parametrize("size", [5, (5, 3, 1)], ids=["scalar", "triple"])
+def test_bench_subgradient_rejects_sizes_that_are_not_pairs(size):
+    with pytest.raises(InvalidInput, match="pair"):
+        bench_subgradient(sizes=(size,), repeats=1)

@@ -1,0 +1,89 @@
+"""Property tests on small random inputs: AUC ties, the CCCP bound, save/load."""
+
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mvml import (
+    CorruptionSpec,
+    SolverConfig,
+    UndefinedMetric,
+    adapted_auc,
+    corrupt,
+    fit,
+    load_dataset,
+    save_dataset,
+)
+
+import oracles
+from conftest import make_dataset
+
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, database=None, derandomize=True)
+
+
+@st.composite
+def tied_scores_and_truth(draw):
+    n = draw(st.integers(1, 12))
+    c = draw(st.integers(1, 4))
+    decimals = draw(st.integers(0, 2))
+    raw = draw(st.lists(st.floats(-2.0, 2.0), min_size=n * c, max_size=n * c))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n * c, max_size=n * c))
+    scores = np.round(np.array(raw).reshape(n, c), decimals)
+    return scores, np.array(signs).reshape(n, c)
+
+
+@PROPERTY_SETTINGS
+@given(tied_scores_and_truth())
+def test_adapted_auc_equals_the_pairwise_count_under_ties(case):
+    scores, truth = case
+    expected = oracles.brute_auc(scores, truth)
+    if expected is None:
+        with pytest.raises(UndefinedMetric):
+            adapted_auc(scores, truth)
+    else:
+        assert adapted_auc(scores, truth) == expected
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 39),
+    c=st.integers(1, 5),
+    dims=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+    with_missing=st.booleans(),
+    lam=st.floats(0.0, 2.0),
+    mu=st.floats(0.5, 10.0),
+)
+def test_surrogate_bounds_the_objective_at_every_sweep(seed, n, c, dims, with_missing, lam, mu):
+    ds = make_dataset(np.random.default_rng(seed), n=n, c=c, dims=tuple(dims),
+                      with_missing=with_missing, ensure_positive_per_row=True)
+    _, trace = fit(ds, SolverConfig(lam=lam, mu=mu, max_iters=15, rel_tol=0.0))
+    for objective, surrogate in zip(trace.objective, trace.surrogate):
+        assert surrogate >= objective - 1e-10 * abs(objective)
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 15),
+    c=st.integers(1, 4),
+    dims=st.lists(st.integers(1, 5), min_size=2, max_size=3),
+    alpha=st.floats(0.0, 0.5),
+    beta=st.floats(0.0, 1.0),
+    dealign=st.booleans(),
+)
+def test_save_then_load_is_bit_exact(seed, n, c, dims, alpha, beta, dealign):
+    base = make_dataset(np.random.default_rng(seed), n=n, c=c, dims=tuple(dims))
+    ds = corrupt(base, CorruptionSpec(alpha=alpha, beta=beta, dealign=dealign, seed=seed))
+    with tempfile.TemporaryDirectory() as root:
+        save_dataset(ds, root)
+        back = load_dataset(root)
+    assert back.aligned == ds.aligned
+    assert back.n_views == ds.n_views
+    for a, b in zip(ds.views, back.views):
+        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a.missing_rows, b.missing_rows)
