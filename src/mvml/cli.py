@@ -45,10 +45,12 @@ from .errors import (
     MvmlError,
     NonFiniteObjective,
     SingularSystem,
+    _check_seed,
 )
 from .experiments import (
     DEFAULT_LAMBDA_GRID,
     DEFAULT_MU_GRID,
+    REPORT_FORMATS,
     ExperimentConfig,
     _atomic_write,
     _csv_text,
@@ -58,7 +60,7 @@ from .experiments import (
     prediction_stack_with_sublabels,
     run_experiment,
 )
-from .masking import SyntheticSpec, _check_seed, corrupt, generate_synthetic
+from .masking import SyntheticSpec, corrupt, generate_synthetic
 from .metrics import evaluate_predictions, rank_diagnostics
 from .solver import Variant, fit, predict
 
@@ -299,7 +301,7 @@ def _add_common(parser, data=False, weights=False):
     parser.add_argument("--config", help="JSON experiment config")
     parser.add_argument("--seed", type=int, help="master seed overriding all config seeds")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--format", choices=REPORT_FORMATS, default="json")
     if data:
         parser.add_argument("--data", help="dataset directory")
     if weights:

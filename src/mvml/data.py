@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, LabelDomainViolation, NonFiniteEntry
+from .errors import InvalidInput, LabelDomainViolation, NonFiniteEntry, _check_int, _check_matrix
 
 
 @dataclass(eq=False)
@@ -134,14 +134,7 @@ class WeightStack:
     def __post_init__(self):
         if not self.weights:
             raise InvalidInput("weight stack needs at least one view")
-        mats = []
-        for i, w in enumerate(self.weights):
-            w = np.asarray(w, dtype=float)
-            if w.ndim != 2:
-                raise InvalidInput(f"weights[{i}] must be 2-D, got shape {w.shape}")
-            if w.size and not np.all(np.isfinite(w)):
-                raise InvalidInput(f"weights[{i}] contains non-finite entries")
-            mats.append(w)
+        mats = [_check_matrix(w, f"weights[{i}]") for i, w in enumerate(self.weights)]
         c = mats[0].shape[1]
         for i, w in enumerate(mats):
             if w.shape[1] != c:
@@ -172,7 +165,7 @@ def present_rows(view):
 
 def sublabel_rows(view, k):
     """Ascending indices of non-missing samples tagged positive for label ``k``."""
-    if not 0 <= k < view.n_labels:
+    if not 0 <= _check_int(k, "label index") < view.n_labels:
         raise InvalidInput(f"label index {k} out of range [0, {view.n_labels})")
     return np.flatnonzero((view.labels[:, k] == 1.0) & ~view.missing_rows)
 

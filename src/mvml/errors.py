@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of each kind of
+argument (integer, real, seed, matrix), which raises ``InvalidInput`` naming it."""
+
+import math
+import numbers
+
+import numpy as np
 
 
 class MvmlError(Exception):
@@ -60,3 +66,68 @@ class LabelDomainViolation(DatasetFormatError, InvalidInput):
 
 class IoError(MvmlError):
     """Writing a report or output file failed."""
+
+
+# The conditions ``_check_real`` can state besides being finite.
+_REAL_BOUNDS = {
+    "nonnegative": lambda x: x >= 0,
+    "positive": lambda x: x > 0,
+    "in [0, 1)": lambda x: 0 <= x < 1,
+    "in [0, 1]": lambda x: 0 <= x <= 1,
+    "in (0, 1)": lambda x: 0 < x < 1,
+}
+
+
+def _check_int(value, name, low=None):
+    """``value`` as an int of at least ``low``; ``range`` would fail on floats or take bools."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise InvalidInput(f"{name} must be at least {low}, got {value!r}")
+    return int(value)
+
+
+def _check_real(value, name, bound=None):
+    """``value`` as a finite float meeting ``bound``, a key of ``_REAL_BOUNDS``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInput(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise InvalidInput(f"{name} is too large for a float") from None
+    if not math.isfinite(x) or (bound is not None and not _REAL_BOUNDS[bound](x)):
+        condition = "finite" if bound is None else f"finite and {bound}"
+        raise InvalidInput(f"{name} must be {condition}, got {value!r}")
+    return x
+
+
+def _check_seed(seed, name="seed"):
+    if not 0 <= _check_int(seed, name) < 2**64:
+        raise InvalidInput(f"{name} must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
+
+
+def _set_checked(spec, check, *names, **bounds):
+    """Store each named field of a frozen dataclass as ``check`` returns it."""
+    for name in names:
+        object.__setattr__(spec, name, check(getattr(spec, name), name, **bounds))
+
+
+def _check_matrix(a, name, ndims=(2,)):
+    """``a`` as a float array of ``ndims`` dimensions with finite entries.
+
+    Complex and text input is rejected, not cast: no imaginary part is dropped.
+    """
+    try:
+        a = np.asarray(a)
+    except ValueError as exc:  # a ragged nested list
+        raise InvalidInput(f"{name} must be a real matrix: {exc}") from None
+    if a.dtype.kind not in "biuf":
+        raise InvalidInput(f"{name} must hold real numbers, got dtype {a.dtype}")
+    if a.ndim not in ndims:
+        shapes = " or ".join(f"{k}-D" for k in ndims)
+        raise InvalidInput(f"{name} must be {shapes}, got shape {a.shape}")
+    a = a.astype(float, copy=False)
+    if not np.isfinite(a).all():
+        raise InvalidInput(f"{name} contains non-finite entries")
+    return a

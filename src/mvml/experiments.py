@@ -24,12 +24,11 @@ import numpy as np
 
 from .data import MultiViewDataset, StackGeometry, ViewData
 from .dataset_io import load_dataset
-from .errors import InvalidInput, IoError, MvmlError
-from .linalg import trace_norm_subgradient
-from .masking import (
-    CorruptionSpec, SyntheticSpec, _check_int, _check_real, _check_seed, _set_checked, corrupt,
-    generate_synthetic,
+from .errors import (
+    InvalidInput, IoError, MvmlError, _check_int, _check_real, _check_seed, _set_checked,
 )
+from .linalg import trace_norm_subgradient
+from .masking import CorruptionSpec, SyntheticSpec, corrupt, generate_synthetic
 from .metrics import METRIC_NAMES, evaluate_predictions
 from .solver import SolverConfig, SolverTrace, fit, predict
 
@@ -38,6 +37,8 @@ TIMING_KEYS = ("timing",)
 
 DEFAULT_LAMBDA_GRID = (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0)
 DEFAULT_MU_GRID = (1.0, 5.0, 10.0)
+
+REPORT_FORMATS = ("json", "csv")
 
 # Omitted dataset.synthetic fields of a config file take these values, not
 # SyntheticSpec's, where they differ; "dims" gives the features of every view.
@@ -97,12 +98,8 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _set_checked(self, _check_real, "train_fraction")
+        _set_checked(self, _check_real, "train_fraction", bound="in (0, 1)")
         _set_checked(self, _check_seed, "seed")
-        if not (np.isfinite(self.train_fraction) and 0 < self.train_fraction < 1):
-            raise InvalidInput(
-                f"train_fraction must lie in (0, 1), got {self.train_fraction!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -117,9 +114,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.source, (SyntheticSpec, str)):
             raise InvalidInput("source must be a SyntheticSpec or a dataset directory path")
-        _set_checked(self, _check_int, "repeats")
-        if self.repeats < 1:
-            raise InvalidInput(f"repeats must be at least 1, got {self.repeats}")
+        _set_checked(self, _check_int, "repeats", low=1)
         if self.outputs is not None and not isinstance(self.outputs, str):
             raise InvalidInput("outputs must be a string path")
 
@@ -292,6 +287,7 @@ def run_experiment(config, fmt="json"):
     Returns the :class:`RunRecord`; reports land under ``config.outputs``
     when that is set.
     """
+    _check_format(fmt)
     ds = load_source(config)
     repeats = []
     for r in range(config.repeats):
@@ -326,6 +322,11 @@ def _atomic_write(path, text):
     return path
 
 
+def _check_format(fmt):
+    if fmt not in REPORT_FORMATS:
+        raise InvalidInput(f"format must be one of {REPORT_FORMATS}, got {fmt!r}")
+
+
 def export_report(record, fmt, out_dir):
     """Write a run record under ``out_dir``; returns the written paths.
 
@@ -335,8 +336,7 @@ def export_report(record, fmt, out_dir):
     ``convergence_XX.csv`` per repeat with columns iteration,
     objective, surrogate, residual.
     """
-    if fmt not in ("json", "csv"):
-        raise InvalidInput(f"format must be 'json' or 'csv', got {fmt!r}")
+    _check_format(fmt)
     out = Path(out_dir)
     written = []
     if fmt == "json":
@@ -390,15 +390,13 @@ def bench_subgradient(
     ``oracle_memory_limit`` bytes skip the oracle (reported as None).
     Returns one row per size with mean seconds per method.
     """
-    if _check_int(repeats, "repeats") < 1:
-        raise InvalidInput(f"repeats must be at least 1, got {repeats}")
+    repeats = _check_int(repeats, "repeats", low=1)
+    seed = _check_seed(seed)
     results = []
     for size in sizes:
         if not isinstance(size, (tuple, list)) or len(size) != 2:
             raise InvalidInput(f"each size must be an (n, c) pair, got {size!r}")
-        n, c = size
-        if _check_int(n, "n") < 1 or _check_int(c, "c") < 1:
-            raise InvalidInput(f"sizes must be positive, got ({n}, {c})")
+        n, c = _check_int(size[0], "n", low=1), _check_int(size[1], "c", low=1)
         rng = np.random.default_rng(np.random.SeedSequence([seed, n, c]))
         a = rng.standard_normal((n, c))
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInput, SingularSystem
+from .errors import InvalidInput, SingularSystem, _check_matrix, _check_real
 
 # Gram eigenvalues below EIG_DROP_TOL * max(largest eigenvalue, 1) are
 # treated as exactly zero when inverting spectra (pseudo-inverse cut).
@@ -29,15 +29,6 @@ class EigenPair(NamedTuple):
 
     values: np.ndarray
     vectors: np.ndarray
-
-
-def _as_finite_matrix(a, name="a"):
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise InvalidInput(f"{name} must be 2-D, got shape {a.shape}")
-    if a.size and not np.all(np.isfinite(a)):
-        raise InvalidInput(f"{name} contains non-finite entries")
-    return a
 
 
 def symmetric_eig(b):
@@ -61,7 +52,7 @@ def symmetric_eig(b):
     InvalidInput
         If ``b`` is not square or contains non-finite entries.
     """
-    b = _as_finite_matrix(b, "b")
+    b = _check_matrix(b, "b")
     if b.shape[0] != b.shape[1]:
         raise InvalidInput(f"b must be square, got shape {b.shape}")
     if b.shape[0] == 0:
@@ -93,7 +84,7 @@ def _gram_eig(a):
 
 def singular_values(a):
     """Singular values of ``a``, descending, via the smaller Gram product."""
-    a = _as_finite_matrix(a)
+    a = _check_matrix(a, "a")
     if a.size == 0:
         return np.zeros(min(a.shape))
     values = np.linalg.eigvalsh(_gram(a)[0])  # values only
@@ -144,7 +135,7 @@ def trace_norm_subgradient(a):
         spectral norm is at most 1 up to round-off, and
         ``trace(a.T @ G)`` equals ``nuclear_norm(a)``.
     """
-    a = _as_finite_matrix(a)
+    a = _check_matrix(a, "a")
     if a.size == 0:
         return np.zeros_like(a)
     values, vectors, tall = _gram_eig(a)
@@ -180,9 +171,8 @@ def svt(a, tau):
     InvalidInput
         If ``tau`` is negative or not finite.
     """
-    a = _as_finite_matrix(a)
-    if not np.isfinite(tau) or tau < 0:
-        raise InvalidInput(f"tau must be a nonnegative finite scalar, got {tau!r}")
+    a = _check_matrix(a, "a")
+    tau = _check_real(tau, "tau", bound="nonnegative")
     if a.size == 0:
         return np.zeros_like(a)
     values, vectors, tall = _gram_eig(a)
@@ -209,7 +199,7 @@ class SpdFactor:
     """
 
     def __init__(self, m):
-        m = _as_finite_matrix(m, "m")
+        m = _check_matrix(m, "m")
         if m.shape[0] != m.shape[1]:
             raise InvalidInput(f"m must be square, got shape {m.shape}")
         self.dim = m.shape[0]
@@ -226,11 +216,9 @@ class SpdFactor:
 
     def solve(self, rhs):
         """Solve ``(m + ridge * I) x = rhs`` for a vector or matrix ``rhs``."""
-        rhs = np.asarray(rhs, dtype=float)
+        rhs = _check_matrix(rhs, "rhs", ndims=(1, 2))
         if rhs.shape[0] != self.dim:
             raise InvalidInput(f"rhs has {rhs.shape[0]} rows, expected {self.dim}")
-        if rhs.size and not np.all(np.isfinite(rhs)):
-            raise InvalidInput("rhs contains non-finite entries")
         return self._inv_lower.T @ (self._inv_lower @ rhs)
 
 

@@ -21,13 +21,14 @@ fixed seed reproduces the same dataset bit-for-bit on every platform.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import MultiViewDataset, ViewData
-from .errors import GenerationFailure, InvalidInput
+from .errors import (
+    GenerationFailure, InvalidInput, _check_int, _check_real, _check_seed, _set_checked,
+)
 
 # Within-cluster spread of the latent one-hot codes, relative to 1/sqrt(g).
 CLUSTER_JITTER = 0.3
@@ -45,35 +46,6 @@ def _rng(*key):
     return np.random.default_rng(np.random.SeedSequence(list(key)))
 
 
-def _check_int(value, name):
-    """Reject floats and bools, which ``range`` and ``int`` would fail on or truncate."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidInput(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _check_real(value, name):
-    """Reject strings, None and bools, which ``np.isfinite`` would fail on or take as 0/1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidInput(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise InvalidInput(f"{name} is too large for a float") from None
-
-
-def _check_seed(seed, name="seed"):
-    if not 0 <= _check_int(seed, name) < 2**64:
-        raise InvalidInput(f"{name} must be an integer in [0, 2**64), got {seed!r}")
-    return int(seed)
-
-
-def _set_checked(spec, check, *names):
-    """Store each named field of a frozen dataclass as ``check`` returns it."""
-    for name in names:
-        object.__setattr__(spec, name, check(getattr(spec, name), name))
-
-
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Shape and noise parameters for the planted-cluster generator."""
@@ -87,26 +59,18 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _set_checked(self, _check_int, "n", "c", "n_views", "positives_per_sample")
-        _set_checked(self, _check_real, "noise_sigma")
+        _set_checked(self, _check_int, "n", "c", "n_views", "positives_per_sample", low=1)
+        _set_checked(self, _check_real, "noise_sigma", bound="nonnegative")
         _set_checked(self, _check_seed, "seed")
-        if self.c < 1 or self.n < self.c:
-            raise InvalidInput(f"need n >= c >= 1, got n={self.n}, c={self.c}")
-        if self.n_views < 1:
-            raise InvalidInput("need at least one view")
+        if self.n < self.c:
+            raise InvalidInput(f"need n >= c, got n={self.n}, c={self.c}")
         listed = isinstance(self.dims, (tuple, list, np.ndarray))
-        dims = tuple(_check_int(d, "dims entry") for d in self.dims) if listed else ()
-        if len(dims) != self.n_views or any(d < 1 for d in dims):
-            raise InvalidInput(
-                f"dims must list one positive dimension per view, got {self.dims!r}"
-            )
+        dims = tuple(_check_int(d, "dims entry", low=1) for d in self.dims) if listed else ()
+        if len(dims) != self.n_views:
+            raise InvalidInput(f"dims must list one dimension per view, got {self.dims!r}")
         object.__setattr__(self, "dims", dims)
-        if not 1 <= self.positives_per_sample <= self.c:
-            raise InvalidInput(
-                f"positives_per_sample must lie in [1, c], got {self.positives_per_sample}"
-            )
-        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise InvalidInput(f"noise_sigma must be nonnegative, got {self.noise_sigma!r}")
+        if self.positives_per_sample > self.c:
+            raise InvalidInput(f"need positives_per_sample <= c, got {self.positives_per_sample}")
 
 
 @dataclass(frozen=True)
@@ -119,15 +83,12 @@ class CorruptionSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _set_checked(self, _check_real, "alpha", "beta")
+        _set_checked(self, _check_real, "alpha", bound="in [0, 1)")
+        _set_checked(self, _check_real, "beta", bound="in [0, 1]")
         _set_checked(self, _check_seed, "seed")
         if not isinstance(self.dealign, (bool, np.bool_)):
             raise InvalidInput(f"dealign must be a boolean, got {self.dealign!r}")
         object.__setattr__(self, "dealign", bool(self.dealign))
-        if not (np.isfinite(self.alpha) and 0 <= self.alpha < 1):
-            raise InvalidInput(f"alpha must lie in [0, 1), got {self.alpha!r}")
-        if not (np.isfinite(self.beta) and 0 <= self.beta <= 1):
-            raise InvalidInput(f"beta must lie in [0, 1], got {self.beta!r}")
 
 
 def _cluster_labels(spec, rng):

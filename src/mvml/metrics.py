@@ -13,9 +13,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, UndefinedMetric
+from .errors import InvalidInput, UndefinedMetric, _check_int, _check_matrix, _check_real
 from .linalg import nuclear_norm, singular_values
-from .masking import _check_int, _check_real
 
 # The four headline metrics, all larger-is-better, in report order.
 METRIC_NAMES = ("one_minus_hamming", "one_minus_ranking", "average_precision", "auc")
@@ -24,14 +23,9 @@ RANK_TOL = 1e-8
 
 
 def _check_scores_truth(scores, truth):
-    scores = np.asarray(scores, dtype=float)
-    truth = np.asarray(truth, dtype=float)
-    if scores.ndim != 2 or scores.shape != truth.shape:
-        raise InvalidInput(
-            f"scores and truth must be 2-D with equal shapes, got {scores.shape} and {truth.shape}"
-        )
-    if scores.size and not np.all(np.isfinite(scores)):
-        raise InvalidInput("scores contain non-finite entries")
+    scores, truth = _check_matrix(scores, "scores"), _check_matrix(truth, "truth")
+    if scores.shape != truth.shape:
+        raise InvalidInput(f"scores and truth shapes differ: {scores.shape} and {truth.shape}")
     if not np.isin(truth, (-1.0, 1.0)).all():
         raise InvalidInput("truth entries must all be -1 or +1")
     return scores, truth
@@ -120,8 +114,8 @@ class MetricsReport:
 
     def __post_init__(self):
         for name in METRIC_NAMES:
-            value = getattr(self, name)
-            if not (np.isfinite(value) and -1e-12 <= value <= 1 + 1e-12):
+            value = _check_real(getattr(self, name), name)
+            if not -1e-12 <= value <= 1 + 1e-12:  # round-off may cross 0 or 1
                 raise InvalidInput(f"{name} must lie in [0, 1], got {value!r}")
 
     def to_dict(self):
@@ -176,11 +170,9 @@ def rank_diagnostics(pred, sublabel_rows_per_label, tol=None):
     of the Gram-product spectrum, ``sqrt(dim * eps)``. Empty selections
     report rank 0 and nuclear norm 0.
     """
-    pred = np.asarray(pred, dtype=float)
-    if pred.ndim != 2:
-        raise InvalidInput(f"pred must be 2-D, got shape {pred.shape}")
-    if tol is not None and not (np.isfinite(tol) and tol > 0):
-        raise InvalidInput(f"tol must be positive, got {tol!r}")
+    pred = _check_matrix(pred, "pred")
+    if tol is not None:
+        tol = _check_real(tol, "tol", bound="positive")
     sub_ranks = []
     sub_nuclear = []
     for rows in sublabel_rows_per_label:
@@ -205,10 +197,7 @@ def nemenyi_cd(n_methods, n_results, q_alpha):
     ``q_alpha * sqrt(k (k + 1) / N)`` for ``k`` methods over ``N``
     results, matching the study tables this package reproduces.
     """
-    if _check_int(n_methods, "n_methods") < 2:
-        raise InvalidInput(f"n_methods must be at least 2, got {n_methods!r}")
-    if _check_int(n_results, "n_results") < 1:
-        raise InvalidInput(f"n_results must be at least 1, got {n_results!r}")
-    if not (np.isfinite(_check_real(q_alpha, "q_alpha")) and q_alpha > 0):
-        raise InvalidInput(f"q_alpha must be positive, got {q_alpha!r}")
+    n_methods = _check_int(n_methods, "n_methods", low=2)
+    n_results = _check_int(n_results, "n_results", low=1)
+    q_alpha = _check_real(q_alpha, "q_alpha", bound="positive")
     return float(q_alpha * math.sqrt(n_methods * (n_methods + 1) / n_results))

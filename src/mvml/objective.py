@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import StackGeometry
-from .errors import InvalidInput
+from .errors import _check_real
 from .linalg import nuclear_norm
 
 
@@ -79,12 +79,11 @@ def regularizer_value(ds, w):
 
 def objective(ds, w, lam):
     """Evaluate the full objective at ``(ds, w)`` for trade-off ``lam``."""
-    if not np.isfinite(lam) or lam < 0:
-        raise InvalidInput(f"lam must be a nonnegative finite scalar, got {lam!r}")
+    lam = _check_real(lam, "lam", bound="nonnegative")
     geometry = StackGeometry(ds)
     stack = geometry.stack(w)
     local, global_term = _stack_regularizer(geometry, stack)
     return ObjectiveValue(
         loss=stack_loss(geometry, stack), local_term=local, global_term=global_term,
-        lam=float(lam),
+        lam=lam,
     )

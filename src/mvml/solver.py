@@ -32,9 +32,11 @@ import numpy as np
 
 from .blas import single_threaded
 from .data import MultiViewDataset, StackGeometry, WeightStack, check_weight_shapes
-from .errors import AllViewsMissing, InvalidInput, NonFiniteObjective
+from .errors import (
+    AllViewsMissing, InvalidInput, NonFiniteObjective, _check_int, _check_real, _check_seed,
+    _set_checked,
+)
 from .linalg import SpdFactor, nuclear_norm, svt, trace_norm_subgradient
-from .masking import _check_int, _check_real, _check_seed, _set_checked
 from .objective import ObjectiveValue
 from .objective import stack_loss as _masked_loss_from_preds  # module-level, so tests can stub it
 
@@ -57,21 +59,14 @@ class SolverConfig:
     init_seed: int = 0
 
     def __post_init__(self):
-        _set_checked(self, _check_real, "lam", "mu", "rel_tol")
-        _set_checked(self, _check_int, "max_iters")
+        _set_checked(self, _check_real, "lam", "rel_tol", bound="nonnegative")
+        _set_checked(self, _check_real, "mu", bound="positive")
+        _set_checked(self, _check_int, "max_iters", low=1)
         _set_checked(self, _check_seed, "init_seed")
         try:
             object.__setattr__(self, "variant", Variant(self.variant))
         except ValueError:
             raise InvalidInput(f"unknown solver variant {self.variant!r}")
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise InvalidInput(f"lam must be nonnegative and finite, got {self.lam!r}")
-        if not (np.isfinite(self.mu) and self.mu > 0):
-            raise InvalidInput(f"mu must be positive and finite, got {self.mu!r}")
-        if self.max_iters < 1:
-            raise InvalidInput(f"max_iters must be at least 1, got {self.max_iters}")
-        if not (np.isfinite(self.rel_tol) and self.rel_tol >= 0):
-            raise InvalidInput(f"rel_tol must be nonnegative, got {self.rel_tol!r}")
 
 
 @dataclass
@@ -161,8 +156,10 @@ def _factor_views(geometry, mu):
     """Cached factors of mu * sum_k Xk' Xk = mu * Xp' diag(positive-tag counts) Xp."""
     counts = (geometry.labels == 1.0).sum(axis=1)
     factors = []
-    for feats, block in zip(geometry.features, geometry.blocks):
+    for i, (feats, block) in enumerate(zip(geometry.features, geometry.blocks)):
         gram = (feats * counts[block, None]).T @ feats
+        if gram.size and not gram.any():  # its ridge is zero too, so it cannot be factored
+            raise InvalidInput(f"view {i}: no present row has a positive tag and nonzero features")
         factors.append(SpdFactor(mu * gram))
     return factors
 

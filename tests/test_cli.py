@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from mvml import CorruptionSpec, SyntheticSpec, corrupt, generate_synthetic, save_dataset
 from mvml.cli import main
 
 SMALL_CONFIG = {
@@ -292,6 +293,19 @@ def test_malformed_config_fields_exit_one(tmp_path, capsys, argv_tail, overrides
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_view_without_positive_tags_exits_one(tmp_path, capsys):
+    ds = corrupt(
+        generate_synthetic(SyntheticSpec(n=200, c=10, n_views=2, dims=(5, 6), seed=1)),
+        CorruptionSpec(alpha=0.3, beta=1.0, seed=2),
+    )
+    save_dataset(ds, tmp_path / "data")
+    code = main(["fit", "--data", str(tmp_path / "data"), "--config", write_config(tmp_path),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: view 0: no present row")
 
 
 @pytest.mark.parametrize("kind", ["misnamed-arrays", "not-npz"])

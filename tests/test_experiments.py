@@ -344,7 +344,7 @@ SPEC_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("bad", ["x", None])
+@pytest.mark.parametrize("bad", ["x", None, float("nan"), float("inf")])
 @pytest.mark.parametrize(
     "spec, required, section, name", SPEC_FIELDS,
     ids=[f"{section}.{name}" for _, _, section, name in SPEC_FIELDS],
@@ -475,6 +475,16 @@ def test_export_rejects_unknown_format(tmp_path):
     record = run_experiment(small_config(repeats=1, solver=SolverConfig(lam=0.0, variant="loss_only")))
     with pytest.raises(InvalidInput):
         export_report(record, "yaml", tmp_path)
+
+
+def test_run_rejects_unknown_format_before_fitting(monkeypatch, tmp_path):
+    def no_fit(*args):
+        raise AssertionError("fit ran")
+
+    monkeypatch.setattr("mvml.experiments.fit", no_fit)
+    for outputs in (None, str(tmp_path)):
+        with pytest.raises(InvalidInput, match="format"):
+            run_experiment(small_config(repeats=1, outputs=outputs), fmt="xml")
 
 
 def test_strip_timing_removes_every_timing_subtree():

@@ -21,7 +21,7 @@ from mvml import (
     update_z,
 )
 from mvml.linalg import RIDGE_SCALE
-from mvml.masking import SyntheticSpec, generate_synthetic
+from mvml.masking import CorruptionSpec, SyntheticSpec, corrupt, generate_synthetic
 from mvml.data import present_rows, stack_predictions, sublabel_rows
 from mvml.objective import objective
 
@@ -315,6 +315,26 @@ class TestFit:
         for name in ("full", "loss_only", "loss_plus_local"):
             w, _ = fit(ds, SolverConfig(lam=0.2, max_iters=5, variant=name))
             assert w.n_views == ds.n_views
+
+    @pytest.mark.parametrize("blank", ["every_view", "one_view"])
+    def test_a_view_without_positive_tags_is_named(self, blank):
+        if blank == "every_view":  # beta = 1 blanks every observed tag
+            ds = corrupt(
+                generate_synthetic(SyntheticSpec(n=200, c=10, n_views=2, dims=(5, 6), seed=1)),
+                CorruptionSpec(alpha=0.3, beta=1.0, seed=2),
+            )
+        else:
+            ds = generate_synthetic(SyntheticSpec(n=60, c=5, n_views=2, dims=(5, 6), seed=7))
+            ds.views[1].labels[ds.views[1].labels == 1.0] = 0.0
+        view = 0 if blank == "every_view" else 1
+        for variant in ("full", "loss_plus_local"):
+            config = SolverConfig(lam=0.5, max_iters=5, variant=variant)
+            with pytest.raises(InvalidInput, match=f"view {view}: no present row"):
+                fit(ds, config)
+            state = init_state(ds, config)
+            with pytest.raises(InvalidInput, match=f"view {view}: no present row"):
+                update_w(state, ds, config)
+        fit(ds, SolverConfig(lam=0.5, variant="loss_only"))  # one direct solve per label
 
 
 def edge_case_dataset(rng, case, n=20):
