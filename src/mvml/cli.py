@@ -28,17 +28,16 @@ generation).
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
-import zipfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import WeightStack
-from .dataset_io import load_dataset, save_dataset
+from .dataset_io import (
+    csv_text, json_text, load_dataset, load_weights, save_dataset, save_weights, write_file,
+)
 from .errors import (
     GenerationFailure,
     InvalidInput,
@@ -52,8 +51,6 @@ from .experiments import (
     DEFAULT_MU_GRID,
     REPORT_FORMATS,
     ExperimentConfig,
-    _atomic_write,
-    _csv_text,
     bench_subgradient,
     derive_seed,
     load_source,
@@ -114,33 +111,6 @@ def _out_dir(args, config=None):
     return out
 
 
-def _write_json(path, payload):
-    return _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def save_weights(w, path):
-    np.savez(path, **{f"view{i}": wi for i, wi in enumerate(w.weights)})
-    return path
-
-
-def load_weights(path):
-    """The weight stack ``save_weights`` wrote: an ``.npz`` of ``view0``, ``view1``, ..."""
-    path = Path(path)
-    if not path.is_file():
-        raise InvalidInput(f"weights file {path} does not exist")
-    try:
-        payload = np.load(path)
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise InvalidInput(f"weights file {path} is not an .npz archive: {exc}")
-    if not isinstance(payload, np.lib.npyio.NpzFile):
-        raise InvalidInput(f"weights file {path} holds one array, not an .npz archive")
-    with payload:
-        names = [f"view{i}" for i in range(len(payload.files))]
-        if set(payload.files) != set(names):
-            raise InvalidInput(f"weights file {path} holds {payload.files}, not view0, view1, ...")
-        return WeightStack([payload[name] for name in names])
-
-
 def _cmd_synth(args):
     config = _experiment_config(args, default_dataset={"synthetic": {}})
     if not isinstance(config.source, SyntheticSpec):
@@ -169,9 +139,9 @@ def _cmd_fit(args):
     ds = load_source(config)
     w, trace = fit(ds, config.solver)
     save_weights(w, out / "weights.npz")
-    _write_json(out / "fit.json", {**trace.summary(), "convergence": trace.to_dict()})
+    write_file(out / "fit.json", json_text({**trace.summary(), "convergence": trace.to_dict()}))
     if args.format == "csv":
-        _atomic_write(out / "convergence.csv", _csv_text(trace.rows()))
+        write_file(out / "convergence.csv", csv_text(trace.rows()))
     print(f"fit finished in {trace.iterations} iterations "
           f"(converged={trace.converged}); weights in {out}")
     return 0
@@ -179,28 +149,22 @@ def _cmd_fit(args):
 
 def _cmd_predict(args):
     ds = load_dataset(args.data)
-    w = load_weights(args.weights)
-    scores = predict(w, ds)
-    out = _out_dir(args)
-    text = io.StringIO()
-    np.savetxt(text, scores, delimiter=",", fmt="%.17g")
-    _atomic_write(out / "scores.csv", text.getvalue())
-    print(f"wrote scores for {scores.shape[0]} samples to {out / 'scores.csv'}")
+    scores = predict(load_weights(args.weights), ds)
+    path = write_file(_out_dir(args) / "scores.csv", csv_text(scores, "%.17g"))
+    print(f"wrote scores for {scores.shape[0]} samples to {path}")
     return 0
 
 
 def _cmd_evaluate(args):
     ds = load_dataset(args.data)
-    w = load_weights(args.weights)
-    scores = predict(w, ds)
-    truth = ds.views[0].labels
-    report = evaluate_predictions(scores, truth)
+    scores = predict(load_weights(args.weights), ds)
+    report = evaluate_predictions(scores, ds.views[0].labels)
     out = _out_dir(args)
     if args.format == "csv":
         rows = [["metric", "value"]] + [[k, repr(v)] for k, v in report.to_dict().items()]
-        _atomic_write(out / "metrics.csv", _csv_text(rows))
+        write_file(out / "metrics.csv", csv_text(rows))
     else:
-        _write_json(out / "metrics.json", report.to_dict())
+        write_file(out / "metrics.json", json_text(report.to_dict()))
     for name, value in report.to_dict().items():
         print(f"{name}: {value}")
     return 0
@@ -211,8 +175,7 @@ def _cmd_rank_diag(args):
     w = load_weights(args.weights)
     stack, rows_per_label = prediction_stack_with_sublabels(ds, w)
     diag = rank_diagnostics(stack, rows_per_label, tol=args.tol)
-    out = _out_dir(args)
-    _write_json(out / "rank_diagnostics.json", diag.to_dict())
+    write_file(_out_dir(args) / "rank_diagnostics.json", json_text(diag.to_dict()))
     print(f"entire rank {diag.entire_rank} of {min(stack.shape)}, "
           f"mean sub-label rank {float(np.mean(diag.sub_ranks)):.2f}")
     return 0
@@ -233,7 +196,7 @@ def _cmd_ablate(args):
         print(f"{variant.value}: " + ", ".join(
             f"{name}={stats['mean']:.4f}" for name, stats in record.summary.items()
         ))
-    _write_json(out / "ablation.json", summary)
+    write_file(out / "ablation.json", json_text(summary))
     return 0
 
 
@@ -252,7 +215,7 @@ def _grid_command(args, name, field):
         print(f"{name}={value:g}: " + ", ".join(
             f"{metric}={stats['mean']:.4f}" for metric, stats in record.summary.items()
         ))
-    _write_json(out / f"{name}_sweep.json", rows)
+    write_file(out / f"{name}_sweep.json", json_text(rows))
     return 0
 
 
@@ -287,13 +250,11 @@ def _cmd_bench_subgrad(args):
     if args.out:
         out = _out_dir(args)
         if args.format == "csv":
-            table = [["n", "c", "kernel_seconds", "oracle_seconds"]]
-            for row in rows:
-                oracle = "" if row["oracle_seconds"] is None else repr(row["oracle_seconds"])
-                table.append([str(row["n"]), str(row["c"]), repr(row["kernel_seconds"]), oracle])
-            _atomic_write(out / "bench_subgrad.csv", _csv_text(table))
+            keys = ["n", "c", "kernel_seconds", "oracle_seconds"]
+            cells = [["" if row[k] is None else repr(row[k]) for k in keys] for row in rows]
+            write_file(out / "bench_subgrad.csv", csv_text([keys] + cells))
         else:
-            _write_json(out / "bench_subgrad.json", rows)
+            write_file(out / "bench_subgrad.json", json_text(rows))
     return 0
 
 

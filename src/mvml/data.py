@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, LabelDomainViolation, NonFiniteEntry, _check_int, _check_matrix
+from .errors import InvalidInput, LabelDomainViolation, _check_int, _check_matrix, _check_rows
 
 
 @dataclass(eq=False)
@@ -30,19 +30,11 @@ class ViewData:
     missing_rows: np.ndarray
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=float)
-        labels = np.asarray(self.labels, dtype=float)
+        feats = _check_matrix(self.features, "features")
+        labels = _check_matrix(self.labels, "labels")
         missing = np.asarray(self.missing_rows)
-        if feats.ndim != 2:
-            raise InvalidInput(f"features must be 2-D, got shape {feats.shape}")
-        if labels.ndim != 2 or labels.shape[0] != feats.shape[0]:
-            raise InvalidInput(
-                f"labels must be 2-D with {feats.shape[0]} rows, got shape {labels.shape}"
-            )
-        bad = np.argwhere(~np.isfinite(feats))
-        if bad.size:
-            r, j = bad[0]
-            raise NonFiniteEntry(f"features row {r}, column {j} is not finite")
+        if labels.shape[0] != feats.shape[0]:
+            raise InvalidInput(f"labels must have {feats.shape[0]} rows, got shape {labels.shape}")
         bad = np.argwhere(~np.isin(labels, (-1.0, 0.0, 1.0)))
         if bad.size:
             r, j = bad[0]
@@ -233,8 +225,6 @@ def stack_predictions(ds, w, rows_per_view):
     check_weight_shapes(w, [view.n_features for view in ds.views], ds.n_labels)
     blocks = []
     for i, (view, rows) in enumerate(zip(ds.views, rows_per_view)):
-        rows = np.asarray(rows, dtype=int).reshape(-1)
-        if rows.size and (rows.min() < 0 or rows.max() >= view.n_samples):
-            raise InvalidInput(f"row selection for view {i} out of range")
+        rows = _check_rows(rows, view.n_samples, f"rows_per_view[{i}]")
         blocks.append(view.features[rows] @ w.weights[i])
     return np.vstack(blocks)

@@ -9,19 +9,26 @@ file (``n`` lines of 0/1, 1 meaning the row is absent from the view).
 All files are UTF-8 with LF line endings. Missing rows must be stored
 all-zero. Violations raise the format errors with row and column
 coordinates where applicable.
+
+Every file the package writes goes through ``write_file`` here, in the
+layout of ``json_text`` or ``csv_text``; weights are an ``.npz`` archive.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import secrets
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
-from .data import MultiViewDataset, ViewData
+from .data import MultiViewDataset, ViewData, WeightStack
 from .errors import (
     InvalidInput,
+    IoError,
     LabelDomainViolation,
     MissingFile,
     NonFiniteEntry,
@@ -29,6 +36,43 @@ from .errors import (
 )
 
 MANIFEST_NAME = "manifest.json"
+
+
+def write_file(path, data):
+    """Replace ``path`` whole by ``data`` (text goes as UTF-8) through a temp file beside it,
+    so a failed write, which raises ``IoError``, leaves the old file as it was."""
+    path = Path(path)
+    data = data.encode("utf-8") if isinstance(data, str) else data
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        os.makedirs(path.parent, exist_ok=True)
+        # mode 0o666 less the umask, as open() gives; the kernel applies the umask
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except OSError:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise IoError(f"writing {path} failed: {exc}")
+    return path
+
+
+def json_text(payload):
+    """The JSON layout of every file written here: sorted keys, indent 2, LF end."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def csv_text(rows, fmt=None):
+    """Comma-separated, LF-ended lines: string cells as given, or, with ``fmt``, a numeric
+    array through ``np.savetxt`` (``"%.17g"`` round-trips floats; 1-D gives one per line)."""
+    if fmt is None:
+        return "\n".join(",".join(row) for row in rows) + "\n"
+    text = io.StringIO()
+    np.savetxt(text, rows, delimiter=",", fmt=fmt)
+    return text.getvalue()
 
 
 def _read_csv(path, n_rows, n_cols, view_name, kind):
@@ -120,10 +164,10 @@ def save_dataset(ds, path):
     """Write a dataset directory in the documented format.
 
     Floats are written with 17 significant digits, so a save/load round
-    trip reproduces the arrays exactly. Returns the manifest path.
+    trip reproduces the arrays exactly. Each file is replaced whole,
+    ``manifest.json`` last. Returns the manifest path.
     """
     root = Path(path)
-    os.makedirs(root, exist_ok=True)
     views_meta = []
     for i, view in enumerate(ds.views):
         name = f"view{i}"
@@ -133,15 +177,11 @@ def save_dataset(ds, path):
             "features_file": f"{name}_features.csv",
             "labels_file": f"{name}_labels.csv",
         }
-        np.savetxt(root / meta["features_file"], view.features, delimiter=",", fmt="%.17g")
-        np.savetxt(
-            root / meta["labels_file"], view.labels.astype(int), delimiter=",", fmt="%d"
-        )
+        write_file(root / meta["features_file"], csv_text(view.features, "%.17g"))
+        write_file(root / meta["labels_file"], csv_text(view.labels.astype(int), "%d"))
         if view.missing_rows.any():
             meta["missing_file"] = f"{name}_missing.csv"
-            np.savetxt(
-                root / meta["missing_file"], view.missing_rows.astype(int), fmt="%d"
-            )
+            write_file(root / meta["missing_file"], csv_text(view.missing_rows.astype(int), "%d"))
         views_meta.append(meta)
     manifest = {
         "n": int(ds.n_samples),
@@ -150,8 +190,26 @@ def save_dataset(ds, path):
         "aligned": bool(ds.aligned),
         "views": views_meta,
     }
-    manifest_path = root / MANIFEST_NAME
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-    )
-    return manifest_path
+    return write_file(root / MANIFEST_NAME, json_text(manifest))
+
+
+def save_weights(w, path):
+    """Write ``w`` as an ``.npz`` of ``view0``, ``view1``, ...; returns the path."""
+    archive = io.BytesIO()
+    np.savez(archive, **{f"view{i}": wi for i, wi in enumerate(w.weights)})
+    return write_file(path, archive.getvalue())
+
+
+def load_weights(path):
+    """The weight stack ``save_weights`` wrote: an ``.npz`` of ``view0``, ``view1``, ..."""
+    try:
+        payload = np.load(path)
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise InvalidInput(f"weights file {path} is not a readable .npz archive: {exc}")
+    if not isinstance(payload, np.lib.npyio.NpzFile):
+        raise InvalidInput(f"weights file {path} holds one array, not an .npz archive")
+    with payload:
+        names = [f"view{i}" for i in range(len(payload.files))]
+        if set(payload.files) != set(names):
+            raise InvalidInput(f"weights file {path} holds {payload.files}, not view0, view1...")
+        return WeightStack([payload[name] for name in names])

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the one check of each kind of
-argument (integer, real, seed, matrix), which raises ``InvalidInput`` naming it."""
+"""Exception types shared across the package, and the one check of each kind of argument
+(integer, real, seed, matrix, row selection), which raises ``InvalidInput`` naming it."""
 
 import math
 import numbers
@@ -57,7 +57,7 @@ class SchemaViolation(DatasetFormatError):
 
 
 class NonFiniteEntry(DatasetFormatError, InvalidInput):
-    """A view's features contain a NaN or infinite entry."""
+    """A matrix, such as a view's features, holds a NaN or infinite entry."""
 
 
 class LabelDomainViolation(DatasetFormatError, InvalidInput):
@@ -117,6 +117,7 @@ def _check_matrix(a, name, ndims=(2,)):
     """``a`` as a float array of ``ndims`` dimensions with finite entries.
 
     Complex and text input is rejected, not cast: no imaginary part is dropped.
+    A NaN or infinity raises ``NonFiniteEntry`` naming its row (and column).
     """
     try:
         a = np.asarray(a)
@@ -128,6 +129,23 @@ def _check_matrix(a, name, ndims=(2,)):
         shapes = " or ".join(f"{k}-D" for k in ndims)
         raise InvalidInput(f"{name} must be {shapes}, got shape {a.shape}")
     a = a.astype(float, copy=False)
-    if not np.isfinite(a).all():
-        raise InvalidInput(f"{name} contains non-finite entries")
+    finite = np.isfinite(a)
+    if not finite.all():
+        first = np.argwhere(~finite)[0]
+        where = ", ".join(f"{axis} {i}" for axis, i in zip(("row", "column"), first))
+        raise NonFiniteEntry(f"{name} {where} is not finite")
     return a
+
+
+def _check_rows(rows, n, name):
+    """``rows`` as a 1-D array of integer indices in ``[0, n)``; an empty one may have any dtype.
+    Floats and boolean masks are rejected, not truncated or read as indices."""
+    try:
+        rows = np.asarray(rows)
+    except ValueError:  # a ragged nested list
+        raise InvalidInput(f"{name} must be 1-D integer row indices, got a ragged list") from None
+    if rows.size == 0:
+        return np.zeros(0, dtype=int)
+    if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n:
+        raise InvalidInput(f"{name} must be 1-D integer row indices in [0, {n}), got {rows!r}")
+    return rows

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import secrets
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -23,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .data import MultiViewDataset, StackGeometry, ViewData
-from .dataset_io import load_dataset
+from .dataset_io import csv_text, json_text, load_dataset, write_file
 from .errors import (
-    InvalidInput, IoError, MvmlError, _check_int, _check_real, _check_seed, _set_checked,
+    InvalidInput, MvmlError, _check_int, _check_real, _check_rows, _check_seed, _set_checked,
 )
 from .linalg import trace_norm_subgradient
 from .masking import CorruptionSpec, SyntheticSpec, corrupt, generate_synthetic
@@ -228,7 +226,7 @@ def subset_dataset(ds, rows):
     """Row subset of an aligned dataset, one shared selection for all views."""
     if not ds.aligned:
         raise InvalidInput("row subsetting requires an aligned dataset")
-    rows = np.asarray(rows, dtype=int)
+    rows = _check_rows(rows, ds.n_samples, "rows")
     views = [
         ViewData(
             features=view.features[rows],
@@ -307,21 +305,6 @@ def run_experiment(config, fmt="json"):
     return record
 
 
-def _atomic_write(path, text):
-    path = Path(path)
-    os.makedirs(path.parent, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
-    try:
-        # mode 0o666 less the umask, as open() gives; the kernel applies the umask
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise IoError(f"writing {path} failed: {exc}")
-    return path
-
-
 def _check_format(fmt):
     if fmt not in REPORT_FORMATS:
         raise InvalidInput(f"format must be one of {REPORT_FORMATS}, got {fmt!r}")
@@ -338,11 +321,8 @@ def export_report(record, fmt, out_dir):
     """
     _check_format(fmt)
     out = Path(out_dir)
-    written = []
     if fmt == "json":
-        text = json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n"
-        written.append(_atomic_write(out / "report.json", text))
-        return written
+        return [write_file(out / "report.json", json_text(record.to_dict()))]
 
     rows = [["metric", "mean", "std"] + [f"rep{r:02d}" for r in range(len(record.repeats))]]
     for name in METRIC_NAMES:
@@ -350,19 +330,10 @@ def export_report(record, fmt, out_dir):
             [name, repr(record.summary[name]["mean"]), repr(record.summary[name]["std"])]
             + [repr(r.metrics[name]) for r in record.repeats]
         )
-    written.append(_atomic_write(out / "metrics.csv", _csv_text(rows)))
+    written = [write_file(out / "metrics.csv", csv_text(rows))]
     for r, repeat in enumerate(record.repeats):
-        written.append(
-            _atomic_write(out / f"convergence_{r:02d}.csv", _csv_text(repeat.trace.rows()))
-        )
+        written.append(write_file(out / f"convergence_{r:02d}.csv", csv_text(repeat.trace.rows())))
     return written
-
-
-def _csv_text(rows):
-    lines = []
-    for row in rows:
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
 
 
 def prediction_stack_with_sublabels(ds, w):
@@ -392,6 +363,7 @@ def bench_subgradient(
     """
     repeats = _check_int(repeats, "repeats", low=1)
     seed = _check_seed(seed)
+    memory_limit = _check_real(oracle_memory_limit, "oracle_memory_limit", bound="nonnegative")
     results = []
     for size in sizes:
         if not isinstance(size, (tuple, list)) or len(size) != 2:
@@ -409,7 +381,7 @@ def bench_subgradient(
 
         oracle_bytes = 8 * (n * n + n * c + c * c)
         oracle_seconds = None
-        if oracle_bytes <= oracle_memory_limit:
+        if oracle_bytes <= memory_limit:
             oracle_times = []
             for _ in range(repeats):
                 t0 = time.perf_counter()

@@ -13,7 +13,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, UndefinedMetric, _check_int, _check_matrix, _check_real
+from .errors import (
+    InvalidInput, UndefinedMetric, _check_int, _check_matrix, _check_real, _check_rows,
+)
 from .linalg import nuclear_norm, singular_values
 
 # The four headline metrics, all larger-is-better, in report order.
@@ -175,11 +177,8 @@ def rank_diagnostics(pred, sublabel_rows_per_label, tol=None):
         tol = _check_real(tol, "tol", bound="positive")
     sub_ranks = []
     sub_nuclear = []
-    for rows in sublabel_rows_per_label:
-        rows = np.asarray(rows, dtype=int).reshape(-1)
-        if rows.size and (rows.min() < 0 or rows.max() >= pred.shape[0]):
-            raise InvalidInput("sub-label row selection out of range")
-        block = pred[rows]
+    for k, rows in enumerate(sublabel_rows_per_label):
+        block = pred[_check_rows(rows, pred.shape[0], f"sublabel_rows_per_label[{k}]")]
         sub_ranks.append(_numeric_rank(block, tol))
         sub_nuclear.append(nuclear_norm(block))
     return RankDiagnostics(

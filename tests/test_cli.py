@@ -183,6 +183,20 @@ def test_bench_subgrad_table_and_report(tmp_path, capsys):
     assert all(r["kernel_seconds"] > 0 for r in rows)
 
 
+def test_bench_subgrad_csv_report(tmp_path):
+    out = tmp_path / "bench"
+    code = main(["bench-subgrad", "--sizes", "60x5", "80x4", "--repeats", "1",
+                 "--oracle-memory-limit", "50000", "--format", "csv", "--out", str(out)])
+    assert code == 0
+    lines = (out / "bench_subgrad.csv").read_text().splitlines()
+    assert lines[0] == "n,c,kernel_seconds,oracle_seconds"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(r[0], r[1]) for r in rows] == [("60", "5"), ("80", "4")]
+    assert all(float(r[2]) > 0 for r in rows)
+    # 60x5 fits the oracle's memory limit, 80x4 does not and leaves its cell empty
+    assert float(rows[0][3]) > 0 and rows[1][3] == ""
+
+
 def test_bench_subgrad_marks_skipped_oracle(capsys):
     code = main(["bench-subgrad", "--sizes", "80x4", "--repeats", "1",
                  "--oracle-memory-limit", "1000"])
@@ -308,13 +322,16 @@ def test_view_without_positive_tags_exits_one(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: view 0: no present row")
 
 
-@pytest.mark.parametrize("kind", ["misnamed-arrays", "not-npz"])
+@pytest.mark.parametrize("kind", ["misnamed-arrays", "not-npz", "missing-file", "bare-npy"])
 def test_malformed_weights_exit_one(pipeline, tmp_path, capsys, kind):
     weights = tmp_path / "w.npz"
     if kind == "misnamed-arrays":
         np.savez(weights, first=np.zeros((5, 5)), second=np.zeros((6, 5)))
-    else:
+    elif kind == "not-npz":
         weights.write_text("not an archive\n")
+    elif kind == "bare-npy":
+        with weights.open("wb") as fh:  # one array, under the name an archive would have
+            np.save(fh, np.zeros((5, 5)))
     code = main(["predict", "--weights", str(weights), "--data", pipeline["clean"],
                  "--out", str(tmp_path / "o")])
     assert code == 1

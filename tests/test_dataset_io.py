@@ -1,4 +1,4 @@
-"""Dataset directory loading, validation errors, and save/load round trips."""
+"""Dataset directory loading, validation errors, save/load round trips, and the one writer."""
 
 import hashlib
 import json
@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mvml import (
+    IoError,
     LabelDomainViolation,
     MissingFile,
     NonFiniteEntry,
@@ -16,6 +17,8 @@ from mvml import (
     load_dataset,
     save_dataset,
 )
+from mvml.cli import main
+from mvml.dataset_io import write_file
 
 from conftest import make_dataset
 
@@ -221,3 +224,42 @@ class TestSaveRoundTrip:
         assert raw.endswith(b"\n")
         parsed = json.loads(raw.decode("utf-8"))
         assert parsed["n"] == 5 and parsed["V"] == 1
+
+
+def _snapshot(root):
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+def _fail_replace(src, dst):
+    raise OSError("replace refused")
+
+
+class TestOneWriter:
+    def test_parent_that_is_a_file_raises_io_error(self, tmp_path):
+        (tmp_path / "blocker").write_text("a file, not a directory\n")
+        target = tmp_path / "blocker" / "report.json"
+        with pytest.raises(IoError) as info:
+            write_file(target, "{}\n")
+        assert str(target) in str(info.value)
+
+    def test_failed_save_leaves_the_old_directory_whole(self, rng, tmp_path, monkeypatch):
+        root = tmp_path / "data"
+        save_dataset(make_dataset(rng, n=6, c=2, dims=(3, 2), with_missing=True), root)
+        before = _snapshot(root)
+        monkeypatch.setattr("mvml.dataset_io.os.replace", _fail_replace)
+        with pytest.raises(IoError):
+            save_dataset(make_dataset(rng, n=7, c=3, dims=(4,)), root)
+        assert _snapshot(root) == before  # no file rewritten, no temp file left
+
+    def test_failed_fit_leaves_the_old_weights_whole(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "fit"
+        out.mkdir()
+        old = b"weights of an earlier fit"
+        (out / "weights.npz").write_bytes(old)
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"solver": {"max_iters": 3}}))
+        monkeypatch.setattr("mvml.dataset_io.os.replace", _fail_replace)
+        code = main(["fit", "--data", str(FIXTURE), "--config", str(config), "--out", str(out)])
+        assert code == 1
+        assert "weights.npz" in capsys.readouterr().err
+        assert _snapshot(out) == {"weights.npz": old}

@@ -10,16 +10,19 @@ import pytest
 from mvml import (
     InvalidInput,
     SpdFactor,
+    ViewData,
     WeightStack,
     bench_subgradient,
     evaluate_predictions,
     nemenyi_cd,
+    stack_predictions,
     nuclear_norm,
     rank_diagnostics,
     svt,
     symmetric_eig,
     trace_norm_subgradient,
 )
+from mvml.experiments import subset_dataset
 from mvml.objective import objective
 
 from conftest import make_dataset, make_weights
@@ -37,6 +40,8 @@ SCALAR_ARGUMENTS = {
     "bench_subgradient.seed": (lambda x: bench_subgradient(((6, 2),), repeats=1, seed=x), -1),
     "bench_subgradient.repeats": (lambda x: bench_subgradient(((6, 2),), repeats=x), 0),
     "bench_subgradient.n": (lambda x: bench_subgradient(((x, 2),), repeats=1), 0),
+    "bench_subgradient.oracle_memory_limit": (
+        lambda x: bench_subgradient(((6, 2),), repeats=1, oracle_memory_limit=x), -1.0),
     "nemenyi_cd.n_methods": (lambda x: nemenyi_cd(x, 10, 2.5), 1),
     "nemenyi_cd.n_results": (lambda x: nemenyi_cd(3, x, 2.5), 0),
     "nemenyi_cd.q_alpha": (lambda x: nemenyi_cd(3, 10, x), 0.0),
@@ -70,6 +75,8 @@ MATRIX_ARGUMENTS = {
     "trace_norm_subgradient.a": trace_norm_subgradient,
     "symmetric_eig.b": symmetric_eig,
     "WeightStack.weights": lambda x: WeightStack([x]),
+    "ViewData.features": lambda x: ViewData(x, np.zeros((2, 1)), np.zeros(2, dtype=bool)),
+    "ViewData.labels": lambda x: ViewData(np.ones((2, 2)), x, np.zeros(2, dtype=bool)),
     "evaluate_predictions.scores": lambda x: evaluate_predictions(x, [[1.0, -1.0]]),
     "evaluate_predictions.truth": lambda x: evaluate_predictions([[0.5, -0.5]], x),
     "rank_diagnostics.pred": lambda x: rank_diagnostics(x, []),
@@ -101,3 +108,32 @@ def test_bad_matrix_raises_invalid_input(arg, kind):
 
 def test_vector_rhs_still_solves():
     np.testing.assert_allclose(SpdFactor(np.eye(2)).solve([1.0, 2.0]), [1.0, 2.0])
+
+
+# argument name -> call with that row selection set to x (_A has 6 rows, _DS 8)
+ROW_ARGUMENTS = {
+    "rank_diagnostics.sublabel_rows_per_label": lambda x: rank_diagnostics(_A, [x]),
+    "stack_predictions.rows_per_view": lambda x: stack_predictions(_DS, _W, [x, [0]]),
+    "subset_dataset.rows": lambda x: subset_dataset(_DS, x),
+}
+
+BAD_ROWS = {
+    "float": [0.7, 1.9],
+    "boolean-mask": [True, False, True],
+    "text": ["0", "1"],
+    "negative": [0, -1],
+    "past-the-end": [0, 8],
+}
+
+ROW_CASES = [(arg, kind) for arg in ROW_ARGUMENTS for kind in BAD_ROWS]
+
+
+@pytest.mark.parametrize("arg, kind", ROW_CASES, ids=[f"{a}-{k}" for a, k in ROW_CASES])
+def test_bad_row_selection_raises_invalid_input(arg, kind):
+    with pytest.raises(InvalidInput, match=arg.split(".")[-1]):
+        ROW_ARGUMENTS[arg](BAD_ROWS[kind])
+
+
+def test_empty_row_selection_is_valid():
+    assert rank_diagnostics(_A, [[]]).sub_ranks == (0,)
+    assert stack_predictions(_DS, _W, [[], []]).shape == (0, 3)
