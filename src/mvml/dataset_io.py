@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import secrets
 import zipfile
 from pathlib import Path
@@ -36,6 +37,7 @@ from .errors import (
 )
 
 MANIFEST_NAME = "manifest.json"
+_VIEW_FILE = re.compile(r"view\d+_.*\.csv")
 
 
 def write_file(path, data):
@@ -165,7 +167,8 @@ def save_dataset(ds, path):
 
     Floats are written with 17 significant digits, so a save/load round
     trip reproduces the arrays exactly. Each file is replaced whole,
-    ``manifest.json`` last. Returns the manifest path.
+    ``manifest.json`` last; then every ``view<i>_*.csv`` the new manifest
+    does not name is removed, and nothing else. Returns the manifest path.
     """
     root = Path(path)
     views_meta = []
@@ -190,7 +193,16 @@ def save_dataset(ds, path):
         "aligned": bool(ds.aligned),
         "views": views_meta,
     }
-    return write_file(root / MANIFEST_NAME, json_text(manifest))
+    manifest_path = write_file(root / MANIFEST_NAME, json_text(manifest))
+    # an earlier, larger save into this directory leaves no view file the manifest does not name
+    named = {meta[key] for meta in views_meta for key in meta if key.endswith("_file")}
+    for stale in root.iterdir():
+        if _VIEW_FILE.fullmatch(stale.name) and stale.name not in named and stale.is_file():
+            try:
+                stale.unlink()
+            except OSError as exc:
+                raise IoError(f"removing {stale} failed: {exc}")
+    return manifest_path
 
 
 def save_weights(w, path):

@@ -4,6 +4,12 @@ All four headline metrics are reported so that larger is better:
 ``1 - hamming loss``, ``1 - ranking loss``, average precision, and a
 macro (per-label) pairwise AUC. Tie handling is fixed and documented
 per metric so results are reproducible down to the bit.
+
+Ranking loss and average precision work on the whole score matrix: one
+row-wise sort, then integer counts along the rows, O(n·c·log c) with
+O(n·c) temporaries. Their values are bit-identical to the brute-force
+pair counts and rank lists: each row's fraction or mean is formed from
+the same integers, and the means are taken in row order.
 """
 
 from __future__ import annotations
@@ -28,8 +34,11 @@ def _check_scores_truth(scores, truth):
     scores, truth = _check_matrix(scores, "scores"), _check_matrix(truth, "truth")
     if scores.shape != truth.shape:
         raise InvalidInput(f"scores and truth shapes differ: {scores.shape} and {truth.shape}")
-    if not np.isin(truth, (-1.0, 1.0)).all():
-        raise InvalidInput("truth entries must all be -1 or +1")
+    signed = np.isin(truth, (-1.0, 1.0))
+    if not signed.all():
+        r, j = np.argwhere(~signed)[0]
+        raise InvalidInput(
+            f"truth row {r}, column {j} is {float(truth[r, j])!r}, expected -1 or +1")
     return scores, truth
 
 
@@ -48,17 +57,24 @@ def ranking_loss(scores, truth):
     (positive, negative) label pairs ranked wrongly; ties count wrong.
     """
     scores, truth = _check_scores_truth(scores, truth)
-    fractions = []
-    for row_scores, row_truth in zip(scores, truth):
-        pos = row_scores[row_truth == 1.0]
-        neg = row_scores[row_truth == -1.0]
-        if pos.size == 0 or neg.size == 0:
-            continue
-        bad = np.count_nonzero(pos[:, None] <= neg[None, :])
-        fractions.append(bad / (pos.size * neg.size))
-    if not fractions:
+    n_pos = np.count_nonzero(truth == 1.0, axis=1)
+    n_neg = scores.shape[1] - n_pos
+    both = (n_pos > 0) & (n_neg > 0)
+    if not both.any():
         raise UndefinedMetric("no sample has both positive and negative tags")
-    return float(np.mean(fractions))
+    order = np.argsort(scores, axis=1)
+    ascending = np.take_along_axis(scores, order, axis=1)
+    negative = np.take_along_axis(truth == -1.0, order, axis=1)
+    # a positive ranks right against the negatives strictly below its score: those
+    # before the first entry of its tie run; the count never falls along a row, so
+    # carrying each run start's count forward is a running maximum
+    neg_before = np.cumsum(negative, axis=1) - negative
+    run_start = np.ones(ascending.shape, dtype=bool)
+    run_start[:, 1:] = ascending[:, 1:] != ascending[:, :-1]
+    neg_below = np.maximum.accumulate(np.where(run_start, neg_before, 0), axis=1)
+    good = np.where(negative, 0, neg_below).sum(axis=1)
+    pairs = n_pos * n_neg
+    return float(np.mean((pairs - good)[both] / pairs[both]))
 
 
 def average_precision(scores, truth):
@@ -66,20 +82,20 @@ def average_precision(scores, truth):
     precision; equal scores rank by ascending label index.
     """
     scores, truth = _check_scores_truth(scores, truth)
-    per_sample = []
-    for row_scores, row_truth in zip(scores, truth):
-        relevant = row_truth == 1.0
-        if not relevant.any():
-            continue
-        order = np.argsort(-row_scores, kind="stable")
-        rel_sorted = relevant[order]
-        hits = np.cumsum(rel_sorted)
-        ranks = np.arange(1, row_scores.size + 1)
-        precisions = hits[rel_sorted] / ranks[rel_sorted]
-        per_sample.append(np.mean(precisions))
-    if not per_sample:
+    order = np.argsort(-scores, axis=1, kind="stable")
+    relevant = np.take_along_axis(truth == 1.0, order, axis=1)
+    precisions = np.cumsum(relevant, axis=1) / np.arange(1, scores.shape[1] + 1)
+    n_rel = np.count_nonzero(relevant, axis=1)
+    if not n_rel.any():
         raise UndefinedMetric("no sample has a positive tag")
-    return float(np.mean(per_sample))
+    # np.mean sums 8 or more values pairwise, so each row's mean is taken over
+    # exactly its own k precisions: one (rows, k) block per positive count k
+    hit_precisions = precisions[relevant]
+    row_count = np.repeat(n_rel, n_rel)
+    per_sample = np.zeros(scores.shape[0])
+    for k in np.flatnonzero(np.bincount(row_count)):
+        per_sample[n_rel == k] = np.mean(hit_precisions[row_count == k].reshape(-1, k), axis=1)
+    return float(np.mean(per_sample[n_rel > 0]))
 
 
 def adapted_auc(scores, truth):

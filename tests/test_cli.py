@@ -135,6 +135,20 @@ def test_evaluate_prints_the_metrics(pipeline, tmp_path, capsys):
         assert f"{name}: " in printed
 
 
+def test_evaluate_on_unobserved_truth_names_the_entry(pipeline, tmp_path, capsys):
+    from mvml import load_dataset
+
+    aligned = corrupt(load_dataset(pipeline["clean"]), CorruptionSpec(alpha=0.3, beta=0.3, seed=2))
+    save_dataset(aligned, tmp_path / "data")
+    r, j = np.argwhere(aligned.views[0].labels == 0.0)[0]  # a missing row or a removed tag
+    code = main(["evaluate", "--weights", pipeline["weights"], "--data", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: truth row {r}, column {j} is 0.0, expected -1 or +1"]
+    assert not (tmp_path / "o" / "metrics.json").exists()
+
+
 # --------------------------------------------------------- study commands
 
 

@@ -216,6 +216,19 @@ class TestSaveRoundTrip:
             assert np.array_equal(a.labels, b.labels)
             assert np.array_equal(a.missing_rows, b.missing_rows)
 
+    def test_smaller_save_removes_the_larger_saves_view_files(self, rng, tmp_path):
+        root = tmp_path / "out"
+        save_dataset(make_dataset(rng, n=12, c=3, dims=(3, 4, 2), with_missing=True), root)
+        (root / "notes.txt").write_text("not a view file\n")
+        (root / "view9.csv").write_text("no underscore, not a view file\n")
+        save_dataset(make_dataset(rng, n=5, c=2, dims=(2,)), root)
+        manifest = json.loads((root / "manifest.json").read_text())
+        named = {meta[key] for meta in manifest["views"] for key in meta if key.endswith("_file")}
+        assert named == {"view0_features.csv", "view0_labels.csv"}
+        assert {p.name for p in root.iterdir()} == named | {
+            "manifest.json", "notes.txt", "view9.csv"}
+        assert load_dataset(root).n_views == 1
+
     def test_manifest_is_lf_terminated_json(self, rng, tmp_path):
         ds = make_dataset(rng, n=5, c=2, dims=(2,))
         manifest_path = save_dataset(ds, tmp_path / "out")

@@ -49,6 +49,11 @@ class TestHammingLoss:
         with pytest.raises(InvalidInput):
             hamming_loss(np.zeros((2, 3)), np.ones((3, 2)))
 
+    def test_truth_outside_plus_minus_one_names_the_first_entry(self):
+        truth = np.array([[1.0, -1.0, 1.0], [1.0, 0.0, 0.5]])
+        with pytest.raises(InvalidInput, match=r"^truth row 1, column 1 is 0\.0, expected -1 or \+1$"):
+            hamming_loss(np.zeros((2, 3)), truth)
+
 
 class TestRankingLoss:
     def test_perfect_separation_scores_zero(self, rng):
@@ -180,6 +185,24 @@ class TestBruteForceEquivalence:
                 assert adapted_auc(scores, truth) == want_u
                 checked += 1
         assert checked >= 90  # random +/-1 truth rarely degenerates
+
+    def test_ranking_and_precision_match_oracles_on_a_tied_2000x30(self):
+        # rows hold up to 30 positives, past the 8 values at which np.mean starts to sum
+        # pairwise; the mean over 2000 rows can hide a last-bit error in one row, so each
+        # row with both tag kinds is also compared on its own
+        rng = np.random.default_rng(20261018)
+        scores = np.round(rng.uniform(-1.0, 1.0, (2000, 30)), 1)
+        scores[rng.random(scores.shape) < 0.1] = -0.0
+        truth = np.where(rng.random(scores.shape) < rng.random((2000, 1)), 1.0, -1.0)
+        truth[:50] = 1.0
+        truth[50:100] = -1.0
+        assert ranking_loss(scores, truth) == oracles.brute_ranking(scores, truth)
+        assert average_precision(scores, truth) == oracles.brute_average_precision(scores, truth)
+        n_pos = np.count_nonzero(truth == 1.0, axis=1)
+        for i in np.flatnonzero((n_pos > 0) & (n_pos < 30)):
+            row = scores[i:i + 1], truth[i:i + 1]
+            assert ranking_loss(*row) == oracles.brute_ranking(*row)
+            assert average_precision(*row) == oracles.brute_average_precision(*row)
 
     def test_monotone_transform_invariance(self, rng):
         scores, truth = random_instance(rng, 15, 5)

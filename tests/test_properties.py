@@ -1,4 +1,4 @@
-"""Property tests on small random inputs: AUC ties, the CCCP bound, save/load."""
+"""Property tests on small random inputs: metric ties, the CCCP bound, save/load."""
 
 import tempfile
 
@@ -12,9 +12,11 @@ from mvml import (
     SolverConfig,
     UndefinedMetric,
     adapted_auc,
+    average_precision,
     corrupt,
     fit,
     load_dataset,
+    ranking_loss,
     save_dataset,
 )
 
@@ -25,14 +27,30 @@ PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, database=None, der
 
 
 @st.composite
-def tied_scores_and_truth(draw):
+def tied_scores_and_truth(draw, max_c=4):
     n = draw(st.integers(1, 12))
-    c = draw(st.integers(1, 4))
+    c = draw(st.integers(1, max_c))
     decimals = draw(st.integers(0, 2))
     raw = draw(st.lists(st.floats(-2.0, 2.0), min_size=n * c, max_size=n * c))
     signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n * c, max_size=n * c))
     scores = np.round(np.array(raw).reshape(n, c), decimals)
     return scores, np.array(signs).reshape(n, c)
+
+
+@st.composite
+def wide_tied_scores_and_truth(draw):
+    """Up to 34 labels, so a row can hold the 8 or more positives at which numpy's
+    pairwise summation starts; some entries are -0.0 and some rows are all one sign."""
+    scores, truth = draw(tied_scores_and_truth(max_c=34))
+    n, c = scores.shape
+    zeros = draw(st.lists(st.sampled_from([None, -0.0, 0.0]), min_size=n * c, max_size=n * c))
+    for flat, zero in enumerate(zeros):
+        if zero is not None:
+            scores.flat[flat] = zero
+    rows = st.integers(0, n - 1)
+    truth[draw(rows)] = 1.0
+    truth[draw(rows)] = -1.0
+    return scores, truth
 
 
 @PROPERTY_SETTINGS
@@ -45,6 +63,20 @@ def test_adapted_auc_equals_the_pairwise_count_under_ties(case):
             adapted_auc(scores, truth)
     else:
         assert adapted_auc(scores, truth) == expected
+
+
+@PROPERTY_SETTINGS
+@given(wide_tied_scores_and_truth())
+def test_ranking_and_precision_equal_the_oracles_at_wide_rows(case):
+    scores, truth = case
+    for metric, oracle in ((ranking_loss, oracles.brute_ranking),
+                           (average_precision, oracles.brute_average_precision)):
+        expected = oracle(scores, truth)
+        if expected is None:
+            with pytest.raises(UndefinedMetric):
+                metric(scores, truth)
+        else:
+            assert metric(scores, truth) == expected
 
 
 @PROPERTY_SETTINGS
