@@ -117,13 +117,9 @@ def _cluster_labels(spec, rng):
     return base
 
 
-def _generate_once(spec, rng):
+def _draw_views(spec, rng, cluster, labels):
+    """Each view's features for the drawn clusters, from the generator that drew them."""
     g = spec.c
-    base = _cluster_labels(spec, rng)
-    # round-robin keeps every cluster populated; the permutation shuffles order
-    cluster = rng.permutation(np.arange(spec.n) % g)
-    labels = base[cluster]
-
     latent = np.zeros((spec.n, g))
     latent[np.arange(spec.n), cluster] = 1.0
     latent += (CLUSTER_JITTER / math.sqrt(g)) * rng.standard_normal((spec.n, g))
@@ -149,13 +145,17 @@ def generate_synthetic(spec):
 
     The returned label matrix has full column rank ``c``; generation is
     retried with a perturbed seed up to 10 times before raising
-    ``GenerationFailure``.
+    ``GenerationFailure``. The rank is checked before any feature is
+    drawn, so a rejected attempt costs only its labels.
     """
     for attempt in range(_MAX_GENERATION_ATTEMPTS):
         rng = _rng(spec.seed, attempt)
-        ds = _generate_once(spec, rng)
-        if np.linalg.matrix_rank(ds.views[0].labels) == spec.c:
-            return ds
+        base = _cluster_labels(spec, rng)
+        # round-robin keeps every cluster populated; the permutation shuffles order
+        cluster = rng.permutation(np.arange(spec.n) % spec.c)
+        labels = base[cluster]
+        if np.linalg.matrix_rank(labels) == spec.c:
+            return _draw_views(spec, rng, cluster, labels)
     raise GenerationFailure(
         f"label matrix never reached full column rank {spec.c} "
         f"in {_MAX_GENERATION_ATTEMPTS} attempts"

@@ -5,12 +5,11 @@ Everything runs on the present-row prediction stack ``P`` of
 where ``Xp_i`` holds its present rows, and label ``k``'s stack is the
 row selection ``P[idx_k]`` of the rows tagged positive for ``k``. The
 concave global term is linearized at the previous iterate through the
-trace-norm subgradient ``G = subgrad ||P||_*``, each label stack is split
-into an auxiliary ``Z_k`` with a scaled multiplier ``L_k``, and one
-sweep is
+trace-norm subgradient of the stack, each label stack is split into an
+auxiliary ``Z_k`` with a scaled multiplier ``L_k``, and one sweep is
 
-    R    =  -I o (P - Y)  +  lam * G  +  sum_k scatter_k(mu Z_k - L_k)
-    W_i  <- (mu Xp_i' D_i Xp_i)^-1  Xp_i' R[block_i]
+    R    =  -I o (P - Y)  +  sum_k scatter_k(mu Z_k - L_k)
+    W_i  <- (mu Xp_i' D_i Xp_i)^-1  (Xp_i' R[block_i]  +  lam * R_i' G_i)
     Z_k  <- svt(P[idx_k] + L_k / mu, lam / mu)
     L_k  <- L_k + mu * (P[idx_k] - Z_k)
 
@@ -20,6 +19,16 @@ per-row count of positive tags. The loss enters the W step through its
 gradient at the previous iterate, so each view does one GEMM and one
 solve against an SPD factor computed once per fit. Labels positive
 nowhere are dropped from the splitting.
+
+The global term never touches the ``N`` stack rows. Once per fit, a
+Householder QR of each view's present rows gives ``Xp_i = Q_i R_i``
+with ``R_i`` of at most ``d_i`` rows, and the compressed stack
+``S = vstack_i(R_i W_i) = Q' P`` has the singular values and right
+singular vectors of ``P``. So ``||P||_* = ||S||_*``, the subgradient is
+``subgrad ||P||_* = Q G`` with ``G = subgrad ||S||_*`` split into the
+per-view blocks ``G_i``, its W-step share ``lam * Xp_i' (Q G)[block_i]``
+is ``lam * R_i' G_i``, and the CCCP surrogate's linear term
+``<P, Q G>`` is ``<S, G>``.
 """
 
 from __future__ import annotations
@@ -33,8 +42,8 @@ import numpy as np
 from .blas import single_threaded
 from .data import MultiViewDataset, StackGeometry, WeightStack, check_weight_shapes
 from .errors import (
-    AllViewsMissing, InvalidInput, NonFiniteObjective, _check_int, _check_real, _check_seed,
-    _set_checked,
+    AllViewsMissing, InvalidInput, NonFiniteObjective, _check_int, _check_matrix, _check_real,
+    _check_seed, _set_checked,
 )
 from .linalg import SpdFactor, nuclear_norm, svt, trace_norm_subgradient
 from .objective import ObjectiveValue
@@ -147,6 +156,29 @@ def _initial_state(geometry, config):
     return SolverState(w=WeightStack(weights), z=z, multipliers=mult, iteration=0)
 
 
+def _check_state(state, geometry):
+    """``state`` with one finite ``(n_k, c)`` split and multiplier per active label."""
+    if not isinstance(state, SolverState):
+        raise InvalidInput(f"state must be a SolverState, got {type(state).__name__}")
+    c = geometry.labels.shape[1]
+    checked = {}
+    for name in ("z", "multipliers"):
+        mats = getattr(state, name)
+        if not isinstance(mats, (list, tuple)) or len(mats) != len(geometry.active_index):
+            got = len(mats) if isinstance(mats, (list, tuple)) else type(mats).__name__
+            raise InvalidInput(
+                f"state.{name} must be a list of {len(geometry.active_index)} matrices, "
+                f"one per active label, got {got}"
+            )
+        checked[name] = [_check_matrix(m, f"state.{name}[{k}]") for k, m in enumerate(mats)]
+        for k, (m, rows) in enumerate(zip(checked[name], geometry.active_index)):
+            if m.shape != (rows.size, c):
+                raise InvalidInput(
+                    f"state.{name}[{k}] must have shape {(rows.size, c)}, got {m.shape}"
+                )
+    return replace(state, **checked)
+
+
 def init_state(ds, config):
     """Random weights scaled by 1/sqrt(d) per view, zero splits and multipliers."""
     return _initial_state(StackGeometry(ds), _coerce_config(config))
@@ -164,17 +196,35 @@ def _factor_views(geometry, mu):
     return factors
 
 
-def _update_w(geometry, factors, stack, state, config, grad_prev):
-    """W step from the stack of ``state.w``; one GEMM and one cached solve per view."""
+def _qr_factors(geometry):
+    """``R_i`` of each view's present rows by Householder QR, so ``R_i' R_i = Xp_i' Xp_i``."""
+    return [np.linalg.qr(feats, mode="r") for feats in geometry.features]
+
+
+def _compressed_stack(r_factors, w):
+    """``S = vstack_i(R_i W_i)``: the singular values and right vectors of the stack."""
+    return np.vstack([r @ wi for r, wi in zip(r_factors, w.weights)])
+
+
+def _global_rhs(mats, grad, lam):
+    """``lam * M_i' G_i`` per view, ``G_i`` being the next ``M_i.shape[0]`` rows of ``grad``:
+    the global term's share of each W-step right-hand side."""
+    ends = np.cumsum([m.shape[0] for m in mats])[:-1]
+    return [lam * (m.T @ g) for m, g in zip(mats, np.split(grad, ends))]
+
+
+def _update_w(geometry, factors, stack, state, config, global_rhs):
+    """W step from the stack of ``state.w``; one GEMM and one cached solve per view.
+
+    ``global_rhs`` holds each view's linearized global term, or is None.
+    """
     resid = -geometry.indicator * (stack - geometry.labels)
-    if grad_prev is not None:
-        resid += config.lam * grad_prev
     for rows, zk, mk in zip(geometry.active_index, state.z, state.multipliers):
         resid[rows] += config.mu * zk - mk
-    return WeightStack([
-        factor.solve(feats.T @ resid[block])
-        for feats, block, factor in zip(geometry.features, geometry.blocks, factors)
-    ])
+    rhs = [feats.T @ resid[block] for feats, block in zip(geometry.features, geometry.blocks)]
+    if global_rhs is not None:
+        rhs = [r + g for r, g in zip(rhs, global_rhs)]
+    return WeightStack([factor.solve(r) for factor, r in zip(factors, rhs)])
 
 
 def _update_z(label_stacks, multipliers, config):
@@ -191,17 +241,23 @@ def update_w(state, ds, config, grad_prev=None):
     present-row prediction stack at the previous weights (or None)."""
     config = _coerce_config(config)
     geometry = StackGeometry(ds)
+    state = _check_state(state, geometry)
     stack = geometry.stack(state.w)
-    if grad_prev is not None and grad_prev.shape != stack.shape:
-        raise InvalidInput(f"grad_prev must have shape {stack.shape}, got {grad_prev.shape}")
+    global_rhs = None
+    if grad_prev is not None:
+        grad_prev = _check_matrix(grad_prev, "grad_prev")
+        if grad_prev.shape != stack.shape:
+            raise InvalidInput(f"grad_prev must have shape {stack.shape}, got {grad_prev.shape}")
+        global_rhs = _global_rhs(geometry.features, grad_prev, config.lam)
     factors = _factor_views(geometry, config.mu)
-    return _update_w(geometry, factors, stack, state, config, grad_prev)
+    return _update_w(geometry, factors, stack, state, config, global_rhs)
 
 
 def update_z(state, ds, config):
     """Shrink each active per-label stack by lam/mu around the multipliers."""
     config = _coerce_config(config)
     geometry = StackGeometry(ds)
+    state = _check_state(state, geometry)
     label_stacks = _label_stacks(geometry, geometry.stack(state.w))
     return _update_z(label_stacks, state.multipliers, config)
 
@@ -210,6 +266,7 @@ def update_multipliers(state, ds, config):
     """Ascend the scaled multipliers along the current primal residuals."""
     config = _coerce_config(config)
     geometry = StackGeometry(ds)
+    state = _check_state(state, geometry)
     label_stacks = _label_stacks(geometry, geometry.stack(state.w))
     return _update_multipliers(label_stacks, state.multipliers, state.z, config)
 
@@ -256,16 +313,23 @@ def fit(ds, config):
         return _fit_loss_only(geometry, config)
 
     factors = _factor_views(geometry, config.mu)
+    full = config.variant is Variant.FULL
+    r_factors = _qr_factors(geometry) if full else None
     state = _initial_state(geometry, config)
     trace = SolverTrace()
     stack = geometry.stack(state.w)
-    use_grad = config.variant is Variant.FULL and config.lam > 0
+    compressed = _compressed_stack(r_factors, state.w) if full else None
+    use_grad = full and config.lam > 0
     f_prev = None
     for t in range(1, config.max_iters + 1):
         t0 = time.perf_counter()
-        grad_prev = trace_norm_subgradient(stack) if use_grad else None
-        w = _update_w(geometry, factors, stack, state, config, grad_prev)
+        global_rhs = None
+        if use_grad:
+            grad_prev = trace_norm_subgradient(compressed)
+            global_rhs = _global_rhs(r_factors, grad_prev, config.lam)
+        w = _update_w(geometry, factors, stack, state, config, global_rhs)
         stack = geometry.stack(w)
+        compressed = _compressed_stack(r_factors, w) if full else None
         label_stacks = _label_stacks(geometry, stack)
         z = _update_z(label_stacks, state.multipliers, config)
         mult = _update_multipliers(label_stacks, state.multipliers, z, config)
@@ -276,12 +340,12 @@ def fit(ds, config):
         value = ObjectiveValue(
             loss=_masked_loss_from_preds(geometry, stack),
             local_term=sum(nuclear_norm(s) for s in label_stacks),
-            global_term=nuclear_norm(stack) if config.variant is Variant.FULL else 0.0,
+            global_term=nuclear_norm(compressed) if full else 0.0,
             lam=config.lam,
         )
         f = surrogate = value.total
         if use_grad:  # the CCCP surrogate linearizes the global term at the previous stack
-            surrogate = replace(value, global_term=float(np.sum(stack * grad_prev))).total
+            surrogate = replace(value, global_term=float(np.sum(compressed * grad_prev))).total
         if not np.isfinite(f):
             raise NonFiniteObjective(t, f)
 

@@ -4,11 +4,14 @@ One table per kind of input: each bad scalar goes to each scalar
 argument, and each bad matrix to each matrix argument.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mvml import (
     InvalidInput,
+    SolverConfig,
     SpdFactor,
     ViewData,
     WeightStack,
@@ -21,6 +24,10 @@ from mvml import (
     svt,
     symmetric_eig,
     trace_norm_subgradient,
+    init_state,
+    update_multipliers,
+    update_w,
+    update_z,
 )
 from mvml.experiments import subset_dataset
 from mvml.objective import objective
@@ -31,6 +38,10 @@ _RNG = np.random.default_rng(3)
 _DS = make_dataset(_RNG, n=8, c=3, dims=(2, 3))
 _W = make_weights(_RNG, (2, 3), 3)
 _A = _RNG.standard_normal((6, 3))
+# every row holds a positive tag, so all 3 labels are active and each view's W step solvable
+_SOLVER_DS = make_dataset(_RNG, n=8, c=3, dims=(2, 3), ensure_positive_per_row=True)
+_CFG = SolverConfig(lam=0.5)
+_STATE = init_state(_SOLVER_DS, _CFG)
 
 # argument name -> (call with that argument set to x, a value out of its range)
 SCALAR_ARGUMENTS = {
@@ -82,6 +93,7 @@ MATRIX_ARGUMENTS = {
     "rank_diagnostics.pred": lambda x: rank_diagnostics(x, []),
     "SpdFactor.m": SpdFactor,
     "SpdFactor.solve.rhs": lambda x: SpdFactor(np.eye(2)).solve(x),
+    "update_w.grad_prev": lambda x: update_w(_STATE, _SOLVER_DS, _CFG, grad_prev=x),
 }
 
 BAD_MATRICES = {
@@ -137,3 +149,55 @@ def test_bad_row_selection_raises_invalid_input(arg, kind):
 def test_empty_row_selection_is_valid():
     assert rank_diagnostics(_A, [[]]).sub_ranks == (0,)
     assert stack_predictions(_DS, _W, [[], []]).shape == (0, 3)
+
+
+def _with_entry(field, k, value):
+    """``_STATE`` with entry ``k`` of its ``field`` list replaced by ``value``."""
+    mats = list(getattr(_STATE, field))
+    mats[k] = value
+    return replace(_STATE, **{field: mats})
+
+
+STEP_FUNCTIONS = {
+    "update_w": lambda state: update_w(state, _SOLVER_DS, _CFG),
+    "update_z": lambda state: update_z(state, _SOLVER_DS, _CFG),
+    "update_multipliers": lambda state: update_multipliers(state, _SOLVER_DS, _CFG),
+}
+
+# kind of malformed state -> (the state, the message it must raise)
+BAD_STATES = {
+    "none": (None, "state must be a SolverState"),
+    "dict": ({"w": _STATE.w, "z": _STATE.z, "multipliers": _STATE.multipliers},
+             "state must be a SolverState"),
+    "z-none": (replace(_STATE, z=None), r"state\.z must be a list of 3"),
+    "multipliers-none": (replace(_STATE, multipliers=None), r"state\.multipliers must be a list"),
+    "z-one-short": (replace(_STATE, z=_STATE.z[:-1]), r"state\.z must be a list of 3 .* got 2"),
+    "z-one-extra": (replace(_STATE, z=[*_STATE.z, _STATE.z[0]]), r"state\.z .* got 4"),
+    "z-too-few-rows": (_with_entry("z", 1, _STATE.z[1][:-1]), r"state\.z\[1\] must have shape"),
+    "z-one-d": (_with_entry("z", 2, np.zeros(3)), r"state\.z\[2\] must be 2-D"),
+    "multipliers-text": (_with_entry("multipliers", 0, [["a", "b", "c"]]),
+                         r"state\.multipliers\[0\] must hold real numbers"),
+    "multipliers-nan": (_with_entry("multipliers", 2, np.full_like(_STATE.multipliers[2], np.nan)),
+                        r"state\.multipliers\[2\] row 0, column 0 is not finite"),
+}
+
+STATE_CASES = [(fn, kind) for fn in STEP_FUNCTIONS for kind in BAD_STATES]
+
+
+@pytest.mark.parametrize("fn, kind", STATE_CASES, ids=[f"{f}-{k}" for f, k in STATE_CASES])
+def test_malformed_state_raises_invalid_input(fn, kind):
+    state, message = BAD_STATES[kind]
+    with pytest.raises(InvalidInput, match=message):
+        STEP_FUNCTIONS[fn](state)
+
+
+def test_grad_prev_of_the_wrong_shape_is_named():
+    with pytest.raises(InvalidInput, match=r"grad_prev must have shape \(\d+, 3\), got \(1, 1\)"):
+        update_w(_STATE, _SOLVER_DS, _CFG, grad_prev=[[1.0]])
+
+
+def test_splits_given_as_nested_lists_pass_every_step():
+    state = replace(_STATE, z=[zk.tolist() for zk in _STATE.z])
+    for step in STEP_FUNCTIONS.values():
+        step(state)
+    assert [zk.shape for zk in update_z(state, _SOLVER_DS, _CFG)] == [zk.shape for zk in _STATE.z]

@@ -1,4 +1,5 @@
-"""Property tests on small random inputs: metric ties, the CCCP bound, save/load."""
+"""Property tests on small random inputs: metric ties, the CCCP bound, the compressed
+global term, the trace-norm duality pairing, save/load."""
 
 import tempfile
 
@@ -18,10 +19,14 @@ from mvml import (
     load_dataset,
     ranking_loss,
     save_dataset,
+    trace_norm_subgradient,
 )
+from mvml.data import StackGeometry
+from mvml.linalg import nuclear_norm
+from mvml.solver import _compressed_stack, _global_rhs, _qr_factors
 
 import oracles
-from conftest import make_dataset
+from conftest import make_dataset, make_weights
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, database=None, derandomize=True)
 
@@ -95,6 +100,52 @@ def test_surrogate_bounds_the_objective_at_every_sweep(seed, n, c, dims, with_mi
     _, trace = fit(ds, SolverConfig(lam=lam, mu=mu, max_iters=15, rel_tol=0.0))
     for objective, surrogate in zip(trace.objective, trace.surrogate):
         assert surrogate >= objective - 1e-10 * abs(objective)
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 39),
+    c=st.integers(1, 5),
+    dims=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+    with_missing=st.booleans(),
+    lam=st.floats(0.01, 2.0),
+)
+def test_compressed_stack_carries_the_global_term(seed, n, c, dims, with_missing, lam):
+    rng = np.random.default_rng(seed)
+    ds = make_dataset(rng, n=n, c=c, dims=tuple(dims), with_missing=with_missing,
+                      ensure_positive_per_row=True)
+    geometry = StackGeometry(ds)
+    w = make_weights(rng, dims, c)
+    stack = geometry.stack(w)
+    r_factors = _qr_factors(geometry)
+    compressed = _compressed_stack(r_factors, w)
+    assert compressed.shape[0] <= sum(dims)
+
+    want = oracles.svd_nuclear(stack)
+    assert abs(nuclear_norm(compressed) - want) <= 1e-12 * want
+
+    got = _global_rhs(r_factors, trace_norm_subgradient(compressed), lam)
+    oracle = oracles.svd_subgradient(stack)
+    want = [lam * feats.T @ oracle[b] for feats, b in zip(geometry.features, geometry.blocks)]
+    for feats, g, o in zip(geometry.features, got, want):
+        assert np.linalg.norm(g - o) <= 1e-10 * lam * np.linalg.norm(feats)
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 12),
+    c=st.integers(1, 6),
+    data=st.data(),
+)
+def test_subgradient_pairs_to_the_nuclear_norm(seed, m, c, data):
+    # inner widths below min(m, c) give exactly rank-deficient products
+    width = data.draw(st.integers(1, min(m, c) + 1))
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, width)) @ rng.standard_normal((width, c))
+    want = oracles.svd_nuclear(a)
+    assert abs(float(np.sum(a * trace_norm_subgradient(a))) - want) <= 1e-11 * want
 
 
 @PROPERTY_SETTINGS

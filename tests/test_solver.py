@@ -306,6 +306,21 @@ class TestFit:
             fit(ds, SolverConfig(lam=0.5, max_iters=5, init_seed=1))
         assert info.value.iteration == 1
 
+    def test_global_term_never_sees_more_rows_than_features(self, rng, monkeypatch):
+        ds = make_dataset(rng, n=40, c=4, dims=(3, 5), with_missing=True,
+                          ensure_positive_per_row=True)
+        import mvml.solver as solver_mod
+        rows = []
+
+        def recording(a):
+            rows.append(np.shape(a)[0])
+            return trace_norm_subgradient(a)
+
+        monkeypatch.setattr(solver_mod, "trace_norm_subgradient", recording)
+        fit(ds, SolverConfig(lam=0.5, max_iters=4, rel_tol=0.0))
+        assert len(rows) == 4
+        assert max(rows) <= 3 + 5 < sum(present_rows(v).size for v in ds.views)
+
     def test_rejects_a_non_dataset(self):
         with pytest.raises(InvalidInput):
             fit(None, SolverConfig(lam=0.5, max_iters=2))
