@@ -41,6 +41,9 @@ _STREAM_REPAIR = 3
 
 _MAX_GENERATION_ATTEMPTS = 10
 
+# Samples per block of the removal repair's candidate counts.
+_REPAIR_BLOCK = 2048
+
 
 def _rng(*key):
     return np.random.default_rng(np.random.SeedSequence(list(key)))
@@ -170,6 +173,11 @@ def _view_missing_masks(n, n_views, n_missing, seed):
     missing everywhere is repaired by re-admitting it in one view and
     removing, in exchange, a sample that stays covered elsewhere. The
     repair draws from its own substream, so the result is deterministic.
+
+    The repair walks the views in a random order and takes the first one
+    holding a candidate: a sample present there and in some other view.
+    It draws the candidate's rank among them uniformly; per-block counts
+    of each view's candidates find it without rescanning all ``n``.
     """
     if n_views * (n - n_missing) < n:
         raise InvalidInput(
@@ -183,25 +191,32 @@ def _view_missing_masks(n, n_views, n_missing, seed):
 
     repair = _rng(seed, _STREAM_REPAIR)
     present_count = n_views - masks.sum(axis=0)
-    for j in np.flatnonzero(present_count == 0):
-        fixed = False
-        for i in repair.permutation(n_views):
-            if not masks[i, j]:
-                continue
-            candidates = np.flatnonzero(~masks[i] & (present_count >= 2))
-            if candidates.size == 0:
-                continue
-            swap = int(repair.choice(candidates))
-            masks[i, j] = False
-            masks[i, swap] = True
-            present_count[j] += 1
-            present_count[swap] -= 1
-            fixed = True
-            break
-        if not fixed:
-            raise InvalidInput(
-                "view removal fractions leave no feasible assignment covering every sample"
-            )
+    size = max(min(_REPAIR_BLOCK, n), 1)
+    candidates = np.zeros((n_views, -(-n // size) * size), dtype=bool)
+    candidates[:, :n] = ~masks & (present_count >= 2)
+    counts = candidates.reshape(n_views, -1, size).sum(axis=2).tolist()
+    totals = [sum(view_counts) for view_counts in counts]
+    for j in np.flatnonzero(present_count == 0).tolist():
+        # The count check above keeps some sample present twice while j is
+        # missing everywhere, so some view holds a candidate.
+        for i in repair.permutation(n_views).tolist():
+            if totals[i]:
+                break
+        rank = int(repair.integers(0, totals[i]))  # draws as repair.choice over the candidates
+        for b, count in enumerate(counts[i]):
+            if rank < count:
+                break
+            rank -= count
+        swap = b * size + int(np.flatnonzero(candidates[i, b * size:(b + 1) * size])[rank])
+        masks[i, j] = False
+        masks[i, swap] = True
+        present_count[j] += 1
+        present_count[swap] -= 1
+        # swap leaves view i; covered once now, it is a candidate nowhere
+        for v in (np.flatnonzero(candidates[:, swap]).tolist() if present_count[swap] < 2 else [i]):
+            candidates[v, swap] = False
+            counts[v][b] -= 1
+            totals[v] -= 1
     return masks
 
 

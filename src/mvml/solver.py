@@ -2,23 +2,24 @@
 
 Everything runs on the present-row prediction stack ``P`` of
 ``data.StackGeometry``: view ``i`` owns the block ``P_i = Xp_i W_i``,
-where ``Xp_i`` holds its present rows, and label ``k``'s stack is the
-row selection ``P[idx_k]`` of the rows tagged positive for ``k``. The
-concave global term is linearized at the previous iterate through the
-trace-norm subgradient of the stack, each label stack is split into an
-auxiliary ``Z_k`` with a scaled multiplier ``L_k``, and one sweep is
+where ``Xp_i`` holds its present rows, and label ``k``'s stack ``P_k``
+stacks, view by view, the predictions ``X_{k,i} W_i`` of the present
+rows tagged positive for ``k``. The concave global term is linearized at
+the previous iterate through the trace-norm subgradient of the stack,
+each label stack is split into an auxiliary ``Z_k`` with a scaled
+multiplier ``L_k``, and one sweep is
 
     R    =  -I o (P - Y)  +  sum_k scatter_k(mu Z_k - L_k)
     W_i  <- (mu Xp_i' D_i Xp_i)^-1  (Xp_i' R[block_i]  +  lam * R_i' G_i)
-    Z_k  <- svt(P[idx_k] + L_k / mu, lam / mu)
-    L_k  <- L_k + mu * (P[idx_k] - Z_k)
+    Z_k  <- svt(P_k + L_k / mu, lam / mu)
+    L_k  <- L_k + mu * (P_k - Z_k)
 
 with ``I`` the observed-entry indicator, ``Y`` the stacked labels,
-``scatter_k`` adding a label's rows back at ``idx_k``, and ``D_i`` the
-per-row count of positive tags. The loss enters the W step through its
-gradient at the previous iterate, so each view does one GEMM and one
-solve against an SPD factor computed once per fit. Labels positive
-nowhere are dropped from the splitting.
+``scatter_k`` adding a label's rows back where ``P_k`` came from, and
+``D_i`` the per-row count of positive tags. The loss enters the W step
+through its gradient at the previous iterate, so each view does one
+GEMM and one solve against an SPD factor computed once per fit. Labels
+positive nowhere are dropped from the splitting.
 
 The global term never touches the ``N`` stack rows. Once per fit, a
 Householder QR of each view's present rows gives ``Xp_i = Q_i R_i``
@@ -29,6 +30,25 @@ singular vectors of ``P``. So ``||P||_* = ||S||_*``, the subgradient is
 per-view blocks ``G_i``, its W-step share ``lam * Xp_i' (Q G)[block_i]``
 is ``lam * R_i' G_i``, and the CCCP surrogate's linear term
 ``<P, Q G>`` is ``<S, G>``.
+
+The label terms are compressed the same way. Once per fit, every block
+``X_{k,i}`` with more rows than features (``n_{k,i} > d_i``) is replaced
+by its QR factor, ``X_{k,i} = Q_{k,i} R_{k,i}``; shorter blocks keep
+their rows, ``R~_{k,i} = X_{k,i}``. Then ``P_k = Q~_k P~_k`` with
+``P~_k = vstack_i(R~_{k,i} W_i)`` and ``Q~_k = blockdiag_i(Q_{k,i} or I)``
+of orthonormal columns. ``Z_k`` and ``L_k`` start at zero and stay in
+the range of ``Q~_k``, and ``svt(Q~ M) = Q~ svt(M)``, so the sweep keeps
+``Z~_k`` and ``L~_k`` of at most ``sum_i min(n_{k,i}, d_i)`` rows:
+
+    Z~_k <- svt(P~_k + L~_k / mu, lam / mu)
+    L~_k <- L~_k + mu * (P~_k - Z~_k)
+
+``||P_k||_* = ||P~_k||_*``, ``||P_k - Z_k||_F = ||P~_k - Z~_k||_F``, and
+the split's W-step share ``X_{k,i}' Q~ (mu Z~_k - L~_k)[view i]`` is
+``R~_{k,i}' (mu Z~_k - L~_k)[view i]``. The ``R_{k,i}`` rows sit below
+``P`` in one extended stack, so every ``P~_k`` is a row selection of
+it, and the extended residual is back-projected with one product per
+view and part. The loss stays in sample space.
 """
 
 from __future__ import annotations
@@ -140,18 +160,85 @@ def _coerce_config(config):
     return config
 
 
-def _label_stacks(geometry, stack):
-    return [stack[rows] for rows in geometry.active_index]
+class _LabelStacks:
+    """The extended stack ``[P; R~ rows]`` of one dataset and each label's rows in it.
+
+    View ``i``'s compressed rows ``Rk_i`` stack the factors ``R_{k,i}`` of
+    its blocks with ``n_{k,i} > d_i`` and sit at ``r_blocks[i]`` below the
+    ``N`` rows of ``P``; ``index[a]`` selects active label ``a``'s stack
+    ``P~_a`` view by view. With ``compress=False`` no block is factored,
+    so the label stacks are the sample-space ``P_k``. The extended stack
+    and its residual are allocated once and overwritten by every call.
+    """
+
+    def __init__(self, geometry, compress=True):
+        self.geometry = geometry
+        n, c = geometry.labels.shape
+        dims = [feats.shape[1] for feats in geometry.features]
+        stops = [block.stop for block in geometry.blocks[:-1]]
+        parts = [np.split(rows, np.searchsorted(rows, stops)) for rows in geometry.active_index]
+        tall = [[compress and rows.size > d for rows, d in zip(p, dims)] for p in parts]
+        sizes = [d * sum(flags[i] for flags in tall) for i, d in enumerate(dims)]
+        ends = n + np.cumsum(sizes)
+        self.r_blocks = [slice(end - size, end) for size, end in zip(sizes, ends)]
+        factors = [[] for _ in dims]
+        self.index = []
+        for label_parts, flags in zip(parts, tall):
+            picks = []
+            for i, (rows, feats, block) in enumerate(
+                    zip(label_parts, geometry.features, geometry.blocks)):
+                if flags[i]:
+                    start = self.r_blocks[i].start + dims[i] * len(factors[i])
+                    factors[i].append(np.linalg.qr(feats[rows - block.start], mode="r"))
+                    rows = np.arange(start, start + dims[i])
+                picks.append(rows)
+            self.index.append(np.concatenate(picks))
+        self.r_factors = [np.vstack(f) if f else np.zeros((0, d)) for f, d in zip(factors, dims)]
+        self.ext = np.empty((int(ends[-1]), c))
+        self.resid = np.empty_like(self.ext)
+
+    def stack(self, w):
+        """Write the extended stack of ``w``; return its sample-space part ``P``."""
+        geometry = self.geometry
+        check_weight_shapes(w, [feats.shape[1] for feats in geometry.features],
+                            geometry.labels.shape[1])
+        for feats, block, r, r_block, wi in zip(
+                geometry.features, geometry.blocks, self.r_factors, self.r_blocks, w.weights):
+            np.matmul(feats, wi, out=self.ext[block])
+            np.matmul(r, wi, out=self.ext[r_block])
+        return self.ext[:geometry.labels.shape[0]]
+
+    def label_stacks(self):
+        return [self.ext[rows] for rows in self.index]
+
+    def w_rhs(self, stack, z, multipliers, mu):
+        """Each view's W-step right-hand side from the loss at ``stack`` and the splits."""
+        geometry, resid = self.geometry, self.resid
+        sample = resid[:stack.shape[0]]
+        np.subtract(stack, geometry.labels, out=sample)
+        sample *= geometry.indicator
+        np.negative(sample, out=sample)
+        resid[stack.shape[0]:] = 0.0
+        for rows, zk, mk in zip(self.index, z, multipliers):
+            resid[rows] += mu * zk - mk
+        return self.back_project(resid)
+
+    def back_project(self, ext):
+        """``Xp_i' ext[block_i] + Rk_i' ext[r_block_i]`` per view, for an extended-stack ``ext``."""
+        geometry = self.geometry
+        return [feats.T @ ext[block] + r.T @ ext[r_block] for feats, block, r, r_block
+                in zip(geometry.features, geometry.blocks, self.r_factors, self.r_blocks)]
 
 
-def _initial_state(geometry, config):
+def _initial_state(geometry, config, index):
+    """Random weights and zero splits and multipliers shaped by the label rows ``index``."""
     rng = np.random.default_rng(np.random.SeedSequence([config.init_seed]))
     c = geometry.labels.shape[1]
     weights = []
     for feats in geometry.features:
         d = feats.shape[1]
         weights.append(rng.standard_normal((d, c)) / np.sqrt(d))
-    z = [np.zeros((rows.size, c)) for rows in geometry.active_index]
+    z = [np.zeros((rows.size, c)) for rows in index]
     mult = [np.zeros_like(zk) for zk in z]
     return SolverState(w=WeightStack(weights), z=z, multipliers=mult, iteration=0)
 
@@ -181,7 +268,8 @@ def _check_state(state, geometry):
 
 def init_state(ds, config):
     """Random weights scaled by 1/sqrt(d) per view, zero splits and multipliers."""
-    return _initial_state(StackGeometry(ds), _coerce_config(config))
+    geometry = StackGeometry(ds)
+    return _initial_state(geometry, _coerce_config(config), geometry.active_index)
 
 
 def _factor_views(geometry, mu):
@@ -213,15 +301,8 @@ def _global_rhs(mats, grad, lam):
     return [lam * (m.T @ g) for m, g in zip(mats, np.split(grad, ends))]
 
 
-def _update_w(geometry, factors, stack, state, config, global_rhs):
-    """W step from the stack of ``state.w``; one GEMM and one cached solve per view.
-
-    ``global_rhs`` holds each view's linearized global term, or is None.
-    """
-    resid = -geometry.indicator * (stack - geometry.labels)
-    for rows, zk, mk in zip(geometry.active_index, state.z, state.multipliers):
-        resid[rows] += config.mu * zk - mk
-    rhs = [feats.T @ resid[block] for feats, block in zip(geometry.features, geometry.blocks)]
+def _update_w(factors, rhs, global_rhs):
+    """Solve each view's W step; ``global_rhs`` adds the linearized global term, or is None."""
     if global_rhs is not None:
         rhs = [r + g for r, g in zip(rhs, global_rhs)]
     return WeightStack([factor.solve(r) for factor, r in zip(factors, rhs)])
@@ -236,13 +317,19 @@ def _update_multipliers(label_stacks, multipliers, z, config):
     return [m + config.mu * (stack - zk) for m, stack, zk in zip(multipliers, label_stacks, z)]
 
 
-def update_w(state, ds, config, grad_prev=None):
-    """One W sweep; ``grad_prev`` is the trace-norm subgradient of the
-    present-row prediction stack at the previous weights (or None)."""
+def _sample_space(ds, state, config):
+    """Checked config, geometry, state and the uncompressed label layout at ``state.w``."""
     config = _coerce_config(config)
     geometry = StackGeometry(ds)
     state = _check_state(state, geometry)
-    stack = geometry.stack(state.w)
+    layout = _LabelStacks(geometry, compress=False)
+    return config, geometry, state, layout, layout.stack(state.w)
+
+
+def update_w(state, ds, config, grad_prev=None):
+    """One W sweep; ``grad_prev`` is the trace-norm subgradient of the
+    present-row prediction stack at the previous weights (or None)."""
+    config, geometry, state, layout, stack = _sample_space(ds, state, config)
     global_rhs = None
     if grad_prev is not None:
         grad_prev = _check_matrix(grad_prev, "grad_prev")
@@ -250,25 +337,20 @@ def update_w(state, ds, config, grad_prev=None):
             raise InvalidInput(f"grad_prev must have shape {stack.shape}, got {grad_prev.shape}")
         global_rhs = _global_rhs(geometry.features, grad_prev, config.lam)
     factors = _factor_views(geometry, config.mu)
-    return _update_w(geometry, factors, stack, state, config, global_rhs)
+    rhs = layout.w_rhs(stack, state.z, state.multipliers, config.mu)
+    return _update_w(factors, rhs, global_rhs)
 
 
 def update_z(state, ds, config):
     """Shrink each active per-label stack by lam/mu around the multipliers."""
-    config = _coerce_config(config)
-    geometry = StackGeometry(ds)
-    state = _check_state(state, geometry)
-    label_stacks = _label_stacks(geometry, geometry.stack(state.w))
-    return _update_z(label_stacks, state.multipliers, config)
+    config, _, state, layout, _ = _sample_space(ds, state, config)
+    return _update_z(layout.label_stacks(), state.multipliers, config)
 
 
 def update_multipliers(state, ds, config):
     """Ascend the scaled multipliers along the current primal residuals."""
-    config = _coerce_config(config)
-    geometry = StackGeometry(ds)
-    state = _check_state(state, geometry)
-    label_stacks = _label_stacks(geometry, geometry.stack(state.w))
-    return _update_multipliers(label_stacks, state.multipliers, state.z, config)
+    config, _, state, layout, _ = _sample_space(ds, state, config)
+    return _update_multipliers(layout.label_stacks(), state.multipliers, state.z, config)
 
 
 def _rel_change(curr, prev):
@@ -315,9 +397,10 @@ def fit(ds, config):
     factors = _factor_views(geometry, config.mu)
     full = config.variant is Variant.FULL
     r_factors = _qr_factors(geometry) if full else None
-    state = _initial_state(geometry, config)
+    layout = _LabelStacks(geometry)
+    state = _initial_state(geometry, config, layout.index)
     trace = SolverTrace()
-    stack = geometry.stack(state.w)
+    stack = layout.stack(state.w)
     compressed = _compressed_stack(r_factors, state.w) if full else None
     use_grad = full and config.lam > 0
     f_prev = None
@@ -327,10 +410,11 @@ def fit(ds, config):
         if use_grad:
             grad_prev = trace_norm_subgradient(compressed)
             global_rhs = _global_rhs(r_factors, grad_prev, config.lam)
-        w = _update_w(geometry, factors, stack, state, config, global_rhs)
-        stack = geometry.stack(w)
+        rhs = layout.w_rhs(stack, state.z, state.multipliers, config.mu)
+        w = _update_w(factors, rhs, global_rhs)
+        stack = layout.stack(w)
         compressed = _compressed_stack(r_factors, w) if full else None
-        label_stacks = _label_stacks(geometry, stack)
+        label_stacks = layout.label_stacks()
         z = _update_z(label_stacks, state.multipliers, config)
         mult = _update_multipliers(label_stacks, state.multipliers, z, config)
         residual = max(

@@ -2,11 +2,15 @@
 
 Everything here is written on purpose through a different route than the
 package: full SVD instead of Gram eigendecompositions, explicit Python
-loops and ``sorted`` instead of vectorized rank arithmetic. Tolerances in
+loops and ``sorted`` instead of vectorized rank arithmetic, and a removal
+repair that rescans every sample for each repaired one. Tolerances in
 the tests bound the distance between the two routes.
 """
 
 import numpy as np
+
+from mvml.errors import InvalidInput
+from mvml.masking import _STREAM_REPAIR, _STREAM_VIEW_MISSING, _rng
 
 # Same relative eigenvalue cut the library uses, expressed on singular
 # values: sigma is kept when sigma^2 > 1e-10 * max(sigma_max^2, 1).
@@ -122,3 +126,46 @@ def brute_auc(scores, truth):
     if not per_label:
         return None
     return float(np.mean(per_label))
+
+
+def loop_view_missing_masks(n, n_views, n_missing, seed):
+    """Per-view missing masks with exactly ``n_missing`` True per view and
+    every sample left present somewhere.
+
+    Views draw their removal sets independently; any sample that ends up
+    missing everywhere is repaired by re-admitting it in one view and
+    removing, in exchange, a sample that stays covered elsewhere. The
+    repair draws from its own substream, so the result is deterministic.
+    """
+    if n_views * (n - n_missing) < n:
+        raise InvalidInput(
+            f"cannot remove {n_missing} of {n} samples from each of {n_views} views "
+            "while keeping every sample in at least one view"
+        )
+    masks = np.zeros((n_views, n), dtype=bool)
+    for i in range(n_views):
+        rng = _rng(seed, _STREAM_VIEW_MISSING, i)
+        masks[i, rng.choice(n, size=n_missing, replace=False)] = True
+
+    repair = _rng(seed, _STREAM_REPAIR)
+    present_count = n_views - masks.sum(axis=0)
+    for j in np.flatnonzero(present_count == 0):
+        fixed = False
+        for i in repair.permutation(n_views):
+            if not masks[i, j]:
+                continue
+            candidates = np.flatnonzero(~masks[i] & (present_count >= 2))
+            if candidates.size == 0:
+                continue
+            swap = int(repair.choice(candidates))
+            masks[i, j] = False
+            masks[i, swap] = True
+            present_count[j] += 1
+            present_count[swap] -= 1
+            fixed = True
+            break
+        if not fixed:
+            raise InvalidInput(
+                "view removal fractions leave no feasible assignment covering every sample"
+            )
+    return masks

@@ -12,6 +12,9 @@ from mvml import (
     generate_synthetic,
     indicator_from,
 )
+from mvml.masking import _view_missing_masks
+
+import oracles
 
 
 def label_rank(labels):
@@ -170,3 +173,34 @@ class TestCorrupt:
         once = corrupt(ds, CorruptionSpec(alpha=0.3, beta=0.0, dealign=True, seed=1))
         with pytest.raises(InvalidInput):
             corrupt(once, CorruptionSpec(alpha=0.1, beta=0.0, dealign=False, seed=2))
+
+
+class TestRemovalRepair:
+    """The counted repair of ``_view_missing_masks`` against the rescanning loop."""
+
+    GRID = [(n, views, alpha, seed)
+            for n in (0, 1, 5, 7, 33, 600, 2000, 5000)
+            for views in (1, 2, 3, 4)
+            for alpha in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9)
+            for seed in (0, 1, 7)]
+    LARGE = [(32000, 3, 0.5, 7), (32000, 2, 0.5, 0), (32000, 4, 0.7, 1), (32000, 1, 0.1, 0)]
+
+    @staticmethod
+    def outcome(draw, n, views, alpha, seed):
+        try:
+            return draw(n, views, int(alpha * n), seed)
+        except InvalidInput as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("cases", [GRID, LARGE], ids=["small", "n32000"])
+    def test_matches_the_rescanning_loop(self, cases):
+        raised = 0
+        for case in cases:
+            want = self.outcome(oracles.loop_view_missing_masks, *case)
+            got = self.outcome(_view_missing_masks, *case)
+            if isinstance(want, str):
+                assert got == want, case
+                raised += 1
+            else:
+                assert np.array_equal(got, want), case
+        assert 0 < raised < len(cases)  # infeasible cases raise, the rest are repaired

@@ -1,5 +1,5 @@
 """Property tests on small random inputs: metric ties, the CCCP bound, the compressed
-global term, the trace-norm duality pairing, save/load."""
+global and label terms, the trace-norm duality pairing, save/load."""
 
 import tempfile
 
@@ -22,8 +22,8 @@ from mvml import (
     trace_norm_subgradient,
 )
 from mvml.data import StackGeometry
-from mvml.linalg import nuclear_norm
-from mvml.solver import _compressed_stack, _global_rhs, _qr_factors
+from mvml.linalg import nuclear_norm, svt
+from mvml.solver import _compressed_stack, _global_rhs, _LabelStacks, _qr_factors
 
 import oracles
 from conftest import make_dataset, make_weights
@@ -130,6 +130,57 @@ def test_compressed_stack_carries_the_global_term(seed, n, c, dims, with_missing
     want = [lam * feats.T @ oracle[b] for feats, b in zip(geometry.features, geometry.blocks)]
     for feats, g, o in zip(geometry.features, got, want):
         assert np.linalg.norm(g - o) <= 1e-10 * lam * np.linalg.norm(feats)
+
+
+@st.composite
+def label_edge_datasets(draw):
+    """Random datasets reaching the label-stack edge shapes: c = 1, views wider than
+    their present rows, a label positive in one view only, stacks shorter than c,
+    every tag blanked (beta = 1), and views narrower than c, whose blocks X_k W_i
+    have rank d_i < c."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = draw(st.integers(1, 6))
+    dims = tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3)))
+    ds = make_dataset(rng, n=draw(st.integers(1, 40)), c=c, dims=dims,
+                      with_missing=draw(st.booleans()))
+    beta = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    for view in ds.views:
+        view.labels[rng.random(view.labels.shape) < beta] = 0.0
+    if draw(st.booleans()):  # label 0 positive in view 0 at most
+        for view in ds.views[1:]:
+            view.labels[view.labels[:, 0] == 1.0, 0] = -1.0
+    return ds, rng
+
+
+@PROPERTY_SETTINGS
+@given(case=label_edge_datasets(), lam=st.floats(0.0, 2.0), mu=st.floats(0.5, 10.0))
+def test_compressed_label_stacks_carry_the_local_terms(case, lam, mu):
+    ds, rng = case
+    geometry = StackGeometry(ds)
+    dims = [feats.shape[1] for feats in geometry.features]
+    c = geometry.labels.shape[1]
+    w, w_mult = make_weights(rng, dims, c), make_weights(rng, dims, c)
+    layout = _LabelStacks(geometry)
+    layout.stack(w_mult)
+    mult = layout.label_stacks()  # a multiplier in the range of each Q~_k, as in the sweep
+    stack = layout.stack(w).copy()
+    sample_mult = geometry.stack(w_mult)
+    for a, (rows, compressed) in enumerate(zip(geometry.active_index, layout.label_stacks())):
+        per_view = [np.sum((rows >= b.start) & (rows < b.stop)) for b in geometry.blocks]
+        assert compressed.shape[0] == sum(min(n_ki, d) for n_ki, d in zip(per_view, dims))
+
+        p_k = stack[rows]
+        want = oracles.svd_nuclear(p_k)
+        assert abs(nuclear_norm(compressed) - want) <= 1e-12 * want
+
+        shifted = p_k + sample_mult[rows] / mu
+        ext = np.zeros_like(layout.ext)
+        ext[layout.index[a]] = svt(compressed + mult[a] / mu, lam / mu)
+        sample = np.zeros_like(stack)
+        sample[rows] = svt(shifted, lam / mu)
+        scale = 1e-10 * np.linalg.norm(shifted)
+        for feats, block, got in zip(geometry.features, geometry.blocks, layout.back_project(ext)):
+            assert np.linalg.norm(got - feats.T @ sample[block]) <= scale * np.linalg.norm(feats)
 
 
 @PROPERTY_SETTINGS

@@ -20,7 +20,7 @@ from mvml import (
     update_w,
     update_z,
 )
-from mvml.linalg import RIDGE_SCALE
+from mvml.linalg import RIDGE_SCALE, nuclear_norm, svt
 from mvml.masking import CorruptionSpec, SyntheticSpec, corrupt, generate_synthetic
 from mvml.data import present_rows, stack_predictions, sublabel_rows
 from mvml.objective import objective
@@ -320,6 +320,33 @@ class TestFit:
         fit(ds, SolverConfig(lam=0.5, max_iters=4, rel_tol=0.0))
         assert len(rows) == 4
         assert max(rows) <= 3 + 5 < sum(present_rows(v).size for v in ds.views)
+
+    @pytest.mark.parametrize("variant", ["full", "loss_plus_local"])
+    def test_label_stacks_never_see_more_rows_than_their_blocks_allow(
+            self, rng, variant, monkeypatch):
+        ds = make_dataset(rng, n=60, c=3, dims=(3, 5), with_missing=True,
+                          ensure_positive_per_row=True)
+        # label k's bound: sum over views of min(n_{k,i}, d_i)
+        bounds = [sum(min(rows.size, d) for rows, d in zip(per_view, (3, 5)))
+                  for per_view in label_stack_rows(ds)]
+        assert sum(bounds) < sum(rows.size for per_view in label_stack_rows(ds)
+                                 for rows in per_view)
+        import mvml.solver as solver_mod
+        rows = {"svt": [], "nuclear_norm": []}
+
+        def recording(name, kernel):
+            def wrapped(a, *args):
+                rows[name].append(np.shape(a)[0])
+                return kernel(a, *args)
+            return wrapped
+
+        monkeypatch.setattr(solver_mod, "svt", recording("svt", svt))
+        monkeypatch.setattr(solver_mod, "nuclear_norm", recording("nuclear_norm", nuclear_norm))
+        sweeps = 3
+        fit(ds, SolverConfig(lam=0.5, max_iters=sweeps, rel_tol=0.0, variant=variant))
+        norms = bounds + [3 + 5] if variant == "full" else bounds  # labels, then the global term
+        assert rows["svt"] == bounds * sweeps
+        assert rows["nuclear_norm"] == norms * sweeps
 
     def test_rejects_a_non_dataset(self):
         with pytest.raises(InvalidInput):
