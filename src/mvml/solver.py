@@ -1,6 +1,6 @@
 """Single-loop CCCP+ADMM solver for the per-view linear predictor stack.
 
-Everything runs on the present-row prediction stack ``P`` of
+The model lives on the present-row prediction stack ``P`` of
 ``data.StackGeometry``: view ``i`` owns the block ``P_i = Xp_i W_i``,
 where ``Xp_i`` holds its present rows, and label ``k``'s stack ``P_k``
 stacks, view by view, the predictions ``X_{k,i} W_i`` of the present
@@ -18,12 +18,25 @@ with ``I`` the observed-entry indicator, ``Y`` the stacked labels,
 ``scatter_k`` adding a label's rows back where ``P_k`` came from, and
 ``D_i`` the per-row count of positive tags. The loss enters the W step
 through its gradient at the previous iterate, so each view does one
-GEMM and one solve against an SPD factor computed once per fit. Labels
-positive nowhere are dropped from the splitting.
+solve against an SPD factor computed once per fit. Labels positive
+nowhere are dropped from the splitting. The public ``update_w``,
+``update_z`` and ``update_multipliers`` run these steps on ``P`` itself,
+as the reference for ``fit``, which never reads a sample row in a sweep.
 
-The global term never touches the ``N`` stack rows. Once per fit, a
-Householder QR of each view's present rows gives ``Xp_i = Q_i R_i``
-with ``R_i`` of at most ``d_i`` rows, and the compressed stack
+The loss is a sum of least-squares terms, one per (view, label). Once
+per fit, ``A_{i,k} = X_{O,ki}' X_{O,ki}`` over the present rows of view
+``i`` whose tag ``k`` is observed, ``B_i = Xp_i' Y_i`` and half the
+number of observed tags give, through one batched product per view
+``H_i[:, k] = A_{i,k} W_i[:, k]``, both
+
+    loss(W)                 =  0.5 * sum_i <W_i, H_i - 2 B_i>  +  0.5 * sum(I)
+    Xp_i' (-I o (P - Y))_i  =  B_i - H_i,
+
+the loss's value and its W-step share.
+
+The global term is compressed. Once per fit, a Householder
+QR of each view's present rows gives ``Xp_i = Q_i R_i`` with ``R_i`` of
+at most ``d_i`` rows, and the compressed stack
 ``S = vstack_i(R_i W_i) = Q' P`` has the singular values and right
 singular vectors of ``P``. So ``||P||_* = ||S||_*``, the subgradient is
 ``subgrad ||P||_* = Q G`` with ``G = subgrad ||S||_*`` split into the
@@ -31,10 +44,10 @@ per-view blocks ``G_i``, its W-step share ``lam * Xp_i' (Q G)[block_i]``
 is ``lam * R_i' G_i``, and the CCCP surrogate's linear term
 ``<P, Q G>`` is ``<S, G>``.
 
-The label terms are compressed the same way. Once per fit, every block
-``X_{k,i}`` with more rows than features (``n_{k,i} > d_i``) is replaced
-by its QR factor, ``X_{k,i} = Q_{k,i} R_{k,i}``; shorter blocks keep
-their rows, ``R~_{k,i} = X_{k,i}``. Then ``P_k = Q~_k P~_k`` with
+So are the label terms. Once per fit, every block ``X_{k,i}`` with more
+rows than features (``n_{k,i} > d_i``) is replaced by its QR factor,
+``X_{k,i} = Q_{k,i} R_{k,i}``; shorter blocks keep their rows,
+``R~_{k,i} = X_{k,i}``. Then ``P_k = Q~_k P~_k`` with
 ``P~_k = vstack_i(R~_{k,i} W_i)`` and ``Q~_k = blockdiag_i(Q_{k,i} or I)``
 of orthonormal columns. ``Z_k`` and ``L_k`` start at zero and stay in
 the range of ``Q~_k``, and ``svt(Q~ M) = Q~ svt(M)``, so the sweep keeps
@@ -45,10 +58,17 @@ the range of ``Q~_k``, and ``svt(Q~ M) = Q~ svt(M)``, so the sweep keeps
 
 ``||P_k||_* = ||P~_k||_*``, ``||P_k - Z_k||_F = ||P~_k - Z~_k||_F``, and
 the split's W-step share ``X_{k,i}' Q~ (mu Z~_k - L~_k)[view i]`` is
-``R~_{k,i}' (mu Z~_k - L~_k)[view i]``. The ``R_{k,i}`` rows sit below
-``P`` in one extended stack, so every ``P~_k`` is a row selection of
-it, and the extended residual is back-projected with one product per
-view and part. The loss stays in sample space.
+``R~_{k,i}' (mu Z~_k - L~_k)[view i]``. View ``i``'s blocks stack into
+``R~_i``, and the extended stack ``vstack_i(R~_i W_i)`` of
+``sum_{k,i} min(n_{k,i}, d_i)`` rows takes one product per view; each
+``P~_k`` is a row selection of it, and the splits' residual is
+back-projected with one product per view. The same rows give the W
+step's matrix,
+``Xp_i' D_i Xp_i = sum_k X_{k,i}' X_{k,i} = R~_i' R~_i``. A sweep is
+
+    W_i  <- (mu R~_i' R~_i)^-1  (B_i - H_i  +  R~_i' (mu Z~ - L~)[view i]  +  lam * R_i' G_i)
+
+followed by the ``Z~``, ``L~`` and loss updates above.
 """
 
 from __future__ import annotations
@@ -56,6 +76,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,7 +88,6 @@ from .errors import (
 )
 from .linalg import SpdFactor, nuclear_norm, svt, trace_norm_subgradient
 from .objective import ObjectiveValue
-from .objective import stack_loss as _masked_loss_from_preds  # module-level, so tests can stub it
 
 
 class Variant(str, Enum):
@@ -160,74 +180,112 @@ def _coerce_config(config):
     return config
 
 
-class _LabelStacks:
-    """The extended stack ``[P; R~ rows]`` of one dataset and each label's rows in it.
+class _LossGrams:
+    """The masked loss's normal equations on each view's present rows.
 
-    View ``i``'s compressed rows ``Rk_i`` stack the factors ``R_{k,i}`` of
-    its blocks with ``n_{k,i} > d_i`` and sit at ``r_blocks[i]`` below the
-    ``N`` rows of ``P``; ``index[a]`` selects active label ``a``'s stack
-    ``P~_a`` view by view. With ``compress=False`` no block is factored,
-    so the label stacks are the sample-space ``P_k``. The extended stack
-    and its residual are allocated once and overwritten by every call.
+    ``grams[i][k] = X_{O,ki}' X_{O,ki}`` is the Gram of the present rows of
+    view ``i`` whose tag ``k`` is observed, ``rhs[i] = Xp_i' Y_i`` (``Y`` is
+    zero off the observed tags) and ``constant`` is half the number of
+    observed tags, so for ``H_i[:, k] = grams[i][k] W_i[:, k]``
+
+        loss(W)                  =  0.5 * sum_i <W_i, H_i - 2 rhs_i>  +  constant
+        Xp_i' (-I o (P - Y))_i   =  rhs_i - H_i.
+    """
+
+    def __init__(self, geometry):
+        self.grams, self.rhs = [], []
+        for feats, block in zip(geometry.features, geometry.blocks):
+            observed = geometry.indicator[block].T.astype(bool)
+            gram = np.empty((observed.shape[0], feats.shape[1], feats.shape[1]))
+            for k, rows in enumerate(observed):
+                xo = feats[rows]
+                gram[k] = xo.T @ xo
+            self.grams.append(gram)
+            self.rhs.append(feats.T @ geometry.labels[block])
+        self.constant = 0.5 * float(geometry.indicator.sum())
+
+    def predict(self, w):
+        """``w`` and its Gram products ``H_i``, one batched product per view."""
+        return _GramPreds(w, [np.matmul(gram, wi.T[:, :, None])[:, :, 0].T
+                              for gram, wi in zip(self.grams, w.weights)])
+
+    def w_rhs(self, preds):
+        """Each view's W-step share of the loss at ``preds``: ``rhs_i - H_i``."""
+        return [b - h for b, h in zip(self.rhs, preds.products)]
+
+
+class _GramPreds(NamedTuple):
+    """Weights ``w`` and their Gram products ``H_i``, one ``(d_i, c)`` array per view."""
+
+    w: WeightStack
+    products: list
+
+
+def _masked_loss_from_preds(grams, preds):
+    """Half the squared error over observed tags of ``preds = grams.predict(w)``.
+
+    A module-level name, so tests can stub it.
+    """
+    cross = sum(float(np.sum(wi * (h - 2.0 * b)))
+                for wi, h, b in zip(preds.w.weights, preds.products, grams.rhs))
+    return 0.5 * cross + grams.constant
+
+
+class _LabelStacks:
+    """Every active label's stack ``P~_k`` as a row selection of one extended stack.
+
+    View ``i``'s rows ``r_factors[i]`` stack, label by label, its blocks
+    ``R~_{k,i}``: the QR factor ``R_{k,i}`` of a block with
+    ``n_{k,i} > d_i``, the block's own rows otherwise. They sit at
+    ``r_blocks[i]`` of the extended stack, and ``index[a]`` selects
+    active label ``a``'s stack view by view; every row belongs to one
+    label. With ``compress=False`` every block keeps its rows, so the
+    label stacks are the sample-space ``P_k``. The extended stack and its
+    residual are allocated once and overwritten by every call.
     """
 
     def __init__(self, geometry, compress=True):
-        self.geometry = geometry
-        n, c = geometry.labels.shape
         dims = [feats.shape[1] for feats in geometry.features]
         stops = [block.stop for block in geometry.blocks[:-1]]
         parts = [np.split(rows, np.searchsorted(rows, stops)) for rows in geometry.active_index]
-        tall = [[compress and rows.size > d for rows, d in zip(p, dims)] for p in parts]
-        sizes = [d * sum(flags[i] for flags in tall) for i, d in enumerate(dims)]
-        ends = n + np.cumsum(sizes)
-        self.r_blocks = [slice(end - size, end) for size, end in zip(sizes, ends)]
+        heights = [[d if compress and rows.size > d else rows.size for rows, d in zip(p, dims)]
+                   for p in parts]
+        ends = np.cumsum([sum(h[i] for h in heights) for i in range(len(dims))])
+        self.r_blocks = [slice(start, end) for start, end in zip([0, *ends[:-1]], ends)]
+        starts = [r_block.start for r_block in self.r_blocks]
         factors = [[] for _ in dims]
         self.index = []
-        for label_parts, flags in zip(parts, tall):
+        for label_parts, label_heights in zip(parts, heights):
             picks = []
-            for i, (rows, feats, block) in enumerate(
-                    zip(label_parts, geometry.features, geometry.blocks)):
-                if flags[i]:
-                    start = self.r_blocks[i].start + dims[i] * len(factors[i])
-                    factors[i].append(np.linalg.qr(feats[rows - block.start], mode="r"))
-                    rows = np.arange(start, start + dims[i])
-                picks.append(rows)
+            for i, (rows, height, feats, block) in enumerate(
+                    zip(label_parts, label_heights, geometry.features, geometry.blocks)):
+                x = feats[rows - block.start]
+                factors[i].append(np.linalg.qr(x, mode="r") if height < rows.size else x)
+                picks.append(np.arange(starts[i], starts[i] + height))
+                starts[i] += height
             self.index.append(np.concatenate(picks))
         self.r_factors = [np.vstack(f) if f else np.zeros((0, d)) for f, d in zip(factors, dims)]
-        self.ext = np.empty((int(ends[-1]), c))
+        self.ext = np.empty((int(ends[-1]), geometry.labels.shape[1]))
         self.resid = np.empty_like(self.ext)
 
     def stack(self, w):
-        """Write the extended stack of ``w``; return its sample-space part ``P``."""
-        geometry = self.geometry
-        check_weight_shapes(w, [feats.shape[1] for feats in geometry.features],
-                            geometry.labels.shape[1])
-        for feats, block, r, r_block, wi in zip(
-                geometry.features, geometry.blocks, self.r_factors, self.r_blocks, w.weights):
-            np.matmul(feats, wi, out=self.ext[block])
+        """Write the extended stack of ``w``: ``R~_i W_i`` at each view's rows."""
+        check_weight_shapes(w, [r.shape[1] for r in self.r_factors], self.ext.shape[1])
+        for r, r_block, wi in zip(self.r_factors, self.r_blocks, w.weights):
             np.matmul(r, wi, out=self.ext[r_block])
-        return self.ext[:geometry.labels.shape[0]]
 
     def label_stacks(self):
         return [self.ext[rows] for rows in self.index]
 
-    def w_rhs(self, stack, z, multipliers, mu):
-        """Each view's W-step right-hand side from the loss at ``stack`` and the splits."""
-        geometry, resid = self.geometry, self.resid
-        sample = resid[:stack.shape[0]]
-        np.subtract(stack, geometry.labels, out=sample)
-        sample *= geometry.indicator
-        np.negative(sample, out=sample)
-        resid[stack.shape[0]:] = 0.0
+    def w_rhs(self, z, multipliers, mu):
+        """Each view's W-step share of the splits, ``R~_i' (mu Z~ - L~)[view i]``."""
         for rows, zk, mk in zip(self.index, z, multipliers):
-            resid[rows] += mu * zk - mk
-        return self.back_project(resid)
+            self.resid[rows] = mu * zk - mk
+        return self.back_project(self.resid)
 
     def back_project(self, ext):
-        """``Xp_i' ext[block_i] + Rk_i' ext[r_block_i]`` per view, for an extended-stack ``ext``."""
-        geometry = self.geometry
-        return [feats.T @ ext[block] + r.T @ ext[r_block] for feats, block, r, r_block
-                in zip(geometry.features, geometry.blocks, self.r_factors, self.r_blocks)]
+        """``R~_i' ext[r_block_i]`` per view, for an extended-stack ``ext``."""
+        return [r.T @ ext[r_block] for r, r_block in zip(self.r_factors, self.r_blocks)]
 
 
 def _initial_state(geometry, config, index):
@@ -272,12 +330,11 @@ def init_state(ds, config):
     return _initial_state(geometry, _coerce_config(config), geometry.active_index)
 
 
-def _factor_views(geometry, mu):
-    """Cached factors of mu * sum_k Xk' Xk = mu * Xp' diag(positive-tag counts) Xp."""
-    counts = (geometry.labels == 1.0).sum(axis=1)
+def _factor_views(layout, mu):
+    """Cached factors of mu * sum_k Xk' Xk = mu * R~_i' R~_i from the layout's rows."""
     factors = []
-    for i, (feats, block) in enumerate(zip(geometry.features, geometry.blocks)):
-        gram = (feats * counts[block, None]).T @ feats
+    for i, r in enumerate(layout.r_factors):
+        gram = r.T @ r
         if gram.size and not gram.any():  # its ridge is zero too, so it cannot be factored
             raise InvalidInput(f"view {i}: no present row has a positive tag and nonzero features")
         factors.append(SpdFactor(mu * gram))
@@ -301,11 +358,9 @@ def _global_rhs(mats, grad, lam):
     return [lam * (m.T @ g) for m, g in zip(mats, np.split(grad, ends))]
 
 
-def _update_w(factors, rhs, global_rhs):
-    """Solve each view's W step; ``global_rhs`` adds the linearized global term, or is None."""
-    if global_rhs is not None:
-        rhs = [r + g for r, g in zip(rhs, global_rhs)]
-    return WeightStack([factor.solve(r) for factor, r in zip(factors, rhs)])
+def _update_w(factors, *shares):
+    """Solve each view's W step against the sum of its right-hand-side shares."""
+    return WeightStack([factor.solve(sum(parts)) for factor, *parts in zip(factors, *shares)])
 
 
 def _update_z(label_stacks, multipliers, config):
@@ -323,33 +378,35 @@ def _sample_space(ds, state, config):
     geometry = StackGeometry(ds)
     state = _check_state(state, geometry)
     layout = _LabelStacks(geometry, compress=False)
-    return config, geometry, state, layout, layout.stack(state.w)
+    layout.stack(state.w)
+    return config, geometry, state, layout
 
 
 def update_w(state, ds, config, grad_prev=None):
     """One W sweep; ``grad_prev`` is the trace-norm subgradient of the
     present-row prediction stack at the previous weights (or None)."""
-    config, geometry, state, layout, stack = _sample_space(ds, state, config)
-    global_rhs = None
+    config, geometry, state, layout = _sample_space(ds, state, config)
+    stack = geometry.stack(state.w)
+    resid = geometry.indicator * (geometry.labels - stack)
+    shares = [[feats.T @ resid[block] for feats, block in zip(geometry.features, geometry.blocks)],
+              layout.w_rhs(state.z, state.multipliers, config.mu)]
     if grad_prev is not None:
         grad_prev = _check_matrix(grad_prev, "grad_prev")
         if grad_prev.shape != stack.shape:
             raise InvalidInput(f"grad_prev must have shape {stack.shape}, got {grad_prev.shape}")
-        global_rhs = _global_rhs(geometry.features, grad_prev, config.lam)
-    factors = _factor_views(geometry, config.mu)
-    rhs = layout.w_rhs(stack, state.z, state.multipliers, config.mu)
-    return _update_w(factors, rhs, global_rhs)
+        shares.append(_global_rhs(geometry.features, grad_prev, config.lam))
+    return _update_w(_factor_views(layout, config.mu), *shares)
 
 
 def update_z(state, ds, config):
     """Shrink each active per-label stack by lam/mu around the multipliers."""
-    config, _, state, layout, _ = _sample_space(ds, state, config)
+    config, _, state, layout = _sample_space(ds, state, config)
     return _update_z(layout.label_stacks(), state.multipliers, config)
 
 
 def update_multipliers(state, ds, config):
     """Ascend the scaled multipliers along the current primal residuals."""
-    config, _, state, layout, _ = _sample_space(ds, state, config)
+    config, _, state, layout = _sample_space(ds, state, config)
     return _update_multipliers(layout.label_stacks(), state.multipliers, state.z, config)
 
 
@@ -357,21 +414,19 @@ def _rel_change(curr, prev):
     return abs(curr - prev) / max(abs(prev), 1e-12)
 
 
-def _fit_loss_only(geometry, config):
+def _fit_loss_only(grams):
     start = time.perf_counter()
     weights = []
-    for feats, block in zip(geometry.features, geometry.blocks):
-        labels, ind = geometry.labels[block], geometry.indicator[block]
-        w = np.zeros((feats.shape[1], labels.shape[1]))
-        for k in range(labels.shape[1]):
-            mask = ind[:, k]
-            if not mask.any():
-                continue  # nothing observed for this label in this view
-            cols = feats * mask[:, None]
-            w[:, k] = SpdFactor(cols.T @ feats).solve(feats.T @ (mask * labels[:, k]))
+    for view_grams, b in zip(grams.grams, grams.rhs):
+        w = np.zeros_like(b)
+        for k, gram in enumerate(view_grams):
+            # an all-zero Gram (nothing observed, or only zero features) gets the ridge's
+            # minimum-norm limit, a zero column
+            if gram.any():
+                w[:, k] = SpdFactor(gram).solve(b[:, k])
         weights.append(w)
     w = WeightStack(weights)
-    loss = _masked_loss_from_preds(geometry, geometry.stack(w))
+    loss = _masked_loss_from_preds(grams, grams.predict(w))
     if not np.isfinite(loss):
         raise NonFiniteObjective(1, loss)
     trace = SolverTrace(converged=True)
@@ -391,28 +446,29 @@ def fit(ds, config):
     """
     config = _coerce_config(config)
     geometry = StackGeometry(ds)
+    grams = _LossGrams(geometry)
     if config.variant is Variant.LOSS_ONLY:
-        return _fit_loss_only(geometry, config)
+        return _fit_loss_only(grams)
 
-    factors = _factor_views(geometry, config.mu)
+    layout = _LabelStacks(geometry)
+    factors = _factor_views(layout, config.mu)
     full = config.variant is Variant.FULL
     r_factors = _qr_factors(geometry) if full else None
-    layout = _LabelStacks(geometry)
     state = _initial_state(geometry, config, layout.index)
     trace = SolverTrace()
-    stack = layout.stack(state.w)
+    preds = grams.predict(state.w)
     compressed = _compressed_stack(r_factors, state.w) if full else None
     use_grad = full and config.lam > 0
     f_prev = None
     for t in range(1, config.max_iters + 1):
         t0 = time.perf_counter()
-        global_rhs = None
+        shares = [grams.w_rhs(preds), layout.w_rhs(state.z, state.multipliers, config.mu)]
         if use_grad:
             grad_prev = trace_norm_subgradient(compressed)
-            global_rhs = _global_rhs(r_factors, grad_prev, config.lam)
-        rhs = layout.w_rhs(stack, state.z, state.multipliers, config.mu)
-        w = _update_w(factors, rhs, global_rhs)
-        stack = layout.stack(w)
+            shares.append(_global_rhs(r_factors, grad_prev, config.lam))
+        w = _update_w(factors, *shares)
+        layout.stack(w)
+        preds = grams.predict(w)
         compressed = _compressed_stack(r_factors, w) if full else None
         label_stacks = layout.label_stacks()
         z = _update_z(label_stacks, state.multipliers, config)
@@ -422,7 +478,7 @@ def fit(ds, config):
         )
 
         value = ObjectiveValue(
-            loss=_masked_loss_from_preds(geometry, stack),
+            loss=_masked_loss_from_preds(grams, preds),
             local_term=sum(nuclear_norm(s) for s in label_stacks),
             global_term=nuclear_norm(compressed) if full else 0.0,
             lam=config.lam,

@@ -1,5 +1,5 @@
 """Property tests on small random inputs: metric ties, the CCCP bound, the compressed
-global and label terms, the trace-norm duality pairing, save/load."""
+global and label terms, the loss on its Grams, the trace-norm duality pairing, save/load."""
 
 import tempfile
 
@@ -23,7 +23,10 @@ from mvml import (
 )
 from mvml.data import StackGeometry
 from mvml.linalg import nuclear_norm, svt
-from mvml.solver import _compressed_stack, _global_rhs, _LabelStacks, _qr_factors
+from mvml.objective import stack_loss
+from mvml.solver import (
+    _compressed_stack, _global_rhs, _LabelStacks, _LossGrams, _masked_loss_from_preds, _qr_factors,
+)
 
 import oracles
 from conftest import make_dataset, make_weights
@@ -163,7 +166,8 @@ def test_compressed_label_stacks_carry_the_local_terms(case, lam, mu):
     layout = _LabelStacks(geometry)
     layout.stack(w_mult)
     mult = layout.label_stacks()  # a multiplier in the range of each Q~_k, as in the sweep
-    stack = layout.stack(w).copy()
+    layout.stack(w)
+    stack = geometry.stack(w)
     sample_mult = geometry.stack(w_mult)
     for a, (rows, compressed) in enumerate(zip(geometry.active_index, layout.label_stacks())):
         per_view = [np.sum((rows >= b.start) & (rows < b.stop)) for b in geometry.blocks]
@@ -181,6 +185,28 @@ def test_compressed_label_stacks_carry_the_local_terms(case, lam, mu):
         scale = 1e-10 * np.linalg.norm(shifted)
         for feats, block, got in zip(geometry.features, geometry.blocks, layout.back_project(ext)):
             assert np.linalg.norm(got - feats.T @ sample[block]) <= scale * np.linalg.norm(feats)
+
+
+@PROPERTY_SETTINGS
+@given(case=label_edge_datasets())
+def test_loss_grams_carry_the_loss_and_its_gradient(case):
+    ds, rng = case
+    geometry = StackGeometry(ds)
+    dims = [feats.shape[1] for feats in geometry.features]
+    w = make_weights(rng, dims, geometry.labels.shape[1])
+    stack = geometry.stack(w)
+    grams = _LossGrams(geometry)
+    preds = grams.predict(w)
+
+    masked_preds = geometry.indicator * stack
+    scale = grams.constant + 0.5 * np.sum(masked_preds**2)
+    assert abs(_masked_loss_from_preds(grams, preds) - stack_loss(geometry, stack)) <= 1e-12 * scale
+
+    resid = geometry.indicator * (stack - geometry.labels)
+    norms = np.linalg.norm(masked_preds) + np.linalg.norm(geometry.indicator * geometry.labels)
+    for feats, block, got in zip(geometry.features, geometry.blocks, grams.w_rhs(preds)):
+        want = -feats.T @ resid[block]
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(feats) * norms
 
 
 @PROPERTY_SETTINGS

@@ -276,6 +276,27 @@ class TestFit:
         assert not w.weights[0][:, 2].any()
         assert w.weights[0][:, 0].any()
 
+    def test_loss_only_zero_gram_gives_a_zero_column(self, rng):
+        # label 1 is observed in view 1 only on rows whose features are zero
+        n = 12
+        views = []
+        for i in range(2):
+            features = rng.standard_normal((n, 2))
+            labels = np.where(rng.random((n, 2)) < 0.5, 1.0, -1.0)
+            if i == 1:
+                features[8:] = 0.0
+                labels[:8, 1] = 0.0
+            views.append(ViewData(features=features, labels=labels,
+                                  missing_rows=np.zeros(n, dtype=bool)))
+        ds = MultiViewDataset(views=views, aligned=True)
+        w, trace = fit(ds, SolverConfig(lam=0.0, variant="loss_only"))
+        assert not w.weights[1][:, 1].any()
+        x, y = views[1].features[:8], views[1].labels[:8, 0]
+        assert np.allclose(w.weights[1][:, 0], np.linalg.lstsq(x, y, rcond=None)[0], atol=1e-6)
+        assert trace.objective[-1] == pytest.approx(
+            objective(ds, w, 0.0).loss, rel=1e-12)
+        fit(ds, SolverConfig(lam=0.5, max_iters=3, variant="full"))
+
     def test_objective_monotone_and_nonnegative_small(self, rng):
         ds = generate_synthetic(SyntheticSpec(n=200, c=6, n_views=2, dims=(8, 10), seed=3))
         w, trace = fit(ds, SolverConfig(lam=0.5, mu=5.0, max_iters=100, init_seed=7))
@@ -347,6 +368,24 @@ class TestFit:
         norms = bounds + [3 + 5] if variant == "full" else bounds  # labels, then the global term
         assert rows["svt"] == bounds * sweeps
         assert rows["nuclear_norm"] == norms * sweeps
+
+    @pytest.mark.parametrize("variant", ["full", "loss_plus_local"])
+    def test_fit_stacks_only_the_compressed_label_rows(self, rng, variant, monkeypatch):
+        ds = make_dataset(rng, n=60, c=3, dims=(3, 5), with_missing=True,
+                          ensure_positive_per_row=True)
+        want = sum(min(rows.size, d) for per_view in label_stack_rows(ds)
+                   for rows, d in zip(per_view, (3, 5)))
+        import mvml.solver as solver_mod
+        layouts = []
+
+        class Recording(solver_mod._LabelStacks):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                layouts.append(self)
+
+        monkeypatch.setattr(solver_mod, "_LabelStacks", Recording)
+        fit(ds, SolverConfig(lam=0.5, max_iters=2, rel_tol=0.0, variant=variant))
+        assert [layout.ext.shape[0] for layout in layouts] == [want]
 
     def test_rejects_a_non_dataset(self):
         with pytest.raises(InvalidInput):
