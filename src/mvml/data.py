@@ -15,7 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, LabelDomainViolation, _check_int, _check_matrix, _check_rows
+from .errors import (
+    InvalidInput, LabelDomainViolation, _check_int, _check_list, _check_matrix, _check_rows,
+    _check_type,
+)
 
 
 @dataclass(eq=False)
@@ -81,15 +84,15 @@ class MultiViewDataset:
         if not isinstance(self.aligned, (bool, np.bool_)):
             raise InvalidInput(f"aligned must be a boolean, got {self.aligned!r}")
         self.aligned = bool(self.aligned)
+        self.views = _check_list(self.views, "views")
         if not self.views:
             raise InvalidInput("dataset needs at least one view")
-        self.views = list(self.views)
+        for i, view in enumerate(self.views):
+            _check_type(view, f"views[{i}]", ViewData)
         n, c = self.views[0].n_samples, self.views[0].n_labels
         if c < 1:
             raise InvalidInput("dataset needs at least one label")
         for i, view in enumerate(self.views):
-            if not isinstance(view, ViewData):
-                raise InvalidInput(f"view {i} is not a ViewData")
             if view.n_samples != n or view.n_labels != c:
                 raise InvalidInput(
                     f"view {i} has shape ({view.n_samples} samples, {view.n_labels} labels), "
@@ -124,9 +127,10 @@ class WeightStack:
     weights: list[np.ndarray]
 
     def __post_init__(self):
-        if not self.weights:
+        weights = _check_list(self.weights, "weights")
+        if not weights:
             raise InvalidInput("weight stack needs at least one view")
-        mats = [_check_matrix(w, f"weights[{i}]") for i, w in enumerate(self.weights)]
+        mats = [_check_matrix(w, f"weights[{i}]") for i, w in enumerate(weights)]
         c = mats[0].shape[1]
         for i, w in enumerate(mats):
             if w.shape[1] != c:
@@ -164,8 +168,7 @@ def sublabel_rows(view, k):
 
 def check_weight_shapes(w, n_features, n_labels):
     """Raise ``InvalidInput`` unless ``w`` holds one ``(n_features[i], n_labels)`` per view."""
-    if not isinstance(w, WeightStack):
-        raise InvalidInput(f"weights must be a WeightStack, got {type(w).__name__}")
+    _check_type(w, "weights", WeightStack)
     if w.n_views != len(n_features):
         raise InvalidInput(f"weights cover {w.n_views} views, dataset has {len(n_features)}")
     if w.n_labels != n_labels:
@@ -196,8 +199,7 @@ class StackGeometry:
     """
 
     def __init__(self, ds):
-        if not isinstance(ds, MultiViewDataset):
-            raise InvalidInput(f"expected a MultiViewDataset, got {type(ds).__name__}")
+        _check_type(ds, "ds", MultiViewDataset)
         present = [present_rows(view) for view in ds.views]
         self.features = [view.features[rows] for view, rows in zip(ds.views, present)]
         ends = np.cumsum([rows.size for rows in present])
@@ -220,6 +222,7 @@ def stack_predictions(ds, w, rows_per_view):
     ``ds.views[i].features[rows_per_view[i]] @ w.weights[i]``. Empty
     selections contribute zero-row blocks.
     """
+    rows_per_view = _check_list(rows_per_view, "rows_per_view")
     if len(rows_per_view) != ds.n_views:
         raise InvalidInput(f"need {ds.n_views} row selections, got {len(rows_per_view)}")
     check_weight_shapes(w, [view.n_features for view in ds.views], ds.n_labels)

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the one check of each kind of argument
-(integer, real, seed, matrix, row selection), which raises ``InvalidInput`` naming it."""
+(type, integer, real, seed, list, matrix, row selection), which raises ``InvalidInput``
+naming it."""
 
 import math
 import numbers
@@ -78,6 +79,13 @@ _REAL_BOUNDS = {
 }
 
 
+def _check_type(value, name, kind):
+    """``value``, which must be an instance of the class ``kind``."""
+    if not isinstance(value, kind):
+        raise InvalidInput(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _check_int(value, name, low=None):
     """``value`` as an int of at least ``low``; ``range`` would fail on floats or take bools."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -111,6 +119,13 @@ def _set_checked(spec, check, *names, **bounds):
     """Store each named field of a frozen dataclass as ``check`` returns it."""
     for name in names:
         object.__setattr__(spec, name, check(getattr(spec, name), name, **bounds))
+
+
+def _check_list(value, name):
+    """``value`` as a list; a string, a scalar or a mapping is rejected, not iterated."""
+    if not isinstance(value, (list, tuple)):
+        raise InvalidInput(f"{name} must be a list, got {type(value).__name__}")
+    return list(value)
 
 
 def _check_matrix(a, name, ndims=(2,)):

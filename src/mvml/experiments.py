@@ -23,7 +23,8 @@ import numpy as np
 from .data import MultiViewDataset, StackGeometry, ViewData
 from .dataset_io import csv_text, json_text, load_dataset, write_file
 from .errors import (
-    InvalidInput, MvmlError, _check_int, _check_real, _check_rows, _check_seed, _set_checked,
+    InvalidInput, MvmlError, _check_int, _check_list, _check_real, _check_rows, _check_seed,
+    _check_type, _set_checked,
 )
 from .linalg import trace_norm_subgradient
 from .masking import CorruptionSpec, SyntheticSpec, corrupt, generate_synthetic
@@ -112,6 +113,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.source, (SyntheticSpec, str)):
             raise InvalidInput("source must be a SyntheticSpec or a dataset directory path")
+        _check_type(self.corruption, "corruption", CorruptionSpec)
+        _check_type(self.solver, "solver", SolverConfig)
+        _check_type(self.split, "split", SplitSpec)
         _set_checked(self, _check_int, "repeats", low=1)
         if self.outputs is not None and not isinstance(self.outputs, str):
             raise InvalidInput("outputs must be a string path")
@@ -365,7 +369,7 @@ def bench_subgradient(
     seed = _check_seed(seed)
     memory_limit = _check_real(oracle_memory_limit, "oracle_memory_limit", bound="nonnegative")
     results = []
-    for size in sizes:
+    for size in _check_list(sizes, "sizes"):
         if not isinstance(size, (tuple, list)) or len(size) != 2:
             raise InvalidInput(f"each size must be an (n, c) pair, got {size!r}")
         n, c = _check_int(size[0], "n", low=1), _check_int(size[1], "c", low=1)

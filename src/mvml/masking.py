@@ -27,7 +27,8 @@ import numpy as np
 
 from .data import MultiViewDataset, ViewData
 from .errors import (
-    GenerationFailure, InvalidInput, _check_int, _check_real, _check_seed, _set_checked,
+    GenerationFailure, InvalidInput, _check_int, _check_real, _check_seed, _check_type,
+    _set_checked,
 )
 
 # Within-cluster spread of the latent one-hot codes, relative to 1/sqrt(g).
@@ -246,8 +247,7 @@ def corrupt(ds, spec):
     to features, labels, and missing flags, and the result is marked
     unaligned.
     """
-    if not isinstance(spec, CorruptionSpec):
-        raise InvalidInput("spec must be a CorruptionSpec")
+    _check_type(spec, "spec", CorruptionSpec)
     if not ds.aligned:
         raise InvalidInput("corruption requires an aligned dataset")
     if any(view.missing_rows.any() for view in ds.views):

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import (
-    InvalidInput, UndefinedMetric, _check_int, _check_matrix, _check_real, _check_rows,
+    InvalidInput, UndefinedMetric, _check_int, _check_list, _check_matrix, _check_real, _check_rows,
 )
 from .linalg import nuclear_norm, singular_values
 
@@ -193,7 +193,7 @@ def rank_diagnostics(pred, sublabel_rows_per_label, tol=None):
         tol = _check_real(tol, "tol", bound="positive")
     sub_ranks = []
     sub_nuclear = []
-    for k, rows in enumerate(sublabel_rows_per_label):
+    for k, rows in enumerate(_check_list(sublabel_rows_per_label, "sublabel_rows_per_label")):
         block = pred[_check_rows(rows, pred.shape[0], f"sublabel_rows_per_label[{k}]")]
         sub_ranks.append(_numeric_rank(block, tol))
         sub_nuclear.append(nuclear_norm(block))

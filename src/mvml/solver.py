@@ -9,8 +9,8 @@ the previous iterate through the trace-norm subgradient of the stack,
 each label stack is split into an auxiliary ``Z_k`` with a scaled
 multiplier ``L_k``, and one sweep is
 
-    R    =  -I o (P - Y)  +  sum_k scatter_k(mu Z_k - L_k)
-    W_i  <- (mu Xp_i' D_i Xp_i)^-1  (Xp_i' R[block_i]  +  lam * R_i' G_i)
+    R    =  I o (Y - P)  +  sum_k scatter_k(mu Z_k - L_k)  +  lam * subgrad ||P||_*
+    W_i  <- (mu Xp_i' D_i Xp_i)^-1  Xp_i' R[block_i]
     Z_k  <- svt(P_k + L_k / mu, lam / mu)
     L_k  <- L_k + mu * (P_k - Z_k)
 
@@ -21,7 +21,8 @@ through its gradient at the previous iterate, so each view does one
 solve against an SPD factor computed once per fit. Labels positive
 nowhere are dropped from the splitting. The public ``update_w``,
 ``update_z`` and ``update_multipliers`` run these steps on ``P`` itself,
-as the reference for ``fit``, which never reads a sample row in a sweep.
+with no compression, as the sample-space reference for ``fit``, which
+never reads a sample row in a sweep.
 
 The loss is a sum of least-squares terms, one per (view, label). Once
 per fit, ``A_{i,k} = X_{O,ki}' X_{O,ki}`` over the present rows of view
@@ -34,36 +35,38 @@ number of observed tags give, through one batched product per view
 
 the loss's value and its W-step share.
 
-The global term is compressed. Once per fit, a Householder
-QR of each view's present rows gives ``Xp_i = Q_i R_i`` with ``R_i`` of
-at most ``d_i`` rows, and the compressed stack
-``S = vstack_i(R_i W_i) = Q' P`` has the singular values and right
-singular vectors of ``P``. So ``||P||_* = ||S||_*``, the subgradient is
-``subgrad ||P||_* = Q G`` with ``G = subgrad ||S||_*`` split into the
-per-view blocks ``G_i``, its W-step share ``lam * Xp_i' (Q G)[block_i]``
-is ``lam * R_i' G_i``, and the CCCP surrogate's linear term
-``<P, Q G>`` is ``<S, G>``.
+Every trace-norm term is the nuclear norm of a row set's stack, and one
+rule compresses them all (Golub & Van Loan §5.3). A row set ``a`` meets
+view ``i`` in a block ``X_{a,i}``; once per fit, a block with more rows
+than the view has features (``n_{a,i} > d_i``) is replaced by its
+Householder QR factor, ``X_{a,i} = Q_{a,i} R_{a,i}``, and a shorter block
+keeps its rows, ``R~_{a,i} = X_{a,i}``. Then the set's stack is
+``Q~_a P~_a`` with ``P~_a = vstack_i(R~_{a,i} W_i)`` of at most
+``sum_i min(n_{a,i}, d_i)`` rows and ``Q~_a = blockdiag_i(Q_{a,i} or I)``
+of orthonormal columns, so the two share their singular values and right
+singular vectors. View ``i``'s blocks of every set stack into ``R~_i``;
+the extended stack ``vstack_i(R~_i W_i)`` takes one product per view, each
+``P~_a`` is a row selection of it, and a residual on it is back-projected,
+``R~_i' M[view i]``, with one product per view.
 
-So are the label terms. Once per fit, every block ``X_{k,i}`` with more
-rows than features (``n_{k,i} > d_i``) is replaced by its QR factor,
-``X_{k,i} = Q_{k,i} R_{k,i}``; shorter blocks keep their rows,
-``R~_{k,i} = X_{k,i}``. Then ``P_k = Q~_k P~_k`` with
-``P~_k = vstack_i(R~_{k,i} W_i)`` and ``Q~_k = blockdiag_i(Q_{k,i} or I)``
-of orthonormal columns. ``Z_k`` and ``L_k`` start at zero and stay in
-the range of ``Q~_k``, and ``svt(Q~ M) = Q~ svt(M)``, so the sweep keeps
-``Z~_k`` and ``L~_k`` of at most ``sum_i min(n_{k,i}, d_i)`` rows:
+The global term is the layout of one row set, every present row. Its
+rows ``R_i`` (the QR factor of ``Xp_i`` for a tall view) give the stack
+``S = vstack_i(R_i W_i)``, so ``||P||_* = ||S||_*``, the subgradient is
+``Q~ G`` with ``G = subgrad ||S||_*``, its W-step share is
+``lam * R_i' G[view i]`` and the CCCP surrogate's linear term is
+``<P, Q~ G> = <S, G>``.
+
+The label terms are the layout of the active labels' row sets. ``Z_k``
+and ``L_k`` start at zero and stay in the range of ``Q~_k``, and
+``svt(Q~ M) = Q~ svt(M)``, so the sweep keeps ``Z~_k`` and ``L~_k`` of
+the compressed stack's rows:
 
     Z~_k <- svt(P~_k + L~_k / mu, lam / mu)
     L~_k <- L~_k + mu * (P~_k - Z~_k)
 
-``||P_k||_* = ||P~_k||_*``, ``||P_k - Z_k||_F = ||P~_k - Z~_k||_F``, and
-the split's W-step share ``X_{k,i}' Q~ (mu Z~_k - L~_k)[view i]`` is
-``R~_{k,i}' (mu Z~_k - L~_k)[view i]``. View ``i``'s blocks stack into
-``R~_i``, and the extended stack ``vstack_i(R~_i W_i)`` of
-``sum_{k,i} min(n_{k,i}, d_i)`` rows takes one product per view; each
-``P~_k`` is a row selection of it, and the splits' residual is
-back-projected with one product per view. The same rows give the W
-step's matrix,
+``||P_k||_* = ||P~_k||_*``, ``||P_k - Z_k||_F = ||P~_k - Z~_k||_F``, the
+split's W-step share is ``R~_i' (mu Z~ - L~)[view i]``, and the same rows
+give the W step's matrix,
 ``Xp_i' D_i Xp_i = sum_k X_{k,i}' X_{k,i} = R~_i' R~_i``. A sweep is
 
     W_i  <- (mu R~_i' R~_i)^-1  (B_i - H_i  +  R~_i' (mu Z~ - L~)[view i]  +  lam * R_i' G_i)
@@ -84,7 +87,7 @@ from .blas import single_threaded
 from .data import MultiViewDataset, StackGeometry, WeightStack, check_weight_shapes
 from .errors import (
     AllViewsMissing, InvalidInput, NonFiniteObjective, _check_int, _check_matrix, _check_real,
-    _check_seed, _set_checked,
+    _check_seed, _check_type, _set_checked,
 )
 from .linalg import SpdFactor, nuclear_norm, svt, trace_norm_subgradient
 from .objective import ObjectiveValue
@@ -174,12 +177,6 @@ class SolverState:
     iteration: int = 0
 
 
-def _coerce_config(config):
-    if not isinstance(config, SolverConfig):
-        raise InvalidInput("config must be a SolverConfig")
-    return config
-
-
 class _LossGrams:
     """The masked loss's normal equations on each view's present rows.
 
@@ -232,40 +229,32 @@ def _masked_loss_from_preds(grams, preds):
 
 
 class _LabelStacks:
-    """Every active label's stack ``P~_k`` as a row selection of one extended stack.
+    """The stacks of some row sets of ``P`` as row selections of one compressed stack.
 
-    View ``i``'s rows ``r_factors[i]`` stack, label by label, its blocks
-    ``R~_{k,i}``: the QR factor ``R_{k,i}`` of a block with
-    ``n_{k,i} > d_i``, the block's own rows otherwise. They sit at
-    ``r_blocks[i]`` of the extended stack, and ``index[a]`` selects
-    active label ``a``'s stack view by view; every row belongs to one
-    label. With ``compress=False`` every block keeps its rows, so the
-    label stacks are the sample-space ``P_k``. The extended stack and its
-    residual are allocated once and overwritten by every call.
+    View ``i``'s rows ``r_factors[i]`` stack, set by set, its blocks
+    ``R~_{a,i}``: the QR factor of a block with more rows than the view
+    has features, the block's own rows otherwise. They sit at
+    ``r_blocks[i]`` of the extended stack, and ``index[a]`` selects row
+    set ``a``'s stack view by view. The extended stack and its residual
+    are allocated once and overwritten by every call.
     """
 
-    def __init__(self, geometry, compress=True):
-        dims = [feats.shape[1] for feats in geometry.features]
-        stops = [block.stop for block in geometry.blocks[:-1]]
-        parts = [np.split(rows, np.searchsorted(rows, stops)) for rows in geometry.active_index]
-        heights = [[d if compress and rows.size > d else rows.size for rows, d in zip(p, dims)]
-                   for p in parts]
-        ends = np.cumsum([sum(h[i] for h in heights) for i in range(len(dims))])
-        self.r_blocks = [slice(start, end) for start, end in zip([0, *ends[:-1]], ends)]
-        starts = [r_block.start for r_block in self.r_blocks]
-        factors = [[] for _ in dims]
-        self.index = []
-        for label_parts, label_heights in zip(parts, heights):
-            picks = []
-            for i, (rows, height, feats, block) in enumerate(
-                    zip(label_parts, label_heights, geometry.features, geometry.blocks)):
-                x = feats[rows - block.start]
-                factors[i].append(np.linalg.qr(x, mode="r") if height < rows.size else x)
-                picks.append(np.arange(starts[i], starts[i] + height))
-                starts[i] += height
-            self.index.append(np.concatenate(picks))
-        self.r_factors = [np.vstack(f) if f else np.zeros((0, d)) for f, d in zip(factors, dims)]
-        self.ext = np.empty((int(ends[-1]), geometry.labels.shape[1]))
+    def __init__(self, geometry, row_sets):
+        self.r_factors, self.r_blocks = [], []
+        picks = [[] for _ in row_sets]
+        end = 0
+        for feats, block in zip(geometry.features, geometry.blocks):
+            start, factors = end, [np.zeros((0, feats.shape[1]))]
+            for rows, pick in zip(row_sets, picks):
+                lo, hi = np.searchsorted(rows, (block.start, block.stop))
+                x = feats[rows[lo:hi] - block.start]
+                factors.append(np.linalg.qr(x, mode="r") if len(x) > x.shape[1] else x)
+                pick.append(np.arange(end, end + len(factors[-1])))
+                end += len(factors[-1])
+            self.r_factors.append(np.vstack(factors))
+            self.r_blocks.append(slice(start, end))
+        self.index = [np.concatenate(pick) for pick in picks]
+        self.ext = np.empty((end, geometry.labels.shape[1]))
         self.resid = np.empty_like(self.ext)
 
     def stack(self, w):
@@ -303,8 +292,7 @@ def _initial_state(geometry, config, index):
 
 def _check_state(state, geometry):
     """``state`` with one finite ``(n_k, c)`` split and multiplier per active label."""
-    if not isinstance(state, SolverState):
-        raise InvalidInput(f"state must be a SolverState, got {type(state).__name__}")
+    _check_type(state, "state", SolverState)
     c = geometry.labels.shape[1]
     checked = {}
     for name in ("z", "multipliers"):
@@ -327,35 +315,18 @@ def _check_state(state, geometry):
 def init_state(ds, config):
     """Random weights scaled by 1/sqrt(d) per view, zero splits and multipliers."""
     geometry = StackGeometry(ds)
-    return _initial_state(geometry, _coerce_config(config), geometry.active_index)
+    config = _check_type(config, "config", SolverConfig)
+    return _initial_state(geometry, config, geometry.active_index)
 
 
-def _factor_views(layout, mu):
-    """Cached factors of mu * sum_k Xk' Xk = mu * R~_i' R~_i from the layout's rows."""
+def _factor_views(grams, mu):
+    """Cached factors of ``mu * gram`` for each view's W-step Gram ``Xp_i' D_i Xp_i``."""
     factors = []
-    for i, r in enumerate(layout.r_factors):
-        gram = r.T @ r
+    for i, gram in enumerate(grams):
         if gram.size and not gram.any():  # its ridge is zero too, so it cannot be factored
             raise InvalidInput(f"view {i}: no present row has a positive tag and nonzero features")
         factors.append(SpdFactor(mu * gram))
     return factors
-
-
-def _qr_factors(geometry):
-    """``R_i`` of each view's present rows by Householder QR, so ``R_i' R_i = Xp_i' Xp_i``."""
-    return [np.linalg.qr(feats, mode="r") for feats in geometry.features]
-
-
-def _compressed_stack(r_factors, w):
-    """``S = vstack_i(R_i W_i)``: the singular values and right vectors of the stack."""
-    return np.vstack([r @ wi for r, wi in zip(r_factors, w.weights)])
-
-
-def _global_rhs(mats, grad, lam):
-    """``lam * M_i' G_i`` per view, ``G_i`` being the next ``M_i.shape[0]`` rows of ``grad``:
-    the global term's share of each W-step right-hand side."""
-    ends = np.cumsum([m.shape[0] for m in mats])[:-1]
-    return [lam * (m.T @ g) for m, g in zip(mats, np.split(grad, ends))]
 
 
 def _update_w(factors, *shares):
@@ -373,41 +344,43 @@ def _update_multipliers(label_stacks, multipliers, z, config):
 
 
 def _sample_space(ds, state, config):
-    """Checked config, geometry, state and the uncompressed label layout at ``state.w``."""
-    config = _coerce_config(config)
+    """Checked config, geometry and state, and the stack ``P`` at ``state.w``."""
+    config = _check_type(config, "config", SolverConfig)
     geometry = StackGeometry(ds)
     state = _check_state(state, geometry)
-    layout = _LabelStacks(geometry, compress=False)
-    layout.stack(state.w)
-    return config, geometry, state, layout
+    return config, geometry, state, geometry.stack(state.w)
 
 
 def update_w(state, ds, config, grad_prev=None):
     """One W sweep; ``grad_prev`` is the trace-norm subgradient of the
     present-row prediction stack at the previous weights (or None)."""
-    config, geometry, state, layout = _sample_space(ds, state, config)
-    stack = geometry.stack(state.w)
+    config, geometry, state, stack = _sample_space(ds, state, config)
     resid = geometry.indicator * (geometry.labels - stack)
-    shares = [[feats.T @ resid[block] for feats, block in zip(geometry.features, geometry.blocks)],
-              layout.w_rhs(state.z, state.multipliers, config.mu)]
+    for rows, zk, mk in zip(geometry.active_index, state.z, state.multipliers):
+        resid[rows] += config.mu * zk - mk
     if grad_prev is not None:
         grad_prev = _check_matrix(grad_prev, "grad_prev")
         if grad_prev.shape != stack.shape:
             raise InvalidInput(f"grad_prev must have shape {stack.shape}, got {grad_prev.shape}")
-        shares.append(_global_rhs(geometry.features, grad_prev, config.lam))
-    return _update_w(_factor_views(layout, config.mu), *shares)
+        resid += config.lam * grad_prev
+    positives = np.sum(geometry.labels == 1.0, axis=1)
+    grams = [feats.T @ (positives[block, None] * feats)
+             for feats, block in zip(geometry.features, geometry.blocks)]
+    rhs = [feats.T @ resid[block] for feats, block in zip(geometry.features, geometry.blocks)]
+    return _update_w(_factor_views(grams, config.mu), rhs)
 
 
 def update_z(state, ds, config):
     """Shrink each active per-label stack by lam/mu around the multipliers."""
-    config, _, state, layout = _sample_space(ds, state, config)
-    return _update_z(layout.label_stacks(), state.multipliers, config)
+    config, geometry, state, stack = _sample_space(ds, state, config)
+    return _update_z([stack[rows] for rows in geometry.active_index], state.multipliers, config)
 
 
 def update_multipliers(state, ds, config):
     """Ascend the scaled multipliers along the current primal residuals."""
-    config, _, state, layout = _sample_space(ds, state, config)
-    return _update_multipliers(layout.label_stacks(), state.multipliers, state.z, config)
+    config, geometry, state, stack = _sample_space(ds, state, config)
+    label_stacks = [stack[rows] for rows in geometry.active_index]
+    return _update_multipliers(label_stacks, state.multipliers, state.z, config)
 
 
 def _rel_change(curr, prev):
@@ -444,32 +417,34 @@ def fit(ds, config):
     loss for ``LOSS_ONLY`` (which is a single direct solve). Raises
     ``NonFiniteObjective`` as soon as the objective stops being finite.
     """
-    config = _coerce_config(config)
+    config = _check_type(config, "config", SolverConfig)
     geometry = StackGeometry(ds)
     grams = _LossGrams(geometry)
     if config.variant is Variant.LOSS_ONLY:
         return _fit_loss_only(grams)
 
-    layout = _LabelStacks(geometry)
-    factors = _factor_views(layout, config.mu)
+    layout = _LabelStacks(geometry, geometry.active_index)
+    factors = _factor_views([r.T @ r for r in layout.r_factors], config.mu)
     full = config.variant is Variant.FULL
-    r_factors = _qr_factors(geometry) if full else None
+    glob = _LabelStacks(geometry, [np.arange(geometry.labels.shape[0])]) if full else None
     state = _initial_state(geometry, config, layout.index)
     trace = SolverTrace()
     preds = grams.predict(state.w)
-    compressed = _compressed_stack(r_factors, state.w) if full else None
+    if full:
+        glob.stack(state.w)
     use_grad = full and config.lam > 0
     f_prev = None
     for t in range(1, config.max_iters + 1):
         t0 = time.perf_counter()
         shares = [grams.w_rhs(preds), layout.w_rhs(state.z, state.multipliers, config.mu)]
         if use_grad:
-            grad_prev = trace_norm_subgradient(compressed)
-            shares.append(_global_rhs(r_factors, grad_prev, config.lam))
+            grad_prev = trace_norm_subgradient(glob.ext)
+            shares.append([config.lam * g for g in glob.back_project(grad_prev)])
         w = _update_w(factors, *shares)
         layout.stack(w)
         preds = grams.predict(w)
-        compressed = _compressed_stack(r_factors, w) if full else None
+        if full:
+            glob.stack(w)
         label_stacks = layout.label_stacks()
         z = _update_z(label_stacks, state.multipliers, config)
         mult = _update_multipliers(label_stacks, state.multipliers, z, config)
@@ -480,12 +455,12 @@ def fit(ds, config):
         value = ObjectiveValue(
             loss=_masked_loss_from_preds(grams, preds),
             local_term=sum(nuclear_norm(s) for s in label_stacks),
-            global_term=nuclear_norm(compressed) if full else 0.0,
+            global_term=nuclear_norm(glob.ext) if full else 0.0,
             lam=config.lam,
         )
         f = surrogate = value.total
         if use_grad:  # the CCCP surrogate linearizes the global term at the previous stack
-            surrogate = replace(value, global_term=float(np.sum(compressed * grad_prev))).total
+            surrogate = replace(value, global_term=float(np.sum(glob.ext * grad_prev))).total
         if not np.isfinite(f):
             raise NonFiniteObjective(t, f)
 
@@ -503,8 +478,7 @@ def predict(w, test):
 
     Raises ``AllViewsMissing`` if some test sample is absent everywhere.
     """
-    if not isinstance(test, MultiViewDataset):
-        raise InvalidInput("test must be a MultiViewDataset")
+    _check_type(test, "test", MultiViewDataset)
     if not test.aligned:
         raise InvalidInput("prediction averages across views, which needs aligned rows")
     check_weight_shapes(w, [view.n_features for view in test.views], test.n_labels)

@@ -45,3 +45,42 @@ def test_only_dataset_io_writes_files():
             if isinstance(node, ast.Call) and _call_name(node.func) in FILE_WRITES:
                 found.append(f"{source.name}:{node.lineno} {_call_name(node.func)}")
     assert found == []
+
+
+def _definitions(tree):
+    """Module-level functions, classes and assigned names (dunders aside), with their lines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    yield target.id, node
+
+
+def _referenced_name(node):
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):  # an import, the package's exports included
+        return node.name
+    return None
+
+
+def test_every_module_level_name_is_used_in_the_package():
+    package = Path(mvml.__file__).resolve().parent
+    trees = {source.name: ast.parse(source.read_text(encoding="utf-8"))
+             for source in sorted(package.glob("*.py"))}
+    used = set()
+    for module, tree in trees.items():
+        spans = {name: (node.lineno, node.end_lineno) for name, node in _definitions(tree)}
+        for node in ast.walk(tree):
+            name = _referenced_name(node)
+            span = spans.get(name)
+            if name is not None and not (span and span[0] <= node.lineno <= span[1]):
+                used.add(name)  # a use outside the name's own definition
+    dead = [f"{module}:{node.lineno} {name}" for module, tree in trees.items()
+            for name, node in _definitions(tree) if name not in used]
+    assert dead == []

@@ -420,6 +420,18 @@ def test_config_rejects_bad_source_and_repeats():
         ExperimentConfig(source="x", repeats=0)
 
 
+@pytest.mark.parametrize("section, value", [
+    ("solver", {"lam": 0.5}),
+    ("corruption", None),
+    ("corruption", {"alpha": 0.5}),
+    ("split", 0.7),
+    ("solver", CorruptionSpec()),
+])
+def test_config_sections_must_be_their_spec_types(section, value):
+    with pytest.raises(InvalidInput, match=f"{section} must be a "):
+        ExperimentConfig(source=SyntheticSpec(n=200, seed=11), **{section: value})
+
+
 # ------------------------------------------------------------- reports
 
 

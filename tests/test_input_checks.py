@@ -1,7 +1,8 @@
 """Every scalar and matrix argument of the public functions fails with ``InvalidInput``.
 
 One table per kind of input: each bad scalar goes to each scalar
-argument, and each bad matrix to each matrix argument.
+argument and to each container argument, which must reject it rather
+than iterate it, and each bad matrix to each matrix argument.
 """
 
 from dataclasses import replace
@@ -11,6 +12,7 @@ import pytest
 
 from mvml import (
     InvalidInput,
+    MultiViewDataset,
     SolverConfig,
     SpdFactor,
     ViewData,
@@ -56,6 +58,12 @@ SCALAR_ARGUMENTS = {
     "nemenyi_cd.n_methods": (lambda x: nemenyi_cd(x, 10, 2.5), 1),
     "nemenyi_cd.n_results": (lambda x: nemenyi_cd(3, x, 2.5), 0),
     "nemenyi_cd.q_alpha": (lambda x: nemenyi_cd(3, 10, x), 0.0),
+    # containers: a scalar or a string is rejected, not iterated
+    "MultiViewDataset.views": (MultiViewDataset, 5),
+    "WeightStack.weights": (WeightStack, 5),
+    "rank_diagnostics.sublabel_rows_per_label": (lambda x: rank_diagnostics(_A, x), 5),
+    "stack_predictions.rows_per_view": (lambda x: stack_predictions(_DS, _W, x), 5),
+    "bench_subgradient.sizes": (lambda x: bench_subgradient(x, repeats=1), 5),
 }
 
 # None is the documented default of rank_diagnostics' tol, so it is not bad there.
@@ -94,6 +102,7 @@ MATRIX_ARGUMENTS = {
     "SpdFactor.m": SpdFactor,
     "SpdFactor.solve.rhs": lambda x: SpdFactor(np.eye(2)).solve(x),
     "update_w.grad_prev": lambda x: update_w(_STATE, _SOLVER_DS, _CFG, grad_prev=x),
+    "MultiViewDataset.views": lambda x: MultiViewDataset([x]),
 }
 
 BAD_MATRICES = {

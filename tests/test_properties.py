@@ -24,9 +24,7 @@ from mvml import (
 from mvml.data import StackGeometry
 from mvml.linalg import nuclear_norm, svt
 from mvml.objective import stack_loss
-from mvml.solver import (
-    _compressed_stack, _global_rhs, _LabelStacks, _LossGrams, _masked_loss_from_preds, _qr_factors,
-)
+from mvml.solver import _LabelStacks, _LossGrams, _masked_loss_from_preds
 
 import oracles
 from conftest import make_dataset, make_weights
@@ -121,14 +119,15 @@ def test_compressed_stack_carries_the_global_term(seed, n, c, dims, with_missing
     geometry = StackGeometry(ds)
     w = make_weights(rng, dims, c)
     stack = geometry.stack(w)
-    r_factors = _qr_factors(geometry)
-    compressed = _compressed_stack(r_factors, w)
+    layout = _LabelStacks(geometry, [np.arange(geometry.labels.shape[0])])
+    layout.stack(w)
+    compressed = layout.ext
     assert compressed.shape[0] <= sum(dims)
 
     want = oracles.svd_nuclear(stack)
     assert abs(nuclear_norm(compressed) - want) <= 1e-12 * want
 
-    got = _global_rhs(r_factors, trace_norm_subgradient(compressed), lam)
+    got = [lam * g for g in layout.back_project(trace_norm_subgradient(compressed))]
     oracle = oracles.svd_subgradient(stack)
     want = [lam * feats.T @ oracle[b] for feats, b in zip(geometry.features, geometry.blocks)]
     for feats, g, o in zip(geometry.features, got, want):
@@ -163,7 +162,7 @@ def test_compressed_label_stacks_carry_the_local_terms(case, lam, mu):
     dims = [feats.shape[1] for feats in geometry.features]
     c = geometry.labels.shape[1]
     w, w_mult = make_weights(rng, dims, c), make_weights(rng, dims, c)
-    layout = _LabelStacks(geometry)
+    layout = _LabelStacks(geometry, geometry.active_index)
     layout.stack(w_mult)
     mult = layout.label_stacks()  # a multiplier in the range of each Q~_k, as in the sweep
     layout.stack(w)

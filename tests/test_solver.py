@@ -385,7 +385,9 @@ class TestFit:
 
         monkeypatch.setattr(solver_mod, "_LabelStacks", Recording)
         fit(ds, SolverConfig(lam=0.5, max_iters=2, rel_tol=0.0, variant=variant))
-        assert [layout.ext.shape[0] for layout in layouts] == [want]
+        compressed_views = sum(min(present_rows(v).size, d) for v, d in zip(ds.views, (3, 5)))
+        want = [want, compressed_views] if variant == "full" else [want]
+        assert [layout.ext.shape[0] for layout in layouts] == want
 
     def test_rejects_a_non_dataset(self):
         with pytest.raises(InvalidInput):
