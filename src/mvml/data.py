@@ -150,17 +150,20 @@ def indicator_from(view):
     """0/1 matrix of observed label entries: 1 iff the tag is nonzero and
     the row is not missing. Missing rows are all-zero.
     """
+    _check_type(view, "view", ViewData)
     observed = (view.labels != 0.0) & ~view.missing_rows[:, None]
     return observed.astype(float)
 
 
 def present_rows(view):
     """Ascending indices of samples the view actually observed."""
+    _check_type(view, "view", ViewData)
     return np.flatnonzero(~view.missing_rows)
 
 
 def sublabel_rows(view, k):
     """Ascending indices of non-missing samples tagged positive for label ``k``."""
+    _check_type(view, "view", ViewData)
     if not 0 <= _check_int(k, "label index") < view.n_labels:
         raise InvalidInput(f"label index {k} out of range [0, {view.n_labels})")
     return np.flatnonzero((view.labels[:, k] == 1.0) & ~view.missing_rows)

@@ -34,6 +34,7 @@ from .errors import (
     MissingFile,
     NonFiniteEntry,
     SchemaViolation,
+    _check_type,
 )
 
 MANIFEST_NAME = "manifest.json"
@@ -170,6 +171,7 @@ def save_dataset(ds, path):
     ``manifest.json`` last; then every ``view<i>_*.csv`` the new manifest
     does not name is removed, and nothing else. Returns the manifest path.
     """
+    _check_type(ds, "ds", MultiViewDataset)
     root = Path(path)
     views_meta = []
     for i, view in enumerate(ds.views):

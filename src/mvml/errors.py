@@ -25,12 +25,17 @@ class GenerationFailure(MvmlError):
 
 
 class NonFiniteObjective(MvmlError):
-    """The solver objective became NaN or infinite."""
+    """The solver objective became NaN or infinite.
 
-    def __init__(self, iteration, value):
+    ``trace``, when given, is the fit's ``SolverTrace`` up to and including
+    the failing sweep, so a diverging fit can be inspected.
+    """
+
+    def __init__(self, iteration, value, trace=None):
         super().__init__(f"objective became non-finite ({value!r}) at iteration {iteration}")
         self.iteration = iteration
         self.value = value
+        self.trace = trace
 
 
 class AllViewsMissing(MvmlError):

@@ -228,6 +228,7 @@ def split_indices(n, split, repeat):
 
 def subset_dataset(ds, rows):
     """Row subset of an aligned dataset, one shared selection for all views."""
+    _check_type(ds, "ds", MultiViewDataset)
     if not ds.aligned:
         raise InvalidInput("row subsetting requires an aligned dataset")
     rows = _check_rows(rows, ds.n_samples, "rows")
@@ -289,6 +290,7 @@ def run_experiment(config, fmt="json"):
     Returns the :class:`RunRecord`; reports land under ``config.outputs``
     when that is set.
     """
+    _check_type(config, "config", ExperimentConfig)
     _check_format(fmt)
     ds = load_source(config)
     repeats = []

@@ -152,6 +152,7 @@ def generate_synthetic(spec):
     ``GenerationFailure``. The rank is checked before any feature is
     drawn, so a rejected attempt costs only its labels.
     """
+    _check_type(spec, "spec", SyntheticSpec)
     for attempt in range(_MAX_GENERATION_ATTEMPTS):
         rng = _rng(spec.seed, attempt)
         base = _cluster_labels(spec, rng)
@@ -247,6 +248,7 @@ def corrupt(ds, spec):
     to features, labels, and missing flags, and the result is marked
     unaligned.
     """
+    _check_type(ds, "ds", MultiViewDataset)
     _check_type(spec, "spec", CorruptionSpec)
     if not ds.aligned:
         raise InvalidInput("corruption requires an aligned dataset")

@@ -36,21 +36,26 @@ number of observed tags give, through one batched product per view
 the loss's value and its W-step share.
 
 Every trace-norm term is the nuclear norm of a row set's stack, and one
-rule compresses them all (Golub & Van Loan §5.3). A row set ``a`` meets
-view ``i`` in a block ``X_{a,i}``; once per fit, a block with more rows
-than the view has features (``n_{a,i} > d_i``) is replaced by its
-Householder QR factor, ``X_{a,i} = Q_{a,i} R_{a,i}``, and a shorter block
-keeps its rows, ``R~_{a,i} = X_{a,i}``. Then the set's stack is
-``Q~_a P~_a`` with ``P~_a = vstack_i(R~_{a,i} W_i)`` of at most
-``sum_i min(n_{a,i}, d_i)`` rows and ``Q~_a = blockdiag_i(Q_{a,i} or I)``
-of orthonormal columns, so the two share their singular values and right
-singular vectors. View ``i``'s blocks of every set stack into ``R~_i``;
-the extended stack ``vstack_i(R~_i W_i)`` takes one product per view, each
-``P~_a`` is a row selection of it, and a residual on it is back-projected,
-``R~_i' M[view i]``, with one product per view.
+rule compresses them all. A row set ``a`` meets view ``i`` in a block
+``X_{a,i}``; once per fit, a block with more rows than the view has
+features (``n_{a,i} > d_i``) is replaced by a ``d_i x d_i`` square root
+of its Gram, ``R_{a,i}' R_{a,i} = X_{a,i}' X_{a,i}``: the upper Cholesky
+factor, or, when Cholesky rejects the Gram of a rank-deficient block,
+the eigen root ``diag(sqrt(s)) V' D`` of ``X_{a,i}' X_{a,i} = D V diag(s) V' D``,
+with ``D`` the diagonal of the columns' norms.
+A shorter block keeps its rows, ``R~_{a,i} = X_{a,i}``. As with a QR
+factor (Golub & Van Loan §5.3), any root of a tall block's Gram gives
+``X_{a,i} = Q_{a,i} R_{a,i}`` for some ``Q_{a,i}`` of orthonormal columns.
+So the set's stack is ``Q~_a P~_a`` with ``P~_a = vstack_i(R~_{a,i} W_i)``
+of at most ``sum_i min(n_{a,i}, d_i)`` rows and
+``Q~_a = blockdiag_i(Q_{a,i} or I)``, and the two share their singular
+values and right singular vectors. View ``i``'s blocks of every set stack
+into ``R~_i``; the extended stack ``vstack_i(R~_i W_i)`` takes one product
+per view, each ``P~_a`` is a row selection of it, and a residual on it is
+back-projected, ``R~_i' M[view i]``, with one product per view.
 
 The global term is the layout of one row set, every present row. Its
-rows ``R_i`` (the QR factor of ``Xp_i`` for a tall view) give the stack
+rows ``R_i`` (the Gram root of ``Xp_i`` for a tall view) give the stack
 ``S = vstack_i(R_i W_i)``, so ``||P||_* = ||S||_*``, the subgradient is
 ``Q~ G`` with ``G = subgrad ||S||_*``, its W-step share is
 ``lam * R_i' G[view i]`` and the CCCP surrogate's linear term is
@@ -228,13 +233,28 @@ def _masked_loss_from_preds(grams, preds):
     return 0.5 * cross + grams.constant
 
 
+def _gram_root(gram):
+    """A square ``R`` with ``R' R = gram``: the upper Cholesky factor, or, for a
+    singular ``gram`` that Cholesky rejects, the eigen root ``diag(sqrt(s)) V' D`` of
+    ``gram = D V diag(s) V' D`` with ``D = diag(sqrt(diag(gram)))``. Decomposing the
+    unit-diagonal ``V diag(s) V'`` keeps each column's rounding error relative to the
+    column's own size, as Cholesky does, so a tiny feature column is not lost."""
+    try:
+        return np.linalg.cholesky(gram).T
+    except np.linalg.LinAlgError:
+        norms = np.sqrt(np.diag(gram))
+        scale = np.where(norms > 0.0, norms, 1.0)  # a zero column keeps a zero root column
+        s, v = np.linalg.eigh(gram / np.outer(scale, scale))
+        return np.sqrt(np.maximum(s, 0.0))[:, None] * v.T * norms
+
+
 class _LabelStacks:
     """The stacks of some row sets of ``P`` as row selections of one compressed stack.
 
     View ``i``'s rows ``r_factors[i]`` stack, set by set, its blocks
-    ``R~_{a,i}``: the QR factor of a block with more rows than the view
-    has features, the block's own rows otherwise. They sit at
-    ``r_blocks[i]`` of the extended stack, and ``index[a]`` selects row
+    ``R~_{a,i}``: the square root ``_gram_root`` of the Gram of a block with
+    more rows than the view has features, the block's own rows otherwise.
+    They sit at ``r_blocks[i]`` of the extended stack, and ``index[a]`` selects row
     set ``a``'s stack view by view. The extended stack and its residual
     are allocated once and overwritten by every call.
     """
@@ -248,7 +268,7 @@ class _LabelStacks:
             for rows, pick in zip(row_sets, picks):
                 lo, hi = np.searchsorted(rows, (block.start, block.stop))
                 x = feats[rows[lo:hi] - block.start]
-                factors.append(np.linalg.qr(x, mode="r") if len(x) > x.shape[1] else x)
+                factors.append(_gram_root(x.T @ x) if len(x) > x.shape[1] else x)
                 pick.append(np.arange(end, end + len(factors[-1])))
                 end += len(factors[-1])
             self.r_factors.append(np.vstack(factors))
@@ -400,10 +420,11 @@ def _fit_loss_only(grams):
         weights.append(w)
     w = WeightStack(weights)
     loss = _masked_loss_from_preds(grams, grams.predict(w))
-    if not np.isfinite(loss):
-        raise NonFiniteObjective(1, loss)
-    trace = SolverTrace(converged=True)
+    trace = SolverTrace()
     trace.append(loss, loss, 0.0, time.perf_counter() - start)
+    if not np.isfinite(loss):
+        raise NonFiniteObjective(1, loss, trace)
+    trace.converged = True
     return w, trace
 
 
@@ -415,7 +436,8 @@ def fit(ds, config):
     variant's own objective: the full loss + lam * (local - global) for
     ``FULL``, loss + lam * local for ``LOSS_PLUS_LOCAL``, and the bare
     loss for ``LOSS_ONLY`` (which is a single direct solve). Raises
-    ``NonFiniteObjective`` as soon as the objective stops being finite.
+    ``NonFiniteObjective``, carrying the trace so far, as soon as the
+    objective stops being finite.
     """
     config = _check_type(config, "config", SolverConfig)
     geometry = StackGeometry(ds)
@@ -461,10 +483,9 @@ def fit(ds, config):
         f = surrogate = value.total
         if use_grad:  # the CCCP surrogate linearizes the global term at the previous stack
             surrogate = replace(value, global_term=float(np.sum(glob.ext * grad_prev))).total
-        if not np.isfinite(f):
-            raise NonFiniteObjective(t, f)
-
         trace.append(f, surrogate, residual, time.perf_counter() - t0)
+        if not np.isfinite(f):
+            raise NonFiniteObjective(t, f, trace)
         state = SolverState(w=w, z=z, multipliers=mult, iteration=t)
         if f_prev is not None and _rel_change(f, f_prev) < config.rel_tol:
             trace.converged = True

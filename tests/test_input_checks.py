@@ -2,7 +2,8 @@
 
 One table per kind of input: each bad scalar goes to each scalar
 argument and to each container argument, which must reject it rather
-than iterate it, and each bad matrix to each matrix argument.
+than iterate it, an int to each dataset, view or spec argument, and each
+bad matrix to each matrix argument.
 """
 
 from dataclasses import replace
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from mvml import (
+    CorruptionSpec,
     InvalidInput,
     MultiViewDataset,
     SolverConfig,
@@ -18,7 +20,14 @@ from mvml import (
     ViewData,
     WeightStack,
     bench_subgradient,
+    corrupt,
     evaluate_predictions,
+    generate_synthetic,
+    indicator_from,
+    present_rows,
+    run_experiment,
+    save_dataset,
+    sublabel_rows,
     nemenyi_cd,
     stack_predictions,
     nuclear_norm,
@@ -85,6 +94,26 @@ def test_bad_scalar_raises_invalid_input(arg, kind, value):
     call, _ = SCALAR_ARGUMENTS[arg]
     with pytest.raises(InvalidInput, match=arg.split(".")[1]):
         call(value)
+
+
+# argument name -> call, into the directory ``path``, with that argument set to x
+TYPED_ARGUMENTS = {
+    "corrupt.ds": lambda x, path: corrupt(x, CorruptionSpec()),
+    "generate_synthetic.spec": lambda x, path: generate_synthetic(x),
+    "run_experiment.config": lambda x, path: run_experiment(x),
+    "save_dataset.ds": lambda x, path: save_dataset(x, path),
+    "subset_dataset.ds": lambda x, path: subset_dataset(x, [0]),
+    "sublabel_rows.view": lambda x, path: sublabel_rows(x, 0),
+    "present_rows.view": lambda x, path: present_rows(x),
+    "indicator_from.view": lambda x, path: indicator_from(x),
+}
+
+
+@pytest.mark.parametrize("arg", TYPED_ARGUMENTS)
+def test_argument_of_the_wrong_type_raises_invalid_input(arg, tmp_path):
+    with pytest.raises(InvalidInput, match=f"{arg.split('.')[1]} must be a"):
+        TYPED_ARGUMENTS[arg](5, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 # argument name -> call with that argument set to x

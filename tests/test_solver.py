@@ -24,6 +24,7 @@ from mvml.linalg import RIDGE_SCALE, nuclear_norm, svt
 from mvml.masking import CorruptionSpec, SyntheticSpec, corrupt, generate_synthetic
 from mvml.data import present_rows, stack_predictions, sublabel_rows
 from mvml.objective import objective
+from mvml.solver import _gram_root
 
 import oracles
 from conftest import make_dataset
@@ -327,6 +328,29 @@ class TestFit:
             fit(ds, SolverConfig(lam=0.5, max_iters=5, init_seed=1))
         assert info.value.iteration == 1
 
+    @pytest.mark.parametrize("variant", ["full", "loss_plus_local", "loss_only"])
+    def test_non_finite_objective_carries_the_trace_so_far(self, rng, variant, monkeypatch):
+        ds = small_training_set(rng)
+        cfg = SolverConfig(lam=0.5, max_iters=5, rel_tol=0.0, init_seed=1, variant=variant)
+        _, clean = fit(ds, cfg)
+        fails_at = 1 if variant == "loss_only" else 3
+        import mvml.solver as solver_mod
+        real, calls = solver_mod._masked_loss_from_preds, []
+
+        def failing(grams, preds):
+            calls.append(None)
+            return float("nan") if len(calls) == fails_at else real(grams, preds)
+
+        monkeypatch.setattr(solver_mod, "_masked_loss_from_preds", failing)
+        with pytest.raises(NonFiniteObjective, match=f"at iteration {fails_at}") as info:
+            fit(ds, cfg)
+        trace = info.value.trace
+        assert info.value.iteration == trace.iterations == fails_at
+        assert np.isnan(info.value.value) and np.isnan(trace.objective[-1])
+        assert trace.objective[:-1] == clean.objective[:fails_at - 1]
+        assert trace.residual[:-1] == clean.residual[:fails_at - 1]
+        assert not trace.converged
+
     def test_global_term_never_sees_more_rows_than_features(self, rng, monkeypatch):
         ds = make_dataset(rng, n=40, c=4, dims=(3, 5), with_missing=True,
                           ensure_positive_per_row=True)
@@ -444,6 +468,56 @@ def edge_case_dataset(rng, case, n=20):
     return MultiViewDataset(views=views, aligned=True)
 
 
+def manual_rounds(ds, cfg):
+    """``cfg.max_iters`` rounds of the sample-space step functions from the seeded state."""
+    state = init_state(ds, cfg)
+    for _ in range(cfg.max_iters):
+        stack = stack_predictions(ds, state.w, [present_rows(v) for v in ds.views])
+        w = update_w(state, ds, cfg, grad_prev=trace_norm_subgradient(stack))
+        z = update_z(SolverState(w=w, z=state.z, multipliers=state.multipliers), ds, cfg)
+        mult = update_multipliers(
+            SolverState(w=w, z=z, multipliers=state.multipliers), ds, cfg)
+        state = SolverState(w=w, z=z, multipliers=mult, iteration=state.iteration + 1)
+    return state
+
+
+def ill_conditioned_dataset(rng, case, n=60):
+    """Two views whose every (label, view) block is tall. ``rank_deficient``: view 0
+    has a duplicated and a constant column, view 1 a zero column; ``tiny_columns``:
+    every other column is scaled by 1e-6; ``rank_deficient_tiny``: both."""
+    ds = make_dataset(rng, n=n, c=3, dims=(5, 4), with_missing=True,
+                      ensure_positive_per_row=True)
+    views = []
+    for i, view in enumerate(ds.views):
+        features, present = view.features.copy(), ~view.missing_rows
+        if case.startswith("rank_deficient"):
+            if i == 0:
+                features[present, 1] = features[present, 0]
+                features[present, 2] = 1.0
+            else:
+                features[present, 1] = 0.0
+        if "tiny" in case:
+            features[:, ::2] *= 1e-6
+        views.append(ViewData(features=features, labels=view.labels,
+                              missing_rows=view.missing_rows))
+    return MultiViewDataset(views=views, aligned=ds.aligned)
+
+
+def test_gram_root_of_a_singular_gram_keeps_every_column_relative():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((40, 5))
+    x[:, 1] = x[:, 0]  # duplicated
+    x[:, 2] = 0.0
+    x[:, 3] *= 1e-6
+    gram = x.T @ x
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(gram)
+    root = _gram_root(gram)
+    assert root.shape == gram.shape
+    scale = np.sqrt(np.outer(np.diag(gram), np.diag(gram)))
+    assert np.all(np.abs(root.T @ root - gram) <= 1e-14 * scale)
+
+
 class TestFitComposesBlockUpdates:
     @pytest.mark.parametrize("sweeps", [1, 5])
     def test_fit_equals_manual_rounds(self, rng, sweeps):
@@ -453,16 +527,39 @@ class TestFitComposesBlockUpdates:
         w_fit, trace = fit(ds, cfg)
         assert trace.iterations == sweeps
 
-        state = init_state(ds, cfg)
-        for _ in range(sweeps):
-            stack = stack_predictions(ds, state.w, [present_rows(v) for v in ds.views])
-            w = update_w(state, ds, cfg, grad_prev=trace_norm_subgradient(stack))
-            z = update_z(SolverState(w=w, z=state.z, multipliers=state.multipliers), ds, cfg)
-            mult = update_multipliers(
-                SolverState(w=w, z=z, multipliers=state.multipliers), ds, cfg)
-            state = SolverState(w=w, z=z, multipliers=mult, iteration=state.iteration + 1)
+        state = manual_rounds(ds, cfg)
         for got, want in zip(w_fit.weights, state.w.weights):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("case", ["rank_deficient", "rank_deficient_tiny", "tiny_columns"])
+    def test_fit_equals_manual_rounds_on_ill_conditioned_views(self, rng, case):
+        ds = ill_conditioned_dataset(rng, case)
+        rows = [present_rows(v) for v in ds.views]
+        blocks = [v.features[r] for v in ds.views
+                  for r in [*(sublabel_rows(v, k) for k in range(ds.n_labels)), present_rows(v)]]
+        assert all(len(x) > x.shape[1] for x in blocks)
+        rejected = 0
+        for x in blocks:
+            try:
+                np.linalg.cholesky(x.T @ x)
+            except np.linalg.LinAlgError:
+                rejected += 1
+        if case == "tiny_columns":
+            assert rejected == 0
+        else:  # view 1's zero column makes each of its Grams singular: eigen roots
+            assert rejected >= ds.n_labels + 1
+
+        sweeps = 5
+        cfg = SolverConfig(lam=0.6, mu=3.0, max_iters=sweeps, rel_tol=0.0, init_seed=4)
+        w_fit, trace = fit(ds, cfg)
+        state = manual_rounds(ds, cfg)
+        # the 1e-8 ridge alone fixes the weights along a null or tiny direction of a view,
+        # so the rounds are compared by the predictions every term of the objective reads
+        got = stack_predictions(ds, w_fit, rows)
+        want = stack_predictions(ds, state.w, rows)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        total = objective(ds, w_fit, cfg.lam).total
+        assert abs(total - trace.objective[-1]) <= 1e-12 * abs(trace.objective[-1])
 
     @pytest.mark.parametrize(
         "case", ["single_label", "label_in_one_view", "label_nowhere", "wide_view"])
