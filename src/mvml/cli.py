@@ -204,7 +204,7 @@ def _grid_command(args, name, field):
     config = _experiment_config(args)
     out = _out_dir(args, config)
     rows = {}
-    for value in (float(v) for v in args.grid):
+    for value in args.grid:
         vcfg = replace(config, solver=replace(config.solver, **{field: value}),
                        outputs=str(out / f"{name}_{value:g}"))
         record = run_experiment(vcfg, fmt=args.format)
@@ -304,12 +304,12 @@ def _build_parser():
 
     p = sub.add_parser("sweep-lambda", help="sweep the trade-off parameter")
     _add_common(p, data=True)
-    p.add_argument("--grid", nargs="+", default=[str(v) for v in DEFAULT_LAMBDA_GRID])
+    p.add_argument("--grid", nargs="+", type=float, default=list(DEFAULT_LAMBDA_GRID))
     p.set_defaults(func=_cmd_sweep_lambda)
 
     p = sub.add_parser("study-mu", help="sweep the splitting penalty")
     _add_common(p, data=True)
-    p.add_argument("--grid", nargs="+", default=[str(v) for v in DEFAULT_MU_GRID])
+    p.add_argument("--grid", nargs="+", type=float, default=list(DEFAULT_MU_GRID))
     p.set_defaults(func=_cmd_study_mu)
 
     p = sub.add_parser("bench-subgrad", help="time the subgradient kernel vs a full SVD")

@@ -2,6 +2,7 @@
 (type, integer, real, seed, list, matrix, row selection), which raises ``InvalidInput``
 naming it."""
 
+import copyreg
 import math
 import numbers
 
@@ -9,7 +10,16 @@ import numpy as np
 
 
 class MvmlError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    It pickles as its ``args`` and attributes and unpickles without calling
+    ``__init__``, so a subclass whose ``__init__`` builds the message from other
+    arguments, and a message rewritten in ``args`` (``repeat r: ...``), survive
+    the trip to another process.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class InvalidInput(MvmlError, ValueError):

@@ -24,9 +24,11 @@ nowhere are dropped from the splitting. The public ``update_w``,
 with no compression, as the sample-space reference for ``fit``, which
 never reads a sample row in a sweep.
 
-The loss is a sum of least-squares terms, one per (view, label). Once
-per fit, ``A_{i,k} = X_{O,ki}' X_{O,ki}`` over the present rows of view
-``i`` whose tag ``k`` is observed, ``B_i = Xp_i' Y_i`` and half the
+``fit`` is a set-up (``_Problem``), a step (``_step``) and a driver.
+
+Set-up, once per fit. The loss is a sum of least-squares terms, one per
+(view, label): ``A_{i,k} = X_{O,ki}' X_{O,ki}`` over the present rows of
+view ``i`` whose tag ``k`` is observed, ``B_i = Xp_i' Y_i`` and half the
 number of observed tags give, through one batched product per view
 ``H_i[:, k] = A_{i,k} W_i[:, k]``, both
 
@@ -37,9 +39,9 @@ the loss's value and its W-step share.
 
 Every trace-norm term is the nuclear norm of a row set's stack, and one
 rule compresses them all. A row set ``a`` meets view ``i`` in a block
-``X_{a,i}``; once per fit, a block with more rows than the view has
-features (``n_{a,i} > d_i``) is replaced by a ``d_i x d_i`` square root
-of its Gram, ``R_{a,i}' R_{a,i} = X_{a,i}' X_{a,i}``: the upper Cholesky
+``X_{a,i}``; a block with more rows than the view has features
+(``n_{a,i} > d_i``) is replaced by a ``d_i x d_i`` square root of its
+Gram, ``R_{a,i}' R_{a,i} = X_{a,i}' X_{a,i}``: the upper Cholesky
 factor, or, when Cholesky rejects the Gram of a rank-deficient block,
 the eigen root ``diag(sqrt(s)) V' D`` of ``X_{a,i}' X_{a,i} = D V diag(s) V' D``,
 with ``D`` the diagonal of the columns' norms.
@@ -54,29 +56,35 @@ into ``R~_i``; the extended stack ``vstack_i(R~_i W_i)`` takes one product
 per view, each ``P~_a`` is a row selection of it, and a residual on it is
 back-projected, ``R~_i' M[view i]``, with one product per view.
 
-The global term is the layout of one row set, every present row. Its
-rows ``R_i`` (the Gram root of ``Xp_i`` for a tall view) give the stack
-``S = vstack_i(R_i W_i)``, so ``||P||_* = ||S||_*``, the subgradient is
-``Q~ G`` with ``G = subgrad ||S||_*``, its W-step share is
-``lam * R_i' G[view i]`` and the CCCP surrogate's linear term is
-``<P, Q~ G> = <S, G>``.
+The label terms are the layout of the active labels' row sets, and the
+same rows give the W step's matrix,
+``Xp_i' D_i Xp_i = sum_k X_{k,i}' X_{k,i} = R~_i' R~_i``, whose factor
+of ``mu R~_i' R~_i`` the set-up keeps. ``FULL`` also keeps the layout of
+one row set, every present row: its rows ``R_i`` (the Gram root of
+``Xp_i`` for a tall view) give the stack ``S = vstack_i(R_i W_i)``, so
+``||P||_* = ||S||_*`` and the subgradient is ``Q~ G`` with
+``G = subgrad ||S||_*``.
 
-The label terms are the layout of the active labels' row sets. ``Z_k``
-and ``L_k`` start at zero and stay in the range of ``Q~_k``, and
-``svt(Q~ M) = Q~ svt(M)``, so the sweep keeps ``Z~_k`` and ``L~_k`` of
-the compressed stack's rows:
+Step, a pure map from the state ``(W with its products H, Z~, L~)`` to
+the next state and its objective, surrogate and primal residual.
+``Z_k`` and ``L_k`` start at zero and stay in the range of ``Q~_k``, and
+``svt(Q~ M) = Q~ svt(M)``, so the state keeps ``Z~_k`` and ``L~_k`` of
+the compressed stack's rows. The step stacks ``S`` from its input W and
+takes ``G`` there; then
 
+    W_i  <- (mu R~_i' R~_i)^-1  (B_i - H_i  +  R~_i' (mu Z~ - L~)[view i]  +  lam * R_i' G_i)
     Z~_k <- svt(P~_k + L~_k / mu, lam / mu)
     L~_k <- L~_k + mu * (P~_k - Z~_k)
 
-``||P_k||_* = ||P~_k||_*``, ``||P_k - Z_k||_F = ||P~_k - Z~_k||_F``, the
-split's W-step share is ``R~_i' (mu Z~ - L~)[view i]``, and the same rows
-give the W step's matrix,
-``Xp_i' D_i Xp_i = sum_k X_{k,i}' X_{k,i} = R~_i' R~_i``. A sweep is
+with ``H`` recomputed at the new W. ``||P_k||_* = ||P~_k||_*`` and
+``||P_k - Z_k||_F = ||P~_k - Z~_k||_F`` give the local terms and the
+residual, and the CCCP surrogate's linear term is ``<P, Q~ G> = <S, G>``
+at the new ``S``. ``LOSS_PLUS_LOCAL`` has no global layout and no ``G``.
 
-    W_i  <- (mu R~_i' R~_i)^-1  (B_i - H_i  +  R~_i' (mu Z~ - L~)[view i]  +  lam * R_i' G_i)
-
-followed by the ``Z~``, ``L~`` and loss updates above.
+Driver. ``fit`` seeds the state, applies the step until the objective's
+relative change falls below ``rel_tol`` or the budget runs out, and
+stops with ``NonFiniteObjective`` once the objective is not finite.
+``LOSS_ONLY`` is a direct solve per (view, label) instead.
 """
 
 from __future__ import annotations
@@ -301,10 +309,8 @@ def _initial_state(geometry, config, index):
     """Random weights and zero splits and multipliers shaped by the label rows ``index``."""
     rng = np.random.default_rng(np.random.SeedSequence([config.init_seed]))
     c = geometry.labels.shape[1]
-    weights = []
-    for feats in geometry.features:
-        d = feats.shape[1]
-        weights.append(rng.standard_normal((d, c)) / np.sqrt(d))
+    dims = [feats.shape[1] for feats in geometry.features]
+    weights = [rng.standard_normal((d, c)) / np.sqrt(d) for d in dims]
     z = [np.zeros((rows.size, c)) for rows in index]
     mult = [np.zeros_like(zk) for zk in z]
     return SolverState(w=WeightStack(weights), z=z, multipliers=mult, iteration=0)
@@ -428,6 +434,60 @@ def _fit_loss_only(grams):
     return w, trace
 
 
+class _Problem:
+    """A fit's set-up, built once: the loss Grams, the label layout with the W step's
+    factors of ``mu R~_i' R~_i``, and, for ``FULL`` only, the global layout."""
+
+    def __init__(self, geometry, config):
+        self.config = config
+        self.grams = _LossGrams(geometry)
+        self.layout = _LabelStacks(geometry, geometry.active_index)
+        self.factors = _factor_views([r.T @ r for r in self.layout.r_factors], config.mu)
+        every_row = [np.arange(geometry.labels.shape[0])]
+        self.glob = _LabelStacks(geometry, every_row) if config.variant is Variant.FULL else None
+
+    def seed(self, geometry):
+        """The seeded state: ``_initial_state``'s weights, zero ``Z~`` and ``L~``."""
+        state = _initial_state(geometry, self.config, self.layout.index)
+        return _Iterate(self.grams.predict(state.w), state.z, state.multipliers)
+
+
+class _Iterate(NamedTuple):
+    """The step's state: weights with their Gram products, ``Z~_k`` and ``L~_k``."""
+
+    preds: _GramPreds
+    z: list
+    multipliers: list
+
+
+def _step(problem, state):
+    """One sweep: the state after ``state`` and its (objective, surrogate, residual).
+
+    A pure map: it reads only ``problem`` and ``state``, and it overwrites the
+    layouts' buffers before it reads them, so ``S`` is re-stacked from the input W.
+    """
+    config, grams, layout, glob = problem.config, problem.grams, problem.layout, problem.glob
+    shares = [grams.w_rhs(state.preds), layout.w_rhs(state.z, state.multipliers, config.mu)]
+    if glob is not None:  # CCCP: the global term is linearized at the input stack S
+        glob.stack(state.preds.w)
+        grad = trace_norm_subgradient(glob.ext)
+        shares.append([config.lam * g for g in glob.back_project(grad)])
+    w = _update_w(problem.factors, *shares)
+    layout.stack(w)
+    preds = grams.predict(w)
+    label_stacks = layout.label_stacks()
+    z = _update_z(label_stacks, state.multipliers, config)
+    mult = _update_multipliers(label_stacks, state.multipliers, z, config)
+    residual = max((float(np.linalg.norm(s - zk)) for s, zk in zip(label_stacks, z)), default=0.0)
+    local = sum(nuclear_norm(s) for s in label_stacks)
+    value = linear = ObjectiveValue(_masked_loss_from_preds(grams, preds), local, 0.0, config.lam)
+    if glob is not None:  # the surrogate's global term is <S, G>, linear in the new S
+        glob.stack(w)
+        value = replace(value, global_term=nuclear_norm(glob.ext))
+        linear = replace(value, global_term=float(np.sum(glob.ext * grad)))
+    return _Iterate(preds, z, mult), (value.total, linear.total, residual)
+
+
 @single_threaded()
 def fit(ds, config):
     """Run the solver to tolerance or the sweep budget, with BLAS on one thread.
@@ -441,57 +501,21 @@ def fit(ds, config):
     """
     config = _check_type(config, "config", SolverConfig)
     geometry = StackGeometry(ds)
-    grams = _LossGrams(geometry)
     if config.variant is Variant.LOSS_ONLY:
-        return _fit_loss_only(grams)
-
-    layout = _LabelStacks(geometry, geometry.active_index)
-    factors = _factor_views([r.T @ r for r in layout.r_factors], config.mu)
-    full = config.variant is Variant.FULL
-    glob = _LabelStacks(geometry, [np.arange(geometry.labels.shape[0])]) if full else None
-    state = _initial_state(geometry, config, layout.index)
-    trace = SolverTrace()
-    preds = grams.predict(state.w)
-    if full:
-        glob.stack(state.w)
-    use_grad = full and config.lam > 0
-    f_prev = None
+        return _fit_loss_only(_LossGrams(geometry))
+    problem = _Problem(geometry, config)
+    state, trace = problem.seed(geometry), SolverTrace()
     for t in range(1, config.max_iters + 1):
         t0 = time.perf_counter()
-        shares = [grams.w_rhs(preds), layout.w_rhs(state.z, state.multipliers, config.mu)]
-        if use_grad:
-            grad_prev = trace_norm_subgradient(glob.ext)
-            shares.append([config.lam * g for g in glob.back_project(grad_prev)])
-        w = _update_w(factors, *shares)
-        layout.stack(w)
-        preds = grams.predict(w)
-        if full:
-            glob.stack(w)
-        label_stacks = layout.label_stacks()
-        z = _update_z(label_stacks, state.multipliers, config)
-        mult = _update_multipliers(label_stacks, state.multipliers, z, config)
-        residual = max(
-            (float(np.linalg.norm(s - zk)) for s, zk in zip(label_stacks, z)), default=0.0
-        )
-
-        value = ObjectiveValue(
-            loss=_masked_loss_from_preds(grams, preds),
-            local_term=sum(nuclear_norm(s) for s in label_stacks),
-            global_term=nuclear_norm(glob.ext) if full else 0.0,
-            lam=config.lam,
-        )
-        f = surrogate = value.total
-        if use_grad:  # the CCCP surrogate linearizes the global term at the previous stack
-            surrogate = replace(value, global_term=float(np.sum(glob.ext * grad_prev))).total
-        trace.append(f, surrogate, residual, time.perf_counter() - t0)
+        state, record = _step(problem, state)
+        trace.append(*record, time.perf_counter() - t0)
+        f = trace.objective[-1]
         if not np.isfinite(f):
             raise NonFiniteObjective(t, f, trace)
-        state = SolverState(w=w, z=z, multipliers=mult, iteration=t)
-        if f_prev is not None and _rel_change(f, f_prev) < config.rel_tol:
+        if t > 1 and _rel_change(f, trace.objective[-2]) < config.rel_tol:
             trace.converged = True
             break
-        f_prev = f
-    return state.w, trace
+    return state.preds.w, trace
 
 
 def predict(w, test):

@@ -185,6 +185,16 @@ def test_study_mu_grid(tmp_path):
     assert sorted(rows) == ["1", "5"]
 
 
+@pytest.mark.parametrize("command", ["sweep-lambda", "study-mu"])
+def test_a_grid_value_that_is_not_a_number_exits_one(tmp_path, capsys, command):
+    code = main([command, "--config", write_config(tmp_path), "--out", str(tmp_path / "o"),
+                 "--grid", "1", "abc"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "invalid float value: 'abc'" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bench_subgrad_table_and_report(tmp_path, capsys):
     out = tmp_path / "bench"
     code = main(["bench-subgrad", "--sizes", "60x5", "80x4", "--repeats", "1",

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import stat
 from dataclasses import fields, replace
 
@@ -11,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvml import (
+    AllViewsMissing,
     CorruptionSpec,
     ExperimentConfig,
     InvalidInput,
+    NonFiniteObjective,
     SolverConfig,
     SplitSpec,
     SyntheticSpec,
@@ -211,6 +214,34 @@ def test_failed_repeat_names_the_repeat(tmp_path):
     )
     with pytest.raises(InvalidInput, match="repeat 0"):
         run_experiment(config)
+
+
+@pytest.mark.parametrize("prefix", ["", "repeat 1: "])
+def test_errors_survive_pickling(prefix):
+    """A process pool over repeats sends errors back pickled: the type, the attributes
+    and the message, with the prefix ``run_experiment`` writes into ``args``, survive."""
+    ds = generate_synthetic(SyntheticSpec(n=30, c=3, n_views=2, dims=(3, 4), seed=4))
+    _, trace = fit(ds, SolverConfig(lam=0.5, max_iters=3, rel_tol=0.0))
+    trace.append(float("nan"), 1.0, 0.5, 0.0)
+    errors = [NonFiniteObjective(4, float("nan"), trace), AllViewsMissing(3)]
+    for exc in errors:
+        exc.args = (f"{prefix}{exc}",)
+    nonfinite, missing = (pickle.loads(pickle.dumps(exc)) for exc in errors)
+    for exc, back in zip(errors, (nonfinite, missing)):
+        assert type(back) is type(exc) and back.args == exc.args
+    assert str(nonfinite) == f"{prefix}objective became non-finite (nan) at iteration 4"
+    assert nonfinite.iteration == 4 and np.isnan(nonfinite.value)
+    assert nonfinite.trace.rows() == trace.rows() and not nonfinite.trace.converged
+    assert str(missing) == f"{prefix}sample 3 is missing in every view" and missing.sample == 3
+
+
+def test_a_repeat_that_diverges_pickles_with_its_repeat(monkeypatch):
+    monkeypatch.setattr("mvml.solver._masked_loss_from_preds", lambda grams, preds: np.nan)
+    with pytest.raises(NonFiniteObjective, match="^repeat 0: objective became") as info:
+        run_experiment(small_config())
+    back = pickle.loads(pickle.dumps(info.value))
+    assert str(back) == str(info.value) and back.iteration == 1
+    assert back.trace.rows() == info.value.trace.rows()
 
 
 # -------------------------------------------------------------- config

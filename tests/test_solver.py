@@ -22,7 +22,7 @@ from mvml import (
 )
 from mvml.linalg import RIDGE_SCALE, nuclear_norm, svt
 from mvml.masking import CorruptionSpec, SyntheticSpec, corrupt, generate_synthetic
-from mvml.data import present_rows, stack_predictions, sublabel_rows
+from mvml.data import StackGeometry, present_rows, stack_predictions, sublabel_rows
 from mvml.objective import objective
 from mvml.solver import _gram_root
 
@@ -264,6 +264,21 @@ class TestFit:
         pred_full = features @ w_full.weights[0]
         pred_loss = features @ w_loss.weights[0]
         assert np.abs(pred_full - pred_loss).max() <= 1e-6
+
+    def test_lambda_zero_full_equals_loss_plus_local_exactly(self):
+        # at lam = 0 the linearized global term adds 0 * G to the W step and the
+        # surrogate equals the objective, so FULL takes LOSS_PLUS_LOCAL's sweeps
+        ds = corrupt(generate_synthetic(SyntheticSpec(n=200, c=6, n_views=2, dims=(8, 10),
+                                                      seed=3)),
+                     CorruptionSpec(alpha=0.3, beta=0.3, dealign=True, seed=5))
+        (w_full, full), (w_local, local) = (
+            fit(ds, SolverConfig(lam=0.0, variant=variant, init_seed=2))
+            for variant in ("full", "loss_plus_local"))
+        assert full.converged and full.iterations > 2
+        assert full.surrogate == full.objective
+        assert full.to_dict() == local.to_dict() and full.converged == local.converged
+        for a, b in zip(w_full.weights, w_local.weights):
+            assert np.array_equal(a, b)
 
     def test_loss_only_unobserved_label_column_stays_zero(self, rng):
         ds = make_dataset(rng, n=20, c=3, dims=(4,), ensure_positive_per_row=True)
@@ -530,6 +545,36 @@ class TestFitComposesBlockUpdates:
         state = manual_rounds(ds, cfg)
         for got, want in zip(w_fit.weights, state.w.weights):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("variant", ["full", "loss_plus_local"])
+    def test_fit_iterates_a_pure_step(self, rng, variant):
+        """Two steps from one state agree bit for bit, and K steps from the seeded state
+        are ``fit(max_iters=K, rel_tol=0)``: no value crosses a sweep outside the state."""
+        import mvml.solver as solver_mod
+        ds = make_dataset(rng, n=60, c=4, dims=(3, 5), with_missing=True, aligned=False,
+                          ensure_positive_per_row=True)
+        sweeps = 4
+        cfg = SolverConfig(lam=0.6, mu=3.0, max_iters=sweeps, rel_tol=0.0, init_seed=4,
+                           variant=variant)
+        geometry = StackGeometry(ds)
+        problem = solver_mod._Problem(geometry, cfg)
+        state, records = problem.seed(geometry), []
+        for _ in range(sweeps):
+            again, again_record = solver_mod._step(problem, state)
+            state, record = solver_mod._step(problem, state)
+            assert again_record == record
+            for name in ("z", "multipliers"):
+                for a, b in zip(getattr(again, name), getattr(state, name), strict=True):
+                    assert np.array_equal(a, b)
+            for a, b in zip([*again.preds.w.weights, *again.preds.products],
+                            [*state.preds.w.weights, *state.preds.products], strict=True):
+                assert np.array_equal(a, b)
+            records.append(record)
+
+        w, trace = fit(ds, cfg)
+        assert records == list(zip(trace.objective, trace.surrogate, trace.residual))
+        for a, b in zip(w.weights, state.preds.w.weights, strict=True):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("case", ["rank_deficient", "rank_deficient_tiny", "tiny_columns"])
     def test_fit_equals_manual_rounds_on_ill_conditioned_views(self, rng, case):
