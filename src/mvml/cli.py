@@ -139,7 +139,9 @@ def _cmd_fit(args):
     ds = load_source(config)
     w, trace = fit(ds, config.solver)
     save_weights(w, out / "weights.npz")
-    write_file(out / "fit.json", json_text({**trace.summary(), "convergence": trace.to_dict()}))
+    timing = {"setup_seconds": trace.setup_seconds, "iteration_seconds": list(trace.seconds)}
+    write_file(out / "fit.json", json_text(
+        {**trace.summary(), "convergence": trace.to_dict(), "timing": timing}))
     if args.format == "csv":
         write_file(out / "convergence.csv", csv_text(trace.rows()))
     print(f"fit finished in {trace.iterations} iterations "

@@ -184,6 +184,7 @@ class RepeatResult:
             "convergence": self.trace.to_dict(),
             "timing": {
                 "fit_seconds": self.fit_seconds,
+                "setup_seconds": self.trace.setup_seconds,
                 "iteration_seconds": list(self.trace.seconds),
             },
         }

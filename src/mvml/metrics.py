@@ -183,14 +183,14 @@ def rank_diagnostics(pred, sublabel_rows_per_label, tol=None):
     """Numeric rank and nuclear norm of ``pred`` and of each per-label
     row selection.
 
-    ``tol`` scales the largest singular value of each matrix to form
-    the rank cutoff (default ``1e-8``), but never below the resolution
+    ``tol`` in (0, 1) scales the largest singular value of each matrix to
+    form the rank cutoff (default ``1e-8``), but never below the resolution
     of the Gram-product spectrum, ``sqrt(dim * eps)``. Empty selections
     report rank 0 and nuclear norm 0.
     """
     pred = _check_matrix(pred, "pred")
     if tol is not None:
-        tol = _check_real(tol, "tol", bound="positive")
+        tol = _check_real(tol, "tol", bound="in (0, 1)")
     sub_ranks = []
     sub_nuclear = []
     for k, rows in enumerate(_check_list(sublabel_rows_per_label, "sublabel_rows_per_label")):

@@ -35,7 +35,13 @@ number of observed tags give, through one batched product per view
     loss(W)                 =  0.5 * sum_i <W_i, H_i - 2 B_i>  +  0.5 * sum(I)
     Xp_i' (-I o (P - Y))_i  =  B_i - H_i,
 
-the loss's value and its W-step share.
+the loss's value and its W-step share. The ``A_{i,k}`` come from
+tag-pattern groups: in a block of ``b`` labels each present row's
+observed tags form a ``b``-bit key, the rows sorted by key give one Gram
+per nonempty group with a nonzero key, and ``A_{i,k}`` sums the groups
+whose key has bit ``k`` set. The width
+``b = clamp((rows // 256).bit_length(), 1, 8)`` for a view of ``rows``
+present rows keeps about 256 rows or more per group.
 
 Every trace-norm term is the nuclear norm of a row set's stack, and one
 rule compresses them all. A row set ``a`` meets view ``i`` in a block
@@ -136,13 +142,15 @@ class SolverConfig:
 
 @dataclass
 class SolverTrace:
-    """Per-sweep series: objective, surrogate, max primal residual, seconds."""
+    """Per-sweep series: objective, surrogate, max primal residual, seconds; and the
+    seconds taken to build the fit's set-up."""
 
     objective: list[float] = field(default_factory=list)
     surrogate: list[float] = field(default_factory=list)
     residual: list[float] = field(default_factory=list)
     seconds: list[float] = field(default_factory=list)
     converged: bool = False
+    setup_seconds: float = 0.0
 
     @property
     def iterations(self):
@@ -190,6 +198,47 @@ class SolverState:
     iteration: int = 0
 
 
+def _group_width(rows):
+    """Labels per tag-pattern block for a view of ``rows`` present rows: the widest
+    (up to 8) that leaves about 256 rows or more per group."""
+    return min(max((rows // 256).bit_length(), 1), 8)
+
+
+def _observed_grams(feats, observed, _width=None):
+    """``gram[k] = X_k' X_k`` over the rows of ``feats`` where ``observed[k]`` holds.
+
+    The labels go in blocks of ``b = _group_width(rows)`` (``_width`` overrides it in
+    tests), the last one padded with never-observed labels. Bit ``j`` of a row's key
+    in a block says whether the block's ``j``-th tag is observed. The rows are sorted
+    by key once per block, each group with a nonzero key gives one Gram, and a label's
+    Gram is the sum of the groups whose key has its bit set, so a row enters the
+    products once per block instead of once per observed tag. At ``b = 1`` the one
+    group holds the label's rows in ascending order.
+    """
+    c, n = observed.shape
+    d = feats.shape[1]
+    b = _group_width(n) if _width is None else _width
+    blocks = -(-c // b)
+    bits = np.zeros((blocks * b, n), dtype=bool)
+    bits[:c] = observed
+    keys = np.packbits(bits.reshape(blocks, b, n), axis=1, bitorder="little")[:, 0]
+    order = np.argsort(keys, axis=1, kind="stable")
+    counts = np.bincount((keys + (np.arange(blocks) << b)[:, None]).ravel(),
+                         minlength=blocks << b).reshape(blocks, 1 << b)
+    sizes = counts[:, 1:]  # key 0 enters no Gram
+    ends = np.cumsum(sizes, axis=1)
+    member = ((np.arange(1, 1 << b) >> np.arange(b)[:, None]) & 1).astype(float)
+    grams = np.empty((blocks, b, d * d))
+    for block in range(blocks):
+        x = feats[order[block, counts[block, 0]:]]
+        groups = np.zeros(((1 << b) - 1, d, d))
+        for g in np.flatnonzero(sizes[block]):
+            xg = x[ends[block, g] - sizes[block, g]:ends[block, g]]
+            groups[g] = xg.T @ xg
+        grams[block] = member @ groups.reshape(len(groups), d * d)
+    return grams.reshape(blocks * b, d, d)[:c]
+
+
 class _LossGrams:
     """The masked loss's normal equations on each view's present rows.
 
@@ -203,15 +252,10 @@ class _LossGrams:
     """
 
     def __init__(self, geometry):
-        self.grams, self.rhs = [], []
-        for feats, block in zip(geometry.features, geometry.blocks):
-            observed = geometry.indicator[block].T.astype(bool)
-            gram = np.empty((observed.shape[0], feats.shape[1], feats.shape[1]))
-            for k, rows in enumerate(observed):
-                xo = feats[rows]
-                gram[k] = xo.T @ xo
-            self.grams.append(gram)
-            self.rhs.append(feats.T @ geometry.labels[block])
+        self.grams = [_observed_grams(feats, geometry.indicator[block].T.astype(bool))
+                      for feats, block in zip(geometry.features, geometry.blocks)]
+        self.rhs = [feats.T @ geometry.labels[block]
+                    for feats, block in zip(geometry.features, geometry.blocks)]
         self.constant = 0.5 * float(geometry.indicator.sum())
 
     def predict(self, w):
@@ -413,7 +457,7 @@ def _rel_change(curr, prev):
     return abs(curr - prev) / max(abs(prev), 1e-12)
 
 
-def _fit_loss_only(grams):
+def _fit_loss_only(grams, trace):
     start = time.perf_counter()
     weights = []
     for view_grams, b in zip(grams.grams, grams.rhs):
@@ -426,7 +470,6 @@ def _fit_loss_only(grams):
         weights.append(w)
     w = WeightStack(weights)
     loss = _masked_loss_from_preds(grams, grams.predict(w))
-    trace = SolverTrace()
     trace.append(loss, loss, 0.0, time.perf_counter() - start)
     if not np.isfinite(loss):
         raise NonFiniteObjective(1, loss, trace)
@@ -495,16 +538,20 @@ def fit(ds, config):
     Returns ``(weights, trace)``. The trace's objective column holds the
     variant's own objective: the full loss + lam * (local - global) for
     ``FULL``, loss + lam * local for ``LOSS_PLUS_LOCAL``, and the bare
-    loss for ``LOSS_ONLY`` (which is a single direct solve). Raises
-    ``NonFiniteObjective``, carrying the trace so far, as soon as the
-    objective stops being finite.
+    loss for ``LOSS_ONLY`` (which is a single direct solve). The trace's
+    ``setup_seconds`` times the build of ``_Problem`` (of ``_LossGrams``
+    for ``LOSS_ONLY``). Raises ``NonFiniteObjective``, carrying the trace
+    so far, as soon as the objective stops being finite.
     """
     config = _check_type(config, "config", SolverConfig)
     geometry = StackGeometry(ds)
+    start = time.perf_counter()
     if config.variant is Variant.LOSS_ONLY:
-        return _fit_loss_only(_LossGrams(geometry))
+        grams = _LossGrams(geometry)
+        return _fit_loss_only(grams, SolverTrace(setup_seconds=time.perf_counter() - start))
     problem = _Problem(geometry, config)
-    state, trace = problem.seed(geometry), SolverTrace()
+    trace = SolverTrace(setup_seconds=time.perf_counter() - start)
+    state = problem.seed(geometry)
     for t in range(1, config.max_iters + 1):
         t0 = time.perf_counter()
         state, record = _step(problem, state)

@@ -98,6 +98,19 @@ def test_fit_json_carries_the_final_surrogate(pipeline):
     assert fit_json["final_surrogate"] == fit_json["convergence"]["surrogate"][-1]
 
 
+def test_fit_json_carries_timing_that_strips_away(pipeline):
+    from mvml.experiments import strip_timing
+
+    fit_json = json.loads((pipeline["root"] / "runs" / "fit" / "fit.json").read_text())
+    assert sorted(fit_json["timing"]) == ["iteration_seconds", "setup_seconds"]
+    assert fit_json["timing"]["setup_seconds"] > 0.0
+    assert len(fit_json["timing"]["iteration_seconds"]) == fit_json["iterations"]
+    assert sorted(strip_timing(fit_json)) == [
+        "converged", "convergence", "final_objective", "final_residual", "final_surrogate",
+        "iterations",
+    ]
+
+
 def test_predict_writes_scores(pipeline):
     scores = np.loadtxt(pipeline["root"] / "runs" / "pred" / "scores.csv", delimiter=",")
     assert scores.shape == (60, 5)
@@ -192,6 +205,17 @@ def test_a_grid_value_that_is_not_a_number_exits_one(tmp_path, capsys, command):
     assert code == 1
     err = capsys.readouterr().err
     assert "invalid float value: 'abc'" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("tol", ["1", "2"])
+def test_rank_diag_tol_of_one_or_more_exits_one(pipeline, tmp_path, capsys, tol):
+    # a cutoff at tol * sigma_max with tol >= 1 would report rank 0 for every matrix
+    code = main(["rank-diag", "--weights", pipeline["weights"], "--data", pipeline["train"],
+                 "--out", str(tmp_path / "o"), "--tol", tol])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "tol must be finite and in (0, 1)" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

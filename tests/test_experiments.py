@@ -189,6 +189,22 @@ def test_rerun_is_byte_identical_after_strip_timing():
     assert '"fit_seconds"' not in first
 
 
+def test_repeat_timing_records_the_set_up_and_strips_to_the_untimed_report():
+    repeat = run_experiment(small_config()).repeats[0]
+    body = repeat.to_dict()
+    assert sorted(body["timing"]) == ["fit_seconds", "iteration_seconds", "setup_seconds"]
+    assert 0.0 < body["timing"]["setup_seconds"] == repeat.trace.setup_seconds
+    assert body["timing"]["setup_seconds"] < body["timing"]["fit_seconds"]
+    # the set-up time lives in the timing subtree only, so the stripped report keeps its keys
+    assert strip_timing(body) == {
+        "metrics": body["metrics"],
+        "n_test": body["n_test"],
+        "solver": repeat.trace.summary(),
+        "convergence": repeat.trace.to_dict(),
+    }
+    assert "setup_seconds" not in json.dumps(strip_timing(body))
+
+
 def test_summary_matches_recomputation():
     record = run_experiment(small_config(repeats=3))
     for name in METRIC_NAMES:

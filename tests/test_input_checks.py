@@ -79,12 +79,16 @@ SCALAR_ARGUMENTS = {
 BAD_SCALARS = {"string": "0.5", "none": None, "bool": True, "nan": float("nan"),
                "inf": float("inf")}
 
+# out-of-range values beyond an argument's first: a rank cutoff at tol >= 1 times
+# sigma_max would count no singular value
+MORE_OUT_OF_RANGE = [("rank_diagnostics.tol", "one", 1.0)]
+
 SCALAR_CASES = [
     (arg, kind, value)
     for arg, (_, out_of_range) in SCALAR_ARGUMENTS.items()
     for kind, value in [*BAD_SCALARS.items(), ("out-of-range", out_of_range)]
     if not (arg == "rank_diagnostics.tol" and value is None)
-]
+] + MORE_OUT_OF_RANGE
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Property tests on small random inputs: metric ties, the CCCP bound, the compressed
-global and label terms, the loss on its Grams, the trace-norm duality pairing, save/load."""
+global and label terms, the loss on its Grams, the Grams from tag-pattern groups, the
+trace-norm duality pairing, save/load."""
 
 import tempfile
 
@@ -24,7 +25,7 @@ from mvml import (
 from mvml.data import StackGeometry
 from mvml.linalg import nuclear_norm, svt
 from mvml.objective import stack_loss
-from mvml.solver import _LabelStacks, _LossGrams, _masked_loss_from_preds
+from mvml.solver import _LabelStacks, _LossGrams, _masked_loss_from_preds, _observed_grams
 
 import oracles
 from conftest import make_dataset, make_weights
@@ -206,6 +207,27 @@ def test_loss_grams_carry_the_loss_and_its_gradient(case):
     for feats, block, got in zip(geometry.features, geometry.blocks, grams.w_rhs(preds)):
         want = -feats.T @ resid[block]
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(feats) * norms
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 40),
+    c=st.integers(1, 12),
+    d=st.integers(1, 5),
+    share=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+)
+def test_grouped_grams_equal_the_per_label_grams_at_every_width(seed, n, c, d, share):
+    # the datasets of the other properties have under 256 rows, so the width rule gives
+    # them b = 1; every width is forced here
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    observed = rng.random((c, n)) < share
+    want = np.stack([x[rows].T @ x[rows] for rows in observed])
+    for width in range(1, 9):
+        got = _observed_grams(x, observed, _width=width)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.sum(x**2))
+        assert not got[~observed.any(axis=1)].any()  # no observed tag: exactly zero
 
 
 @PROPERTY_SETTINGS

@@ -24,7 +24,7 @@ from mvml.linalg import RIDGE_SCALE, nuclear_norm, svt
 from mvml.masking import CorruptionSpec, SyntheticSpec, corrupt, generate_synthetic
 from mvml.data import StackGeometry, present_rows, stack_predictions, sublabel_rows
 from mvml.objective import objective
-from mvml.solver import _gram_root
+from mvml.solver import _gram_root, _group_width, _observed_grams
 
 import oracles
 from conftest import make_dataset
@@ -323,6 +323,13 @@ class TestFit:
         assert trace.iterations == len(trace.objective) == len(trace.surrogate)
         assert len(trace.residual) == len(trace.seconds) == trace.iterations
 
+    @pytest.mark.parametrize("variant", ["full", "loss_plus_local", "loss_only"])
+    def test_trace_records_the_set_up_time_outside_its_series(self, rng, variant):
+        _, trace = fit(small_training_set(rng), SolverConfig(lam=0.5, max_iters=3,
+                                                             variant=variant))
+        assert trace.setup_seconds > 0.0
+        assert "setup_seconds" not in trace.to_dict() and "setup_seconds" not in trace.summary()
+
     def test_fit_is_deterministic(self, rng):
         ds = generate_synthetic(SyntheticSpec(n=120, c=5, n_views=2, dims=(6, 7), seed=9))
         cfg = SolverConfig(lam=0.3, mu=5.0, max_iters=30, init_seed=13)
@@ -531,6 +538,44 @@ def test_gram_root_of_a_singular_gram_keeps_every_column_relative():
     assert root.shape == gram.shape
     scale = np.sqrt(np.outer(np.diag(gram), np.diag(gram)))
     assert np.all(np.abs(root.T @ root - gram) <= 1e-14 * scale)
+
+
+def per_label_grams(x, observed):
+    """One Gram per label from its own gather of observed rows."""
+    grams = []
+    for rows in observed:
+        xo = x[rows]
+        grams.append(xo.T @ xo)
+    return np.stack(grams)
+
+
+@pytest.mark.parametrize("rows, want", [(210, 1), (1_000, 2), (16_000, 6), (10**6, 8)])
+def test_group_width_keeps_about_256_rows_per_group(rows, want):
+    assert _group_width(rows) == want
+
+
+@pytest.mark.parametrize("case", ["c_not_a_multiple", "label_never_observed", "all_observed",
+                                  "no_present_row", "fewer_rows_than_groups"])
+def test_grouped_grams_edge_cases(rng, case):
+    n, c, width = {"no_present_row": (0, 7, 3), "fewer_rows_than_groups": (5, 8, 8)}.get(
+        case, (60, 7, 3))
+    x = rng.standard_normal((n, 4))
+    observed = rng.random((c, n)) < 0.5
+    if case == "label_never_observed":
+        observed[4] = False
+    if case == "all_observed":
+        observed[:] = True
+    got = _observed_grams(x, observed, _width=width)
+    assert got.shape == (c, 4, 4)
+    np.testing.assert_allclose(got, per_label_grams(x, observed), rtol=0, atol=1e-13 * np.sum(x**2))
+    for k in np.flatnonzero(~observed.any(axis=1)):
+        assert not got[k].any()  # LOSS_ONLY's zero-column test reads this exactly
+
+
+def test_grouped_grams_of_width_one_are_the_per_label_products(rng):
+    x = rng.standard_normal((300, 7))
+    observed = rng.random((5, 300)) < 0.5
+    assert np.array_equal(_observed_grams(x, observed, _width=1), per_label_grams(x, observed))
 
 
 class TestFitComposesBlockUpdates:
