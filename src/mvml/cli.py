@@ -16,9 +16,12 @@ Typical session::
 The config file is a JSON object with optional sections ``dataset``
 (either ``{"synthetic": {...}}`` or ``{"path": "dir"}``),
 ``corruption``, ``solver``, ``split``, plus ``repeats`` and
-``outputs``. ``--seed`` rederives every seed in the config from one
-master value; ``--out`` overrides the output directory; ``--format``
-picks ``json`` (default) or ``csv`` reports.
+``outputs``. Each command declares only the common flags it reads:
+``--out`` (all), ``--config`` and ``--seed``, one master value that
+rederives every seed in the config (all but ``predict``, ``evaluate``
+and ``rank-diag``), and ``--format``, ``json`` (default) or ``csv``
+reports (``fit``, ``evaluate``, ``ablate``, ``sweep-lambda``,
+``study-mu`` and ``bench-subgrad``).
 
 Exit codes: 0 on success, 1 on validation or input errors, 2 on
 numerical failures (singular systems, non-finite objectives, failed
@@ -139,9 +142,8 @@ def _cmd_fit(args):
     ds = load_source(config)
     w, trace = fit(ds, config.solver)
     save_weights(w, out / "weights.npz")
-    timing = {"setup_seconds": trace.setup_seconds, "iteration_seconds": list(trace.seconds)}
     write_file(out / "fit.json", json_text(
-        {**trace.summary(), "convergence": trace.to_dict(), "timing": timing}))
+        {**trace.summary(), "convergence": trace.to_dict(), "timing": trace.timing()}))
     if args.format == "csv":
         write_file(out / "convergence.csv", csv_text(trace.rows()))
     print(f"fit finished in {trace.iterations} iterations "
@@ -260,11 +262,13 @@ def _cmd_bench_subgrad(args):
     return 0
 
 
-def _add_common(parser, data=False, weights=False):
-    parser.add_argument("--config", help="JSON experiment config")
-    parser.add_argument("--seed", type=int, help="master seed overriding all config seeds")
+def _add_common(parser, config=True, fmt=True, data=False, weights=False):
+    if config:
+        parser.add_argument("--config", help="JSON experiment config")
+        parser.add_argument("--seed", type=int, help="master seed overriding all config seeds")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--format", choices=REPORT_FORMATS, default="json")
+    if fmt:
+        parser.add_argument("--format", choices=REPORT_FORMATS, default="json")
     if data:
         parser.add_argument("--data", help="dataset directory")
     if weights:
@@ -276,11 +280,11 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a planted synthetic dataset")
-    _add_common(p)
+    _add_common(p, fmt=False)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("corrupt", help="remove samples and tags, optionally de-align")
-    _add_common(p, data=True)
+    _add_common(p, fmt=False, data=True)
     p.set_defaults(func=_cmd_corrupt)
 
     p = sub.add_parser("fit", help="train on a dataset")
@@ -288,15 +292,15 @@ def _build_parser():
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("predict", help="score a dataset with trained weights")
-    _add_common(p, data=True, weights=True)
+    _add_common(p, config=False, fmt=False, data=True, weights=True)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("evaluate", help="compute the four metrics on a labeled dataset")
-    _add_common(p, data=True, weights=True)
+    _add_common(p, config=False, data=True, weights=True)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("rank-diag", help="numeric ranks of the prediction stack")
-    _add_common(p, data=True, weights=True)
+    _add_common(p, config=False, fmt=False, data=True, weights=True)
     p.add_argument("--tol", type=float, help="relative singular value cutoff")
     p.set_defaults(func=_cmd_rank_diag)
 
@@ -335,7 +339,7 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             _check_seed(args.seed, "--seed")
         return args.func(args)
     except _NUMERICAL_ERRORS as exc:

@@ -182,11 +182,7 @@ class RepeatResult:
             "n_test": self.n_test,
             "solver": self.trace.summary(),
             "convergence": self.trace.to_dict(),
-            "timing": {
-                "fit_seconds": self.fit_seconds,
-                "setup_seconds": self.trace.setup_seconds,
-                "iteration_seconds": list(self.trace.seconds),
-            },
+            "timing": {**self.trace.timing(), "fit_seconds": self.fit_seconds},
         }
 
 

@@ -71,15 +71,17 @@ def _gram(a):
     return (a.T @ a if tall else a @ a.T), tall
 
 
-def _gram_eig(a):
-    """Eigendecomposition of the smaller Gram product of ``a``.
+def _reassemble(a, weigh):
+    """``a`` with its spectrum reweighted: ``a @ (V f V.T)`` for a tall ``a`` with
+    ``a.T @ a = V S V.T``, or ``(U f U.T) @ a`` for a wide ``a`` with ``a @ a.T = U S U.T``.
 
-    Returns ``(values, vectors, tall)`` with the values ascending and
-    clamped at zero; ``tall`` is True when the product is ``a.T @ a``.
+    ``f = diag(weigh(s))`` for the Gram's eigenvalues ``s``, ascending and
+    clamped at zero, so singular value ``sqrt(s)`` becomes ``sqrt(s) * weigh(s)``.
     """
     gram, tall = _gram(a)
     values, vectors = np.linalg.eigh(gram)
-    return np.maximum(values, 0.0), vectors, tall
+    core = (vectors * weigh(np.maximum(values, 0.0))) @ vectors.T
+    return a @ core if tall else core @ a
 
 
 def singular_values(a):
@@ -138,15 +140,12 @@ def trace_norm_subgradient(a):
     a = _check_matrix(a, "a")
     if a.size == 0:
         return np.zeros_like(a)
-    values, vectors, tall = _gram_eig(a)
-    cut = EIG_DROP_TOL * max(float(values[-1]), 1.0)
-    keep = values > cut
-    if not np.any(keep):
-        return np.zeros_like(a)
-    basis = vectors[:, keep]
-    inv_sigma = 1.0 / np.sqrt(values[keep])
-    core = (basis * inv_sigma) @ basis.T
-    return a @ core if tall else core @ a
+
+    def inverse_sigma(values):  # a dropped direction gets weight 0
+        keep = values > EIG_DROP_TOL * max(float(values[-1]), 1.0)
+        return np.divide(1.0, np.sqrt(values), out=np.zeros_like(values), where=keep)
+
+    return _reassemble(a, inverse_sigma)
 
 
 def svt(a, tau):
@@ -175,13 +174,13 @@ def svt(a, tau):
     tau = _check_real(tau, "tau", bound="nonnegative")
     if a.size == 0:
         return np.zeros_like(a)
-    values, vectors, tall = _gram_eig(a)
-    sigma = np.sqrt(values)
-    shrunk = np.maximum(sigma - tau, 0.0)
-    # ratio of shrunk to original singular value; exact zeros contribute nothing
-    ratio = np.divide(shrunk, sigma, out=np.zeros_like(sigma), where=sigma > 0)
-    core = (vectors * ratio) @ vectors.T
-    return a @ core if tall else core @ a
+
+    def shrink_ratio(values):  # shrunk over original singular value; exact zeros give 0
+        sigma = np.sqrt(values)
+        return np.divide(np.maximum(sigma - tau, 0.0), sigma, out=np.zeros_like(sigma),
+                         where=sigma > 0)
+
+    return _reassemble(a, shrink_ratio)
 
 
 class SpdFactor:

@@ -75,17 +75,21 @@ Step, a pure map from the state ``(W with its products H, Z~, L~)`` to
 the next state and its objective, surrogate and primal residual.
 ``Z_k`` and ``L_k`` start at zero and stay in the range of ``Q~_k``, and
 ``svt(Q~ M) = Q~ svt(M)``, so the state keeps ``Z~_k`` and ``L~_k`` of
-the compressed stack's rows. The step stacks ``S`` from its input W and
-takes ``G`` there; then
+the compressed stack's rows. The labels' row selections are disjoint and
+fill the label layout's extended stack ``P~``, so ``Z~`` and ``L~`` are
+two arrays row-aligned with it that hold ``Z~_k`` and ``L~_k`` at the
+rows of ``P~_k``. The step stacks ``S`` from its input W and takes ``G``
+there; then
 
     W_i  <- (mu R~_i' R~_i)^-1  (B_i - H_i  +  R~_i' (mu Z~ - L~)[view i]  +  lam * R_i' G_i)
     Z~_k <- svt(P~_k + L~_k / mu, lam / mu)
-    L~_k <- L~_k + mu * (P~_k - Z~_k)
+    L~   <- L~ + mu * (P~ - Z~)
 
-with ``H`` recomputed at the new W. ``||P_k||_* = ||P~_k||_*`` and
-``||P_k - Z_k||_F = ||P~_k - Z~_k||_F`` give the local terms and the
-residual, and the CCCP surrogate's linear term is ``<P, Q~ G> = <S, G>``
-at the new ``S``. ``LOSS_PLUS_LOCAL`` has no global layout and no ``G``.
+with ``H`` recomputed at the new W; only the shrinkage goes label by
+label. ``||P_k||_* = ||P~_k||_*`` and ``||P_k - Z_k||_F = ||P~_k - Z~_k||_F``
+give the local terms and the residual, and the CCCP surrogate's linear
+term is ``<P, Q~ G> = <S, G>`` at the new ``S``. ``LOSS_PLUS_LOCAL``
+has no global layout and no ``G``.
 
 Driver. ``fit`` seeds the state, applies the step until the objective's
 relative change falls below ``rel_tol`` or the budget runs out, and
@@ -179,6 +183,10 @@ class SolverTrace:
             "surrogate": list(self.surrogate),
             "residual": list(self.residual),
         }
+
+    def timing(self):
+        """The set-up and per-sweep seconds, the timing subtree of ``fit.json`` and reports."""
+        return {"setup_seconds": self.setup_seconds, "iteration_seconds": list(self.seconds)}
 
     def rows(self):
         """CSV cells: a header, then one row per sweep with floats in ``repr``."""
@@ -307,8 +315,8 @@ class _LabelStacks:
     ``R~_{a,i}``: the square root ``_gram_root`` of the Gram of a block with
     more rows than the view has features, the block's own rows otherwise.
     They sit at ``r_blocks[i]`` of the extended stack, and ``index[a]`` selects row
-    set ``a``'s stack view by view. The extended stack and its residual
-    are allocated once and overwritten by every call.
+    set ``a``'s stack view by view; the selections are disjoint and cover the
+    extended stack, which is allocated once and overwritten by every ``stack``.
     """
 
     def __init__(self, geometry, row_sets):
@@ -327,7 +335,6 @@ class _LabelStacks:
             self.r_blocks.append(slice(start, end))
         self.index = [np.concatenate(pick) for pick in picks]
         self.ext = np.empty((end, geometry.labels.shape[1]))
-        self.resid = np.empty_like(self.ext)
 
     def stack(self, w):
         """Write the extended stack of ``w``: ``R~_i W_i`` at each view's rows."""
@@ -338,26 +345,17 @@ class _LabelStacks:
     def label_stacks(self):
         return [self.ext[rows] for rows in self.index]
 
-    def w_rhs(self, z, multipliers, mu):
-        """Each view's W-step share of the splits, ``R~_i' (mu Z~ - L~)[view i]``."""
-        for rows, zk, mk in zip(self.index, z, multipliers):
-            self.resid[rows] = mu * zk - mk
-        return self.back_project(self.resid)
-
     def back_project(self, ext):
         """``R~_i' ext[r_block_i]`` per view, for an extended-stack ``ext``."""
         return [r.T @ ext[r_block] for r, r_block in zip(self.r_factors, self.r_blocks)]
 
 
-def _initial_state(geometry, config, index):
-    """Random weights and zero splits and multipliers shaped by the label rows ``index``."""
+def _initial_weights(geometry, config):
+    """Random weights scaled by 1/sqrt(d) per view, drawn from ``config.init_seed``."""
     rng = np.random.default_rng(np.random.SeedSequence([config.init_seed]))
     c = geometry.labels.shape[1]
-    dims = [feats.shape[1] for feats in geometry.features]
-    weights = [rng.standard_normal((d, c)) / np.sqrt(d) for d in dims]
-    z = [np.zeros((rows.size, c)) for rows in index]
-    mult = [np.zeros_like(zk) for zk in z]
-    return SolverState(w=WeightStack(weights), z=z, multipliers=mult, iteration=0)
+    return WeightStack([rng.standard_normal((feats.shape[1], c)) / np.sqrt(feats.shape[1])
+                        for feats in geometry.features])
 
 
 def _check_state(state, geometry):
@@ -386,7 +384,9 @@ def init_state(ds, config):
     """Random weights scaled by 1/sqrt(d) per view, zero splits and multipliers."""
     geometry = StackGeometry(ds)
     config = _check_type(config, "config", SolverConfig)
-    return _initial_state(geometry, config, geometry.active_index)
+    z = [np.zeros((rows.size, geometry.labels.shape[1])) for rows in geometry.active_index]
+    mult = [np.zeros_like(zk) for zk in z]
+    return SolverState(w=_initial_weights(geometry, config), z=z, multipliers=mult, iteration=0)
 
 
 def _factor_views(grams, mu):
@@ -402,15 +402,6 @@ def _factor_views(grams, mu):
 def _update_w(factors, *shares):
     """Solve each view's W step against the sum of its right-hand-side shares."""
     return WeightStack([factor.solve(sum(parts)) for factor, *parts in zip(factors, *shares)])
-
-
-def _update_z(label_stacks, multipliers, config):
-    tau = config.lam / config.mu
-    return [svt(stack + mult / config.mu, tau) for stack, mult in zip(label_stacks, multipliers)]
-
-
-def _update_multipliers(label_stacks, multipliers, z, config):
-    return [m + config.mu * (stack - zk) for m, stack, zk in zip(multipliers, label_stacks, z)]
 
 
 def _sample_space(ds, state, config):
@@ -443,14 +434,16 @@ def update_w(state, ds, config, grad_prev=None):
 def update_z(state, ds, config):
     """Shrink each active per-label stack by lam/mu around the multipliers."""
     config, geometry, state, stack = _sample_space(ds, state, config)
-    return _update_z([stack[rows] for rows in geometry.active_index], state.multipliers, config)
+    tau = config.lam / config.mu
+    return [svt(stack[rows] + mult / config.mu, tau)
+            for rows, mult in zip(geometry.active_index, state.multipliers)]
 
 
 def update_multipliers(state, ds, config):
     """Ascend the scaled multipliers along the current primal residuals."""
     config, geometry, state, stack = _sample_space(ds, state, config)
-    label_stacks = [stack[rows] for rows in geometry.active_index]
-    return _update_multipliers(label_stacks, state.multipliers, state.z, config)
+    return [m + config.mu * (stack[rows] - zk)
+            for rows, m, zk in zip(geometry.active_index, state.multipliers, state.z)]
 
 
 def _rel_change(curr, prev):
@@ -490,17 +483,17 @@ class _Problem:
         self.glob = _LabelStacks(geometry, every_row) if config.variant is Variant.FULL else None
 
     def seed(self, geometry):
-        """The seeded state: ``_initial_state``'s weights, zero ``Z~`` and ``L~``."""
-        state = _initial_state(geometry, self.config, self.layout.index)
-        return _Iterate(self.grams.predict(state.w), state.z, state.multipliers)
+        """The seeded state: ``init_state``'s weights, zero ``Z~`` and ``L~``."""
+        zero = np.zeros_like(self.layout.ext)
+        return _Iterate(self.grams.predict(_initial_weights(geometry, self.config)), zero, zero)
 
 
 class _Iterate(NamedTuple):
-    """The step's state: weights with their Gram products, ``Z~_k`` and ``L~_k``."""
+    """The step's state: weights with their Gram products, ``Z~`` and ``L~``."""
 
     preds: _GramPreds
-    z: list
-    multipliers: list
+    z: np.ndarray  # row-aligned with the label layout's extended stack, as is ``multipliers``
+    multipliers: np.ndarray
 
 
 def _step(problem, state):
@@ -510,7 +503,8 @@ def _step(problem, state):
     layouts' buffers before it reads them, so ``S`` is re-stacked from the input W.
     """
     config, grams, layout, glob = problem.config, problem.grams, problem.layout, problem.glob
-    shares = [grams.w_rhs(state.preds), layout.w_rhs(state.z, state.multipliers, config.mu)]
+    mu, stack = config.mu, layout.ext
+    shares = [grams.w_rhs(state.preds), layout.back_project(mu * state.z - state.multipliers)]
     if glob is not None:  # CCCP: the global term is linearized at the input stack S
         glob.stack(state.preds.w)
         grad = trace_norm_subgradient(glob.ext)
@@ -518,17 +512,18 @@ def _step(problem, state):
     w = _update_w(problem.factors, *shares)
     layout.stack(w)
     preds = grams.predict(w)
-    label_stacks = layout.label_stacks()
-    z = _update_z(label_stacks, state.multipliers, config)
-    mult = _update_multipliers(label_stacks, state.multipliers, z, config)
-    residual = max((float(np.linalg.norm(s - zk)) for s, zk in zip(label_stacks, z)), default=0.0)
-    local = sum(nuclear_norm(s) for s in label_stacks)
+    shift, z = stack + state.multipliers / mu, np.empty_like(stack)
+    for rows in layout.index:
+        z[rows] = svt(shift[rows], config.lam / mu)
+    gap = stack - z
+    residual = max((float(np.linalg.norm(gap[rows])) for rows in layout.index), default=0.0)
+    local = sum(nuclear_norm(s) for s in layout.label_stacks())
     value = linear = ObjectiveValue(_masked_loss_from_preds(grams, preds), local, 0.0, config.lam)
     if glob is not None:  # the surrogate's global term is <S, G>, linear in the new S
         glob.stack(w)
         value = replace(value, global_term=nuclear_norm(glob.ext))
         linear = replace(value, global_term=float(np.sum(glob.ext * grad)))
-    return _Iterate(preds, z, mult), (value.total, linear.total, residual)
+    return _Iterate(preds, z, state.multipliers + mu * gap), (value.total, linear.total, residual)
 
 
 @single_threaded()

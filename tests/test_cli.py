@@ -278,6 +278,28 @@ def test_argparse_errors_map_to_one():
     assert main(["fit", "--format", "xml"]) == 1
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("synth", "--format"), ("corrupt", "--format"),
+    ("predict", "--format"), ("predict", "--config"), ("predict", "--seed"),
+    ("evaluate", "--config"), ("evaluate", "--seed"),
+    ("rank-diag", "--format"), ("rank-diag", "--config"), ("rank-diag", "--seed"),
+])
+def test_a_common_flag_the_command_does_not_read_exits_one(pipeline, tmp_path, capsys,
+                                                           command, flag):
+    # each command declares only the common flags it reads, so a no-op setting is an error
+    inputs = {
+        "synth": ["--config", pipeline["config"]],
+        "corrupt": ["--config", pipeline["config"], "--data", pipeline["clean"]],
+        "rank-diag": ["--weights", pipeline["weights"], "--data", pipeline["train"]],
+    }.get(command, ["--weights", pipeline["weights"], "--data", pipeline["clean"]])
+    value = {"--format": "csv", "--config": pipeline["config"], "--seed": "3"}[flag]
+    out = tmp_path / "o"
+    code = main([command, *inputs, "--out", str(out), flag, value])
+    assert code == 1
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validation_errors_exit_one(tmp_path):
     # no dataset anywhere
     assert main(["fit", "--out", str(tmp_path / "o")]) == 1

@@ -621,6 +621,35 @@ class TestFitComposesBlockUpdates:
         for a, b in zip(w.weights, state.preds.w.weights, strict=True):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("variant", ["full", "loss_plus_local"])
+    def test_step_updates_each_label_at_its_rows_of_the_extended_stack(self, rng, variant):
+        """The step holds every Z~_k and every L~_k in one array each, row-aligned with the
+        label layout's extended stack; label ``k``'s rows of the new arrays are its own
+        shrinkage and multiplier step, bit for bit, from the seed and from later states."""
+        import mvml.solver as solver_mod
+        ds = make_dataset(rng, n=60, c=4, dims=(3, 5), with_missing=True, aligned=False,
+                          ensure_positive_per_row=True)
+        cfg = SolverConfig(lam=0.6, mu=3.0, max_iters=3, rel_tol=0.0, init_seed=4,
+                           variant=variant)
+        geometry = StackGeometry(ds)
+        problem = solver_mod._Problem(geometry, cfg)
+        layout = problem.layout
+        rows = np.sort(np.concatenate(layout.index))
+        assert np.array_equal(rows, np.arange(layout.ext.shape[0]))  # disjoint, covering
+        state = problem.seed(geometry)
+        for split in (state.z, state.multipliers):
+            assert split.shape == layout.ext.shape and not split.any()
+        for _ in range(cfg.max_iters):
+            new, _ = solver_mod._step(problem, state)
+            layout.stack(new.preds.w)
+            for index, stack in zip(layout.index, layout.label_stacks(), strict=True):
+                z = svt(stack + state.multipliers[index] / cfg.mu, cfg.lam / cfg.mu)
+                assert np.array_equal(new.z[index], z)
+                assert np.array_equal(new.multipliers[index],
+                                      state.multipliers[index] + cfg.mu * (stack - z))
+            state = new
+        assert state.multipliers.any()
+
     @pytest.mark.parametrize("case", ["rank_deficient", "rank_deficient_tiny", "tiny_columns"])
     def test_fit_equals_manual_rounds_on_ill_conditioned_views(self, rng, case):
         ds = ill_conditioned_dataset(rng, case)
