@@ -18,10 +18,12 @@ The config file is a JSON object with optional sections ``dataset``
 ``corruption``, ``solver``, ``split``, plus ``repeats`` and
 ``outputs``. Each command declares only the common flags it reads:
 ``--out`` (all), ``--config`` and ``--seed``, one master value that
-rederives every seed in the config (all but ``predict``, ``evaluate``
-and ``rank-diag``), and ``--format``, ``json`` (default) or ``csv``
+rederives every seed in the config (all but ``predict``, ``evaluate``,
+``rank-diag`` and ``bench-subgrad``, whose own ``--seed`` seeds its
+random matrices), and ``--format``, ``json`` (default) or ``csv``
 reports (``fit``, ``evaluate``, ``ablate``, ``sweep-lambda``,
-``study-mu`` and ``bench-subgrad``).
+``study-mu`` and ``bench-subgrad``). Two ``--grid`` values that print
+alike (``{value:g}``) would share an output directory, so they exit 1.
 
 Exit codes: 0 on success, 1 on validation or input errors, 2 on
 numerical failures (singular systems, non-finite objectives, failed
@@ -205,18 +207,24 @@ def _cmd_ablate(args):
 
 
 def _grid_command(args, name, field):
+    values = {}  # by the name ``{value:g}`` of its output directory and report row
+    for value in args.grid:
+        key = f"{value:g}"
+        if key in values:
+            raise InvalidInput(f"--grid values {values[key]!r} and {value!r} share the name {key}")
+        values[key] = value
     config = _experiment_config(args)
     out = _out_dir(args, config)
     rows = {}
-    for value in args.grid:
+    for key, value in values.items():
         vcfg = replace(config, solver=replace(config.solver, **{field: value}),
-                       outputs=str(out / f"{name}_{value:g}"))
+                       outputs=str(out / f"{name}_{key}"))
         record = run_experiment(vcfg, fmt=args.format)
-        rows[f"{value:g}"] = {
+        rows[key] = {
             "summary": record.summary,
             "iterations": [r.trace.iterations for r in record.repeats],
         }
-        print(f"{name}={value:g}: " + ", ".join(
+        print(f"{name}={key}: " + ", ".join(
             f"{metric}={stats['mean']:.4f}" for metric, stats in record.summary.items()
         ))
     write_file(out / f"{name}_sweep.json", json_text(rows))
@@ -244,7 +252,7 @@ def _cmd_bench_subgrad(args):
     rows = bench_subgradient(
         sizes=sizes,
         repeats=args.repeats,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         oracle_memory_limit=args.oracle_memory_limit,
     )
     print(f"{'n':>8} {'c':>6} {'kernel_s':>12} {'oracle_s':>12}")
@@ -319,7 +327,8 @@ def _build_parser():
     p.set_defaults(func=_cmd_study_mu)
 
     p = sub.add_parser("bench-subgrad", help="time the subgradient kernel vs a full SVD")
-    _add_common(p)
+    _add_common(p, config=False)
+    p.add_argument("--seed", type=int, default=0, help="seed of the random matrices")
     p.add_argument(
         "--sizes",
         nargs="+",

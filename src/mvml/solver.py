@@ -78,8 +78,8 @@ the next state and its objective, surrogate and primal residual.
 the compressed stack's rows. The labels' row selections are disjoint and
 fill the label layout's extended stack ``P~``, so ``Z~`` and ``L~`` are
 two arrays row-aligned with it that hold ``Z~_k`` and ``L~_k`` at the
-rows of ``P~_k``. The step stacks ``S`` from its input W and takes ``G``
-there; then
+rows of ``P~_k``. For ``FULL`` the state also carries ``S`` of its W, the
+point where the step takes ``G``; then
 
     W_i  <- (mu R~_i' R~_i)^-1  (B_i - H_i  +  R~_i' (mu Z~ - L~)[view i]  +  lam * R_i' G_i)
     Z~_k <- svt(P~_k + L~_k / mu, lam / mu)
@@ -88,8 +88,9 @@ there; then
 with ``H`` recomputed at the new W; only the shrinkage goes label by
 label. ``||P_k||_* = ||P~_k||_*`` and ``||P_k - Z_k||_F = ||P~_k - Z~_k||_F``
 give the local terms and the residual, and the CCCP surrogate's linear
-term is ``<P, Q~ G> = <S, G>`` at the new ``S``. ``LOSS_PLUS_LOCAL``
-has no global layout and no ``G``.
+term is ``<P, Q~ G> = <S, G>`` at the new ``S``, which the new state
+carries, so a sweep stacks each layout once; ``LOSS_PLUS_LOCAL`` has
+no global layout, ``S`` or ``G``.
 
 Driver. ``fit`` seeds the state, applies the step until the objective's
 relative change falls below ``rel_tol`` or the budget runs out, and
@@ -314,9 +315,8 @@ class _LabelStacks:
     View ``i``'s rows ``r_factors[i]`` stack, set by set, its blocks
     ``R~_{a,i}``: the square root ``_gram_root`` of the Gram of a block with
     more rows than the view has features, the block's own rows otherwise.
-    They sit at ``r_blocks[i]`` of the extended stack, and ``index[a]`` selects row
-    set ``a``'s stack view by view; the selections are disjoint and cover the
-    extended stack, which is allocated once and overwritten by every ``stack``.
+    They sit at ``r_blocks[i]`` of the extended stack, of ``shape``, and ``index[a]``
+    selects row set ``a``'s stack view by view; the selections are disjoint and cover it.
     """
 
     def __init__(self, geometry, row_sets):
@@ -334,16 +334,12 @@ class _LabelStacks:
             self.r_factors.append(np.vstack(factors))
             self.r_blocks.append(slice(start, end))
         self.index = [np.concatenate(pick) for pick in picks]
-        self.ext = np.empty((end, geometry.labels.shape[1]))
+        self.shape = (end, geometry.labels.shape[1])
 
     def stack(self, w):
-        """Write the extended stack of ``w``: ``R~_i W_i`` at each view's rows."""
-        check_weight_shapes(w, [r.shape[1] for r in self.r_factors], self.ext.shape[1])
-        for r, r_block, wi in zip(self.r_factors, self.r_blocks, w.weights):
-            np.matmul(r, wi, out=self.ext[r_block])
-
-    def label_stacks(self):
-        return [self.ext[rows] for rows in self.index]
+        """A new extended stack of ``w``: ``R~_i W_i`` at each view's rows."""
+        check_weight_shapes(w, [r.shape[1] for r in self.r_factors], self.shape[1])
+        return np.vstack([r @ wi for r, wi in zip(self.r_factors, w.weights)])
 
     def back_project(self, ext):
         """``R~_i' ext[r_block_i]`` per view, for an extended-stack ``ext``."""
@@ -471,8 +467,8 @@ def _fit_loss_only(grams, trace):
 
 
 class _Problem:
-    """A fit's set-up, built once: the loss Grams, the label layout with the W step's
-    factors of ``mu R~_i' R~_i``, and, for ``FULL`` only, the global layout."""
+    """A fit's set-up, built once and never written: the loss Grams, the label layout
+    with the W step's factors of ``mu R~_i' R~_i``, and, for ``FULL``, the global layout."""
 
     def __init__(self, geometry, config):
         self.config = config
@@ -483,47 +479,50 @@ class _Problem:
         self.glob = _LabelStacks(geometry, every_row) if config.variant is Variant.FULL else None
 
     def seed(self, geometry):
-        """The seeded state: ``init_state``'s weights, zero ``Z~`` and ``L~``."""
-        zero = np.zeros_like(self.layout.ext)
-        return _Iterate(self.grams.predict(_initial_weights(geometry, self.config)), zero, zero)
+        """The seeded state: ``init_state``'s weights, zero ``Z~`` and ``L~``, and ``S``."""
+        w, zero = _initial_weights(geometry, self.config), np.zeros(self.layout.shape)
+        return _Iterate(self.grams.predict(w), zero, zero, self.global_stack(w))
+
+    def global_stack(self, w):
+        """The global stack ``S`` of ``w`` for ``FULL``, ``None`` otherwise."""
+        return None if self.glob is None else self.glob.stack(w)
 
 
 class _Iterate(NamedTuple):
-    """The step's state: weights with their Gram products, ``Z~`` and ``L~``."""
+    """The step's state: weights with their Gram products, ``Z~``, ``L~`` and ``S``."""
 
     preds: _GramPreds
     z: np.ndarray  # row-aligned with the label layout's extended stack, as is ``multipliers``
     multipliers: np.ndarray
+    global_stack: np.ndarray | None  # the linearization point of the global term
 
 
 def _step(problem, state):
     """One sweep: the state after ``state`` and its (objective, surrogate, residual).
 
-    A pure map: it reads only ``problem`` and ``state``, and it overwrites the
-    layouts' buffers before it reads them, so ``S`` is re-stacked from the input W.
+    A pure map of ``problem`` and ``state``, linearized at ``state.global_stack``; a
+    driver holds that point with ``state._replace(global_stack=held)``.
     """
     config, grams, layout, glob = problem.config, problem.grams, problem.layout, problem.glob
-    mu, stack = config.mu, layout.ext
+    mu = config.mu
     shares = [grams.w_rhs(state.preds), layout.back_project(mu * state.z - state.multipliers)]
-    if glob is not None:  # CCCP: the global term is linearized at the input stack S
-        glob.stack(state.preds.w)
-        grad = trace_norm_subgradient(glob.ext)
+    if glob is not None:  # CCCP: the global term is linearized at the state's stack S
+        grad = trace_norm_subgradient(state.global_stack)
         shares.append([config.lam * g for g in glob.back_project(grad)])
     w = _update_w(problem.factors, *shares)
-    layout.stack(w)
-    preds = grams.predict(w)
+    stack, preds, global_stack = layout.stack(w), grams.predict(w), problem.global_stack(w)
     shift, z = stack + state.multipliers / mu, np.empty_like(stack)
     for rows in layout.index:
         z[rows] = svt(shift[rows], config.lam / mu)
     gap = stack - z
     residual = max((float(np.linalg.norm(gap[rows])) for rows in layout.index), default=0.0)
-    local = sum(nuclear_norm(s) for s in layout.label_stacks())
+    local = sum(nuclear_norm(stack[rows]) for rows in layout.index)
     value = linear = ObjectiveValue(_masked_loss_from_preds(grams, preds), local, 0.0, config.lam)
     if glob is not None:  # the surrogate's global term is <S, G>, linear in the new S
-        glob.stack(w)
-        value = replace(value, global_term=nuclear_norm(glob.ext))
-        linear = replace(value, global_term=float(np.sum(glob.ext * grad)))
-    return _Iterate(preds, z, state.multipliers + mu * gap), (value.total, linear.total, residual)
+        value = replace(value, global_term=nuclear_norm(global_stack))
+        linear = replace(value, global_term=float(np.sum(global_stack * grad)))
+    state = _Iterate(preds, z, state.multipliers + mu * gap, global_stack)
+    return state, (value.total, linear.total, residual)
 
 
 @single_threaded()

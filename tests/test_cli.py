@@ -208,6 +208,19 @@ def test_a_grid_value_that_is_not_a_number_exits_one(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["sweep-lambda", "study-mu"])
+def test_grid_values_that_share_a_name_exit_one(tmp_path, capsys, command):
+    # 0.1 and 0.1000001 both print as 0.1, so they would share one directory and one row
+    out = tmp_path / "o"
+    code = main([command, "--config", write_config(tmp_path), "--out", str(out),
+                 "--grid", "0.1", "0.1000001"])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "0.1 and 0.1000001 share the name 0.1" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tol", ["1", "2"])
 def test_rank_diag_tol_of_one_or_more_exits_one(pipeline, tmp_path, capsys, tol):
     # a cutoff at tol * sigma_max with tol >= 1 would report rank 0 for every matrix
@@ -283,6 +296,7 @@ def test_argparse_errors_map_to_one():
     ("predict", "--format"), ("predict", "--config"), ("predict", "--seed"),
     ("evaluate", "--config"), ("evaluate", "--seed"),
     ("rank-diag", "--format"), ("rank-diag", "--config"), ("rank-diag", "--seed"),
+    ("bench-subgrad", "--config"),
 ])
 def test_a_common_flag_the_command_does_not_read_exits_one(pipeline, tmp_path, capsys,
                                                            command, flag):
@@ -291,6 +305,7 @@ def test_a_common_flag_the_command_does_not_read_exits_one(pipeline, tmp_path, c
         "synth": ["--config", pipeline["config"]],
         "corrupt": ["--config", pipeline["config"], "--data", pipeline["clean"]],
         "rank-diag": ["--weights", pipeline["weights"], "--data", pipeline["train"]],
+        "bench-subgrad": ["--sizes", "60x5", "--repeats", "1"],
     }.get(command, ["--weights", pipeline["weights"], "--data", pipeline["clean"]])
     value = {"--format": "csv", "--config": pipeline["config"], "--seed": "3"}[flag]
     out = tmp_path / "o"
@@ -348,7 +363,9 @@ def test_numerical_failure_exits_two(tmp_path, capsys):
 )
 def test_bad_seeds_and_counts_exit_one(tmp_path, capsys, argv_tail, overrides):
     config = write_config(tmp_path, **overrides)
-    code = main([*argv_tail, "--config", config, "--out", str(tmp_path / "o")])
+    reads_config = argv_tail[0] != "bench-subgrad"  # which declares no --config
+    config_flag = ["--config", config] if reads_config else []
+    code = main([*argv_tail, *config_flag, "--out", str(tmp_path / "o")])
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")

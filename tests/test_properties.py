@@ -121,8 +121,7 @@ def test_compressed_stack_carries_the_global_term(seed, n, c, dims, with_missing
     w = make_weights(rng, dims, c)
     stack = geometry.stack(w)
     layout = _LabelStacks(geometry, [np.arange(geometry.labels.shape[0])])
-    layout.stack(w)
-    compressed = layout.ext
+    compressed = layout.stack(w)
     assert compressed.shape[0] <= sum(dims)
 
     want = oracles.svd_nuclear(stack)
@@ -164,12 +163,13 @@ def test_compressed_label_stacks_carry_the_local_terms(case, lam, mu):
     c = geometry.labels.shape[1]
     w, w_mult = make_weights(rng, dims, c), make_weights(rng, dims, c)
     layout = _LabelStacks(geometry, geometry.active_index)
-    layout.stack(w_mult)
-    mult = layout.label_stacks()  # a multiplier in the range of each Q~_k, as in the sweep
-    layout.stack(w)
+    ext_mult, ext_w = layout.stack(w_mult), layout.stack(w)
+    # a multiplier in the range of each Q~_k, as in the sweep
+    mult = [ext_mult[index] for index in layout.index]
     stack = geometry.stack(w)
     sample_mult = geometry.stack(w_mult)
-    for a, (rows, compressed) in enumerate(zip(geometry.active_index, layout.label_stacks())):
+    compressed_stacks = [ext_w[index] for index in layout.index]
+    for a, (rows, compressed) in enumerate(zip(geometry.active_index, compressed_stacks)):
         per_view = [np.sum((rows >= b.start) & (rows < b.stop)) for b in geometry.blocks]
         assert compressed.shape[0] == sum(min(n_ki, d) for n_ki, d in zip(per_view, dims))
 
@@ -178,7 +178,7 @@ def test_compressed_label_stacks_carry_the_local_terms(case, lam, mu):
         assert abs(nuclear_norm(compressed) - want) <= 1e-12 * want
 
         shifted = p_k + sample_mult[rows] / mu
-        ext = np.zeros_like(layout.ext)
+        ext = np.zeros(layout.shape)
         ext[layout.index[a]] = svt(compressed + mult[a] / mu, lam / mu)
         sample = np.zeros_like(stack)
         sample[rows] = svt(shifted, lam / mu)

@@ -433,7 +433,7 @@ class TestFit:
         fit(ds, SolverConfig(lam=0.5, max_iters=2, rel_tol=0.0, variant=variant))
         compressed_views = sum(min(present_rows(v).size, d) for v, d in zip(ds.views, (3, 5)))
         want = [want, compressed_views] if variant == "full" else [want]
-        assert [layout.ext.shape[0] for layout in layouts] == want
+        assert [layout.shape[0] for layout in layouts] == want
 
     def test_rejects_a_non_dataset(self):
         with pytest.raises(InvalidInput):
@@ -490,12 +490,18 @@ def edge_case_dataset(rng, case, n=20):
     return MultiViewDataset(views=views, aligned=True)
 
 
-def manual_rounds(ds, cfg):
-    """``cfg.max_iters`` rounds of the sample-space step functions from the seeded state."""
+def manual_rounds(ds, cfg, held_grad=None):
+    """``cfg.max_iters`` rounds of the sample-space step functions from the seeded state.
+
+    Each round takes the trace-norm subgradient at its input weights, or ``held_grad``
+    in every round when it is given."""
     state = init_state(ds, cfg)
     for _ in range(cfg.max_iters):
-        stack = stack_predictions(ds, state.w, [present_rows(v) for v in ds.views])
-        w = update_w(state, ds, cfg, grad_prev=trace_norm_subgradient(stack))
+        grad = held_grad
+        if grad is None:
+            stack = stack_predictions(ds, state.w, [present_rows(v) for v in ds.views])
+            grad = trace_norm_subgradient(stack)
+        w = update_w(state, ds, cfg, grad_prev=grad)
         z = update_z(SolverState(w=w, z=state.z, multipliers=state.multipliers), ds, cfg)
         mult = update_multipliers(
             SolverState(w=w, z=z, multipliers=state.multipliers), ds, cfg)
@@ -608,7 +614,8 @@ class TestFitComposesBlockUpdates:
             again, again_record = solver_mod._step(problem, state)
             state, record = solver_mod._step(problem, state)
             assert again_record == record
-            for name in ("z", "multipliers"):
+            names = ["z", "multipliers"] + (["global_stack"] if variant == "full" else [])
+            for name in names:
                 for a, b in zip(getattr(again, name), getattr(state, name), strict=True):
                     assert np.array_equal(a, b)
             for a, b in zip([*again.preds.w.weights, *again.preds.products],
@@ -620,6 +627,49 @@ class TestFitComposesBlockUpdates:
         assert records == list(zip(trace.objective, trace.surrogate, trace.residual))
         for a, b in zip(w.weights, state.preds.w.weights, strict=True):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("variant", ["full", "loss_plus_local"])
+    def test_state_carries_the_global_stack_of_its_weights(self, rng, variant):
+        """The seeded state and each stepped state hold ``S`` of their own weights, bit for
+        bit, under ``FULL``; ``LOSS_PLUS_LOCAL`` carries none."""
+        import mvml.solver as solver_mod
+        ds = make_dataset(rng, n=60, c=4, dims=(3, 5), with_missing=True, aligned=False,
+                          ensure_positive_per_row=True)
+        cfg = SolverConfig(lam=0.6, mu=3.0, max_iters=3, rel_tol=0.0, init_seed=4,
+                           variant=variant)
+        geometry = StackGeometry(ds)
+        problem = solver_mod._Problem(geometry, cfg)
+        state = problem.seed(geometry)
+        for step in range(cfg.max_iters + 1):
+            if variant == "full":
+                assert np.array_equal(state.global_stack, problem.glob.stack(state.preds.w))
+            else:
+                assert state.global_stack is None
+            if step < cfg.max_iters:
+                state, _ = solver_mod._step(problem, state)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_held_global_stack_linearizes_every_step_at_it(self, seed):
+        """Steps from ``state._replace(global_stack=held)``, ``held`` the seeded ``S``, are
+        the sample-space rounds whose subgradient stays at the seeded weights."""
+        import mvml.solver as solver_mod
+        ds = make_dataset(np.random.default_rng(seed), n=30, c=4, dims=(3, 5),
+                          with_missing=True, aligned=False, ensure_positive_per_row=True)
+        cfg = SolverConfig(lam=0.6, mu=3.0, max_iters=5, rel_tol=0.0, init_seed=4)
+        geometry = StackGeometry(ds)
+        problem = solver_mod._Problem(geometry, cfg)
+        state = problem.seed(geometry)
+        held = state.global_stack
+        for _ in range(cfg.max_iters):
+            state, _ = solver_mod._step(problem, state._replace(global_stack=held))
+
+        seeded = stack_predictions(ds, init_state(ds, cfg).w, [present_rows(v) for v in ds.views])
+        rounds = manual_rounds(ds, cfg, held_grad=trace_norm_subgradient(seeded))
+        w_fit, _ = fit(ds, cfg)
+        for got, want in zip(state.preds.w.weights, rounds.w.weights, strict=True):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert any(np.linalg.norm(got - moving) > 1e-6 * np.linalg.norm(moving)
+                   for got, moving in zip(state.preds.w.weights, w_fit.weights))
 
     @pytest.mark.parametrize("variant", ["full", "loss_plus_local"])
     def test_step_updates_each_label_at_its_rows_of_the_extended_stack(self, rng, variant):
@@ -635,14 +685,15 @@ class TestFitComposesBlockUpdates:
         problem = solver_mod._Problem(geometry, cfg)
         layout = problem.layout
         rows = np.sort(np.concatenate(layout.index))
-        assert np.array_equal(rows, np.arange(layout.ext.shape[0]))  # disjoint, covering
+        assert np.array_equal(rows, np.arange(layout.shape[0]))  # disjoint, covering
         state = problem.seed(geometry)
         for split in (state.z, state.multipliers):
-            assert split.shape == layout.ext.shape and not split.any()
+            assert split.shape == layout.shape and not split.any()
         for _ in range(cfg.max_iters):
             new, _ = solver_mod._step(problem, state)
-            layout.stack(new.preds.w)
-            for index, stack in zip(layout.index, layout.label_stacks(), strict=True):
+            ext = layout.stack(new.preds.w)
+            for index in layout.index:
+                stack = ext[index]
                 z = svt(stack + state.multipliers[index] / cfg.mu, cfg.lam / cfg.mu)
                 assert np.array_equal(new.z[index], z)
                 assert np.array_equal(new.multipliers[index],
