@@ -5,7 +5,9 @@ input (``a.T @ a`` when ``a`` has at least as many rows as columns,
 ``a @ a.T`` otherwise), so the cost of a nuclear norm, subgradient, or
 shrinkage on an ``n x c`` matrix stays ``O(n c^2)`` for tall inputs
 instead of the ``O(c n^2)`` a full SVD of the long side would pay.
-None of the kernels ever forms a full SVD of the input itself.
+None of the kernels ever forms a full SVD of the input itself. The
+batched kernels stack the Grams of one size and decompose them with one
+LAPACK call, and the one-matrix kernels are their one-element case.
 """
 
 from __future__ import annotations
@@ -61,27 +63,74 @@ def symmetric_eig(b):
     return EigenPair(np.ascontiguousarray(values[::-1]), np.ascontiguousarray(vectors[:, ::-1]))
 
 
-def _gram(a):
-    """The smaller Gram product of ``a`` and whether it is ``a.T @ a``.
+def _tall(a):
+    return a.shape[0] >= a.shape[1]
 
-    numpy forms either product by a symmetric rank-k update, so the
-    result is exactly symmetric and LAPACK may read one triangle of it.
+
+def _spectra(mats, vectors):
+    """The Gram spectra of the nonempty matrices of ``mats``, one LAPACK call per Gram size.
+
+    Yields ``(members, values)``, or ``(members, (values, vectors))`` with ``vectors``,
+    for each group of equal-size Grams: ``members`` lists the matrices' positions and
+    the ``k``-th row of ``values`` holds the ascending eigenvalues of the Gram of
+    ``mats[members[k]]``, its smaller Gram product ``a.T @ a`` or ``a @ a.T``. numpy
+    forms either by a symmetric rank-k update, so the Gram is exactly symmetric and
+    LAPACK may read one triangle of it. A stacked ``eigh`` or ``eigvalsh`` decomposes
+    each matrix of its stack as the one-matrix call would, so a matrix's result does
+    not depend on the others it is batched with.
     """
-    tall = a.shape[0] >= a.shape[1]
-    return (a.T @ a if tall else a @ a.T), tall
+    groups = {}
+    for j, a in enumerate(mats):
+        if a.size:
+            groups.setdefault(min(a.shape), []).append(j)
+    for size, members in groups.items():
+        grams = np.empty((len(members), size, size))
+        for j, gram in zip(members, grams):
+            a = mats[j]
+            np.matmul(a.T, a, out=gram) if _tall(a) else np.matmul(a, a.T, out=gram)
+        yield members, (np.linalg.eigh(grams) if vectors else np.linalg.eigvalsh(grams))
 
 
-def _reassemble(a, weigh):
-    """``a`` with its spectrum reweighted: ``a @ (V f V.T)`` for a tall ``a`` with
-    ``a.T @ a = V S V.T``, or ``(U f U.T) @ a`` for a wide ``a`` with ``a @ a.T = U S U.T``.
+def _reassemble(mats, weigh, out=None):
+    """Each ``a`` of ``mats`` with its spectrum reweighted: ``a @ (V f V.T)`` for a tall ``a``
+    with ``a.T @ a = V S V.T``, or ``(U f U.T) @ a`` for a wide ``a`` with ``a @ a.T = U S U.T``.
 
-    ``f = diag(weigh(s))`` for the Gram's eigenvalues ``s``, ascending and
-    clamped at zero, so singular value ``sqrt(s)`` becomes ``sqrt(s) * weigh(s)``.
+    ``f = diag(weigh(s))`` for the Gram's eigenvalues ``s``, ascending and clamped at zero,
+    so singular value ``sqrt(s)`` becomes ``sqrt(s) * weigh(s)``; ``weigh`` maps a stack of
+    spectra, one per row, at once. The results go to the arrays ``out``, new ones by
+    default, which are returned; an empty ``a`` has no entry to write.
     """
-    gram, tall = _gram(a)
-    values, vectors = np.linalg.eigh(gram)
-    core = (vectors * weigh(np.maximum(values, 0.0))) @ vectors.T
-    return a @ core if tall else core @ a
+    out = [np.empty(a.shape) for a in mats] if out is None else out
+    for members, (values, vectors) in _spectra(mats, vectors=True):
+        weighted = vectors * weigh(np.maximum(values, 0.0))[:, None, :]
+        for j, core in zip(members, np.matmul(weighted, vectors.transpose(0, 2, 1))):
+            a = mats[j]
+            np.matmul(a, core, out=out[j]) if _tall(a) else np.matmul(core, a, out=out[j])
+    return out
+
+
+def _nuclear_norm_many(mats):
+    """The nuclear norm of each of ``mats``, finite float matrices that the caller
+    checked, as an array: bitwise what :func:`nuclear_norm` gives each alone. The Grams
+    of one size share one stacked ``eigvalsh``."""
+    norms = np.zeros(len(mats))
+    for members, values in _spectra(mats, vectors=False):
+        norms[members] = np.sum(np.sqrt(np.maximum(values[:, ::-1], 0.0)), axis=1)
+    return norms
+
+
+def _svt_many(mats, tau, out=None):
+    """:func:`svt` by ``tau`` of each of ``mats``, finite float matrices that the caller
+    checked, with ``tau`` too: bitwise what ``svt`` gives each alone. The Grams of one
+    size share one stacked ``eigh``; the results go to ``out`` as :func:`_reassemble`
+    writes them."""
+
+    def shrink_ratio(values):  # shrunk over original singular value; exact zeros give 0
+        sigma = np.sqrt(values)
+        return np.divide(np.maximum(sigma - tau, 0.0), sigma, out=np.zeros_like(sigma),
+                         where=sigma > 0)
+
+    return _reassemble(mats, shrink_ratio, out)
 
 
 def singular_values(a):
@@ -89,8 +138,8 @@ def singular_values(a):
     a = _check_matrix(a, "a")
     if a.size == 0:
         return np.zeros(min(a.shape))
-    values = np.linalg.eigvalsh(_gram(a)[0])  # values only
-    return np.sqrt(np.maximum(values[::-1], 0.0))
+    [(_, values)] = _spectra([a], vectors=False)
+    return np.sqrt(np.maximum(values[0, ::-1], 0.0))
 
 
 def nuclear_norm(a):
@@ -111,7 +160,7 @@ def nuclear_norm(a):
         Nonnegative nuclear norm; exactly 0.0 for an all-zero or empty
         matrix.
     """
-    return float(np.sum(singular_values(a)))
+    return float(_nuclear_norm_many([_check_matrix(a, "a")])[0])
 
 
 def trace_norm_subgradient(a):
@@ -138,14 +187,12 @@ def trace_norm_subgradient(a):
         ``trace(a.T @ G)`` equals ``nuclear_norm(a)``.
     """
     a = _check_matrix(a, "a")
-    if a.size == 0:
-        return np.zeros_like(a)
 
     def inverse_sigma(values):  # a dropped direction gets weight 0
-        keep = values > EIG_DROP_TOL * max(float(values[-1]), 1.0)
+        keep = values > EIG_DROP_TOL * np.maximum(values[:, -1:], 1.0)
         return np.divide(1.0, np.sqrt(values), out=np.zeros_like(values), where=keep)
 
-    return _reassemble(a, inverse_sigma)
+    return _reassemble([a], inverse_sigma)[0]
 
 
 def svt(a, tau):
@@ -171,16 +218,7 @@ def svt(a, tau):
         If ``tau`` is negative or not finite.
     """
     a = _check_matrix(a, "a")
-    tau = _check_real(tau, "tau", bound="nonnegative")
-    if a.size == 0:
-        return np.zeros_like(a)
-
-    def shrink_ratio(values):  # shrunk over original singular value; exact zeros give 0
-        sigma = np.sqrt(values)
-        return np.divide(np.maximum(sigma - tau, 0.0), sigma, out=np.zeros_like(sigma),
-                         where=sigma > 0)
-
-    return _reassemble(a, shrink_ratio)
+    return _svt_many([a], _check_real(tau, "tau", bound="nonnegative"))[0]
 
 
 class SpdFactor:

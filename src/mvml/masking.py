@@ -149,18 +149,19 @@ def generate_synthetic(spec):
 
     The returned label matrix has full column rank ``c``; generation is
     retried with a perturbed seed up to 10 times before raising
-    ``GenerationFailure``. The rank is checked before any feature is
-    drawn, so a rejected attempt costs only its labels.
+    ``GenerationFailure``. The rank is checked on the ``c x c`` cluster
+    patterns before any label row or feature is built, so a rejected
+    attempt costs only its patterns.
     """
     _check_type(spec, "spec", SyntheticSpec)
     for attempt in range(_MAX_GENERATION_ATTEMPTS):
         rng = _rng(spec.seed, attempt)
         base = _cluster_labels(spec, rng)
-        # round-robin keeps every cluster populated; the permutation shuffles order
+        # round-robin keeps every cluster populated, so the labels base[cluster] span the
+        # rows of base and share its rank; the permutation shuffles order
         cluster = rng.permutation(np.arange(spec.n) % spec.c)
-        labels = base[cluster]
-        if np.linalg.matrix_rank(labels) == spec.c:
-            return _draw_views(spec, rng, cluster, labels)
+        if np.linalg.matrix_rank(base) == spec.c:
+            return _draw_views(spec, rng, cluster, base[cluster])
     raise GenerationFailure(
         f"label matrix never reached full column rank {spec.c} "
         f"in {_MAX_GENERATION_ATTEMPTS} attempts"

@@ -58,9 +58,10 @@ So the set's stack is ``Q~_a P~_a`` with ``P~_a = vstack_i(R~_{a,i} W_i)``
 of at most ``sum_i min(n_{a,i}, d_i)`` rows and
 ``Q~_a = blockdiag_i(Q_{a,i} or I)``, and the two share their singular
 values and right singular vectors. View ``i``'s blocks of every set stack
-into ``R~_i``; the extended stack ``vstack_i(R~_i W_i)`` takes one product
-per view, each ``P~_a`` is a row selection of it, and a residual on it is
-back-projected, ``R~_i' M[view i]``, with one product per view.
+into ``R~_i``. The extended stack holds the rows of every ``R~_i W_i``, one
+product per view, ordered set by set, so each ``P~_a`` is a contiguous block
+of it; a residual on it is back-projected, ``R~_i' M[view i]`` over view
+``i``'s rows, with one product per view.
 
 The label terms are the layout of the active labels' row sets, and the
 same rows give the W step's matrix,
@@ -75,7 +76,7 @@ Step, a pure map from the state ``(W with its products H, Z~, L~)`` to
 the next state and its objective, surrogate and primal residual.
 ``Z_k`` and ``L_k`` start at zero and stay in the range of ``Q~_k``, and
 ``svt(Q~ M) = Q~ svt(M)``, so the state keeps ``Z~_k`` and ``L~_k`` of
-the compressed stack's rows. The labels' row selections are disjoint and
+the compressed stack's rows. The labels' row blocks are disjoint and
 fill the label layout's extended stack ``P~``, so ``Z~`` and ``L~`` are
 two arrays row-aligned with it that hold ``Z~_k`` and ``L~_k`` at the
 rows of ``P~_k``. For ``FULL`` the state also carries ``S`` of its W, the
@@ -85,16 +86,18 @@ point where the step takes ``G``; then
     Z~_k <- svt(P~_k + L~_k / mu, lam / mu)
     L~   <- L~ + mu * (P~ - Z~)
 
-with ``H`` recomputed at the new W; only the shrinkage goes label by
-label. ``||P_k||_* = ||P~_k||_*`` and ``||P_k - Z_k||_F = ||P~_k - Z~_k||_F``
-give the local terms and the residual, and the CCCP surrogate's linear
-term is ``<P, Q~ G> = <S, G>`` at the new ``S``, which the new state
-carries, so a sweep stacks each layout once; ``LOSS_PLUS_LOCAL`` has
-no global layout, ``S`` or ``G``.
+with ``H`` recomputed at the new W. The labels' shrinkages run as one
+batch, in which the Grams of one size share one stacked ``eigh``.
+``||P_k||_* = ||P~_k||_*`` and ``||P_k - Z_k||_F = ||P~_k - Z~_k||_F``
+give the local terms, batched alike with ``eigvalsh``, and the residual,
+and the CCCP surrogate's linear term is ``<P, Q~ G> = <S, G>`` at the new
+``S``, which the new state carries, so a sweep stacks each layout once;
+``LOSS_PLUS_LOCAL`` has no global layout, ``S`` or ``G``.
 
 Driver. ``fit`` seeds the state, applies the step until the objective's
 relative change falls below ``rel_tol`` or the budget runs out, and
-stops with ``NonFiniteObjective`` once the objective is not finite.
+stops with ``NonFiniteObjective`` once the objective is not finite; a sweep
+whose new stacks would overflow a Gram records NaN without calling a kernel.
 ``LOSS_ONLY`` is a direct solve per (view, label) instead.
 """
 
@@ -113,7 +116,9 @@ from .errors import (
     AllViewsMissing, InvalidInput, NonFiniteObjective, _check_int, _check_matrix, _check_real,
     _check_seed, _check_type, _set_checked,
 )
-from .linalg import SpdFactor, nuclear_norm, svt, trace_norm_subgradient
+from .linalg import (
+    SpdFactor, _nuclear_norm_many, _svt_many, nuclear_norm, svt, trace_norm_subgradient,
+)
 from .objective import ObjectiveValue
 
 
@@ -310,40 +315,47 @@ def _gram_root(gram):
 
 
 class _LabelStacks:
-    """The stacks of some row sets of ``P`` as row selections of one compressed stack.
+    """The stacks of some row sets of ``P`` as contiguous blocks of one compressed stack.
 
     View ``i``'s rows ``r_factors[i]`` stack, set by set, its blocks
     ``R~_{a,i}``: the square root ``_gram_root`` of the Gram of a block with
     more rows than the view has features, the block's own rows otherwise.
-    They sit at ``r_blocks[i]`` of the extended stack, of ``shape``, and ``index[a]``
-    selects row set ``a``'s stack view by view; the selections are disjoint and cover it.
+    The extended stack, of ``shape``, orders its rows set by set: the slice
+    ``index[a]`` holds row set ``a``'s stack, view by view, and view ``i``'s
+    rows sit at the positions ``rows[i]``.
     """
 
     def __init__(self, geometry, row_sets):
-        self.r_factors, self.r_blocks = [], []
-        picks = [[] for _ in row_sets]
-        end = 0
+        self.r_factors, owner = [], [np.zeros(0, dtype=int)]
         for feats, block in zip(geometry.features, geometry.blocks):
-            start, factors = end, [np.zeros((0, feats.shape[1]))]
-            for rows, pick in zip(row_sets, picks):
+            factors = [np.zeros((0, feats.shape[1]))]
+            for a, rows in enumerate(row_sets):
                 lo, hi = np.searchsorted(rows, (block.start, block.stop))
                 x = feats[rows[lo:hi] - block.start]
                 factors.append(_gram_root(x.T @ x) if len(x) > x.shape[1] else x)
-                pick.append(np.arange(end, end + len(factors[-1])))
-                end += len(factors[-1])
+                owner.append(np.full(len(factors[-1]), a))
             self.r_factors.append(np.vstack(factors))
-            self.r_blocks.append(slice(start, end))
-        self.index = [np.concatenate(pick) for pick in picks]
-        self.shape = (end, geometry.labels.shape[1])
+        owner = np.concatenate(owner)  # the row set of each row, views in turn
+        position = np.empty_like(owner)
+        position[np.argsort(owner, kind="stable")] = np.arange(owner.size)
+        bounds = np.cumsum([0] + [len(r) for r in self.r_factors]).tolist()
+        self.rows = [position[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        sizes = np.bincount(owner, minlength=len(row_sets)).tolist()
+        bounds = np.cumsum([0] + sizes).tolist()
+        self.index = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        self.shape = (owner.size, geometry.labels.shape[1])
 
     def stack(self, w):
         """A new extended stack of ``w``: ``R~_i W_i`` at each view's rows."""
         check_weight_shapes(w, [r.shape[1] for r in self.r_factors], self.shape[1])
-        return np.vstack([r @ wi for r, wi in zip(self.r_factors, w.weights)])
+        ext = np.empty(self.shape)
+        for r, rows, wi in zip(self.r_factors, self.rows, w.weights):
+            ext[rows] = r @ wi
+        return ext
 
     def back_project(self, ext):
-        """``R~_i' ext[r_block_i]`` per view, for an extended-stack ``ext``."""
-        return [r.T @ ext[r_block] for r, r_block in zip(self.r_factors, self.r_blocks)]
+        """``R~_i' ext[rows_i]`` per view, for an extended-stack ``ext``."""
+        return [r.T @ ext[rows] for r, rows in zip(self.r_factors, self.rows)]
 
 
 def _initial_weights(geometry, config):
@@ -497,11 +509,15 @@ class _Iterate(NamedTuple):
     global_stack: np.ndarray | None  # the linearization point of the global term
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _step(problem, state):
     """One sweep: the state after ``state`` and its (objective, surrogate, residual).
 
     A pure map of ``problem`` and ``state``, linearized at ``state.global_stack``; a
-    driver holds that point with ``state._replace(global_stack=held)``.
+    driver holds that point with ``state._replace(global_stack=held)``. A diverging
+    sweep warns of no overflow: its objective comes out non-finite, and once a new
+    stack is too large for its Gram to be finite the record is NaN and the state
+    ``state`` itself, since no trace-norm kernel can take that stack.
     """
     config, grams, layout, glob = problem.config, problem.grams, problem.layout, problem.glob
     mu = config.mu
@@ -511,12 +527,16 @@ def _step(problem, state):
         shares.append([config.lam * g for g in glob.back_project(grad)])
     w = _update_w(problem.factors, *shares)
     stack, preds, global_stack = layout.stack(w), grams.predict(w), problem.global_stack(w)
-    shift, z = stack + state.multipliers / mu, np.empty_like(stack)
-    for rows in layout.index:
-        z[rows] = svt(shift[rows], config.lam / mu)
+    shift = stack + state.multipliers / mu
+    if not all(np.isfinite(np.vdot(m, m)) for m in (stack, shift, global_stack) if m is not None):
+        return state, (np.nan,) * 3  # some Gram of these stacks would overflow
+    # finite stacks, so the batched label kernels skip their per-matrix input checks
+    z = np.empty_like(stack)
+    _svt_many([shift[block] for block in layout.index], config.lam / mu,
+              out=[z[block] for block in layout.index])
     gap = stack - z
-    residual = max((float(np.linalg.norm(gap[rows])) for rows in layout.index), default=0.0)
-    local = sum(nuclear_norm(stack[rows]) for rows in layout.index)
+    residual = max((float(np.linalg.norm(gap[block])) for block in layout.index), default=0.0)
+    local = sum(_nuclear_norm_many([stack[block] for block in layout.index]).tolist())
     value = linear = ObjectiveValue(_masked_loss_from_preds(grams, preds), local, 0.0, config.lam)
     if glob is not None:  # the surrogate's global term is <S, G>, linear in the new S
         value = replace(value, global_term=nuclear_norm(global_stack))
@@ -571,10 +591,9 @@ def predict(w, test):
     n, c = test.n_samples, test.n_labels
     scores = np.zeros((n, c))
     counts = np.zeros(n)
-    for view, wi in zip(test.views, w.weights):
-        present = ~view.missing_rows
-        scores[present] += view.features[present] @ wi
-        counts += present
+    for view, wi in zip(test.views, w.weights):  # a missing row is stored as zeros
+        scores += view.features @ wi
+        counts += ~view.missing_rows
     if np.any(counts == 0):
         raise AllViewsMissing(int(np.flatnonzero(counts == 0)[0]))
     return scores / counts[:, None]

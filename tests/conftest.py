@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from mvml import MultiViewDataset, ViewData, WeightStack
+from mvml import (
+    CorruptionSpec, MultiViewDataset, SyntheticSpec, ViewData, WeightStack, corrupt,
+    generate_synthetic,
+)
+
+# At this mu the fit of diverging_training_set() grows its iterates about 2x a sweep
+# until, after sweep 117, the Gram of a label stack overflows.
+DIVERGING_SOLVER = {"lam": 0.5, "mu": 0.1, "max_iters": 150, "rel_tol": 0.0}
 
 
 def make_view(rng, n, d, c, missing=None, ensure_positive_per_row=False):
@@ -40,6 +47,13 @@ def make_dataset(rng, n=12, c=4, dims=(3, 5), with_missing=False, aligned=True,
         for i, d in enumerate(dims)
     ]
     return MultiViewDataset(views=views, aligned=aligned)
+
+
+def diverging_training_set():
+    """The corrupted n=600 set of the benchmark's ablate recipe, seed 0."""
+    clean = generate_synthetic(SyntheticSpec(n=600, c=30, n_views=3, dims=(40, 60, 80),
+                                             positives_per_sample=2, noise_sigma=0.8, seed=42))
+    return corrupt(clean, CorruptionSpec(alpha=0.5, beta=0.5, dealign=True, seed=7))
 
 
 def make_weights(rng, dims, c, scale=1.0):

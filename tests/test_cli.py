@@ -8,6 +8,8 @@ import pytest
 from mvml import CorruptionSpec, SyntheticSpec, corrupt, generate_synthetic, save_dataset
 from mvml.cli import main
 
+from conftest import DIVERGING_SOLVER, diverging_training_set
+
 SMALL_CONFIG = {
     "dataset": {
         "synthetic": {
@@ -346,6 +348,16 @@ def test_numerical_failure_exits_two(tmp_path, capsys):
     code = main(["synth", "--config", config, "--out", str(tmp_path / "o")])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_a_diverging_fit_exits_two(tmp_path, capsys):
+    save_dataset(diverging_training_set(), tmp_path / "train")
+    config = write_config(tmp_path, solver=DIVERGING_SOLVER)
+    code = main(["fit", "--config", config, "--data", str(tmp_path / "train"),
+                 "--out", str(tmp_path / "fit")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
 
 
 @pytest.mark.parametrize(

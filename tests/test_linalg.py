@@ -14,6 +14,7 @@ from mvml import (
     symmetric_eig,
     trace_norm_subgradient,
 )
+from mvml.linalg import _nuclear_norm_many, _svt_many
 
 import oracles
 
@@ -128,6 +129,12 @@ class TestSvt:
                 direction /= np.linalg.norm(direction)
                 perturbed = oracles.prox_objective(z + 1e-3 * direction, a, tau)
                 assert perturbed >= base - 1e-10
+
+
+class TestBatchedKernels:
+    def test_an_empty_list_gives_an_empty_result(self):
+        assert _svt_many([], 0.5) == []
+        assert _nuclear_norm_many([]).shape == (0,)
 
 
 class TestSymmetricEig:

@@ -1,6 +1,6 @@
 """Property tests on small random inputs: metric ties, the CCCP bound, the compressed
-global and label terms, the loss on its Grams, the Grams from tag-pattern groups, the
-trace-norm duality pairing, save/load."""
+global and label terms, the batched label kernels, the loss on its Grams, the Grams from
+tag-pattern groups, the trace-norm duality pairing, save/load."""
 
 import tempfile
 
@@ -23,7 +23,7 @@ from mvml import (
     trace_norm_subgradient,
 )
 from mvml.data import StackGeometry
-from mvml.linalg import nuclear_norm, svt
+from mvml.linalg import _nuclear_norm_many, _svt_many, nuclear_norm, svt
 from mvml.objective import stack_loss
 from mvml.solver import _LabelStacks, _LossGrams, _masked_loss_from_preds, _observed_grams
 
@@ -185,6 +185,41 @@ def test_compressed_label_stacks_carry_the_local_terms(case, lam, mu):
         scale = 1e-10 * np.linalg.norm(shifted)
         for feats, block, got in zip(geometry.features, geometry.blocks, layout.back_project(ext)):
             assert np.linalg.norm(got - feats.T @ sample[block]) <= scale * np.linalg.norm(feats)
+
+
+@st.composite
+def matrix_lists(draw):
+    """Up to 8 tall, wide or square matrices of at most 7 rows and columns, each full
+    rank, rank-deficient or all zero, so several share a Gram size and some are empty."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = []
+    for _ in range(draw(st.integers(0, 8))):
+        rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+        kind = draw(st.sampled_from(["full", "rank_deficient", "zero"]))
+        if kind == "rank_deficient" and min(rows, cols) > 1:
+            rank = draw(st.integers(1, min(rows, cols) - 1))
+            mats.append(rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols)))
+        else:
+            mats.append(rng.standard_normal((rows, cols)) * (kind != "zero"))
+    return mats
+
+
+@PROPERTY_SETTINGS
+@given(mats=matrix_lists(), tau=st.floats(0.0, 3.0))
+def test_batched_label_kernels_give_each_matrix_its_own_result(mats, tau):
+    """A matrix's shrinkage and norm are bitwise the same batched or alone, which keeps
+    a fit's label phase bit-identical to one kernel call per label."""
+    shrunk, norms = _svt_many(mats, tau), _nuclear_norm_many(mats)
+    assert len(shrunk) == len(norms) == len(mats)
+    for a, z, norm in zip(mats, shrunk, norms):
+        alone = svt(a, tau)
+        assert z.shape == a.shape and z.tobytes() == alone.tobytes()
+        assert np.float64(norm).tobytes() == np.float64(nuclear_norm(a)).tobytes()
+        assert np.linalg.norm(z - oracles.svd_svt(a, tau)) <= 1e-8
+        # test_linalg's tolerances: 1e-9 for a norm, and 1e-7, its duality pairing's, once a
+        # rank-deficient Gram's zero eigenvalues come back as round-off of eps * |a|^2
+        full_rank = a.size == 0 or np.linalg.matrix_rank(a) == min(a.shape)
+        assert norm == pytest.approx(oracles.svd_nuclear(a), rel=1e-9 if full_rank else 1e-7)
 
 
 @PROPERTY_SETTINGS

@@ -20,14 +20,14 @@ from mvml import (
     update_w,
     update_z,
 )
-from mvml.linalg import RIDGE_SCALE, nuclear_norm, svt
+from mvml.linalg import RIDGE_SCALE, _nuclear_norm_many, _svt_many, nuclear_norm, svt
 from mvml.masking import CorruptionSpec, SyntheticSpec, corrupt, generate_synthetic
 from mvml.data import StackGeometry, present_rows, stack_predictions, sublabel_rows
 from mvml.objective import objective
 from mvml.solver import _gram_root, _group_width, _observed_grams
 
 import oracles
-from conftest import make_dataset
+from conftest import DIVERGING_SOLVER, diverging_training_set, make_dataset
 
 
 def small_training_set(rng, n=40, c=3, dims=(4, 6)):
@@ -373,6 +373,16 @@ class TestFit:
         assert trace.residual[:-1] == clean.residual[:fails_at - 1]
         assert not trace.converged
 
+    def test_a_diverging_fit_ends_in_non_finite_objective(self):
+        """The sweep that would overflow a label stack's Gram stops the fit with a NaN
+        record, before any trace-norm kernel sees that stack, and warns of nothing."""
+        with pytest.raises(NonFiniteObjective, match="at iteration 118") as info:
+            fit(diverging_training_set(), SolverConfig(**DIVERGING_SOLVER))
+        trace = info.value.trace
+        assert info.value.iteration == trace.iterations
+        assert np.isnan(info.value.value) and np.isnan(trace.objective[-1])
+        assert np.all(np.isfinite(trace.objective[:-1]))
+
     def test_global_term_never_sees_more_rows_than_features(self, rng, monkeypatch):
         ds = make_dataset(rng, n=40, c=4, dims=(3, 5), with_missing=True,
                           ensure_positive_per_row=True)
@@ -401,14 +411,17 @@ class TestFit:
         import mvml.solver as solver_mod
         rows = {"svt": [], "nuclear_norm": []}
 
-        def recording(name, kernel):
-            def wrapped(a, *args):
-                rows[name].append(np.shape(a)[0])
-                return kernel(a, *args)
+        def recording(name, kernel):  # the label kernels take every label's stack at once
+            def wrapped(mats, *args, **kwargs):
+                rows[name].extend(np.shape(a)[0] for a in mats)
+                return kernel(mats, *args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(solver_mod, "svt", recording("svt", svt))
-        monkeypatch.setattr(solver_mod, "nuclear_norm", recording("nuclear_norm", nuclear_norm))
+        monkeypatch.setattr(solver_mod, "_svt_many", recording("svt", _svt_many))
+        monkeypatch.setattr(solver_mod, "_nuclear_norm_many",
+                            recording("nuclear_norm", _nuclear_norm_many))
+        global_norm = recording("nuclear_norm", lambda mats: nuclear_norm(mats[0]))
+        monkeypatch.setattr(solver_mod, "nuclear_norm", lambda a: global_norm([a]))
         sweeps = 3
         fit(ds, SolverConfig(lam=0.5, max_iters=sweeps, rel_tol=0.0, variant=variant))
         norms = bounds + [3 + 5] if variant == "full" else bounds  # labels, then the global term
@@ -684,7 +697,8 @@ class TestFitComposesBlockUpdates:
         geometry = StackGeometry(ds)
         problem = solver_mod._Problem(geometry, cfg)
         layout = problem.layout
-        rows = np.sort(np.concatenate(layout.index))
+        every_row = np.arange(layout.shape[0])
+        rows = np.sort(np.concatenate([every_row[index] for index in layout.index]))
         assert np.array_equal(rows, np.arange(layout.shape[0]))  # disjoint, covering
         state = problem.seed(geometry)
         for split in (state.z, state.multipliers):
