@@ -8,10 +8,28 @@ instead of the ``O(c n^2)`` a full SVD of the long side would pay.
 None of the kernels ever forms a full SVD of the input itself. The
 batched kernels stack the Grams of one size and decompose them with one
 LAPACK call, and the one-matrix kernels are their one-element case.
+
+A stacked ``eigh`` with enough work, ``count * size**3`` of at least
+``8 * 30**3`` (8 Grams of 30x30), runs in contiguous chunks: one per CPU
+the process may use (``os.sched_getaffinity``), but no more than the work
+has ``4 * 30**3`` units for. The calling thread decomposes the first chunk
+while worker threads decompose the others; a caller with other work
+meanwhile, as a solver sweep with its local norms, takes a smaller first
+chunk and does that work while the workers run. The workers come from a
+pool that ``fit`` keeps for one fit, or that a call outside a fit opens
+for itself; they start with its first split and no thread outlives the
+pool. numpy's ``eigh`` releases the GIL and decomposes each matrix of a
+stack on its own, so the chunks give the bytes one call would, whatever
+the CPU count; with one CPU the one chunk runs on the calling thread.
+Only ``eigh`` leaves the calling thread; ``eigvalsh`` measured slower
+split over two threads and is not split.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
@@ -24,6 +42,9 @@ EIG_DROP_TOL = 1e-10
 
 # Ridge added to an SPD system before factorization: RIDGE_SCALE * trace/dim.
 RIDGE_SCALE = 1e-8
+
+# The least work, count * size**3 over a chunk's Grams, worth a thread of a stacked eigh.
+_EIGH_CHUNK_WORK = 4 * 30**3
 
 
 class EigenPair(NamedTuple):
@@ -67,7 +88,84 @@ def _tall(a):
     return a.shape[0] >= a.shape[1]
 
 
-def _spectra(mats, vectors):
+def _cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _eigh_parts(count, size):
+    """How many chunks a stacked ``eigh`` of ``count`` Grams of ``size`` runs in: one per
+    CPU, but at most one per Gram and no more than its work, ``count * size**3``, has
+    ``_EIGH_CHUNK_WORK`` units for. A module-level name, so tests can force a count."""
+    most = min(count, count * size**3 // _EIGH_CHUNK_WORK)
+    return min(_cpus(), most) if most > 1 else 1  # the CPUs are counted for a split only
+
+
+_scope = threading.local()  # ``pool``: set while a block of _eigh_workers is open
+
+
+@contextmanager
+def _eigh_workers():
+    """Keep this thread's pool for split ``eigh`` calls for the block.
+
+    The outermost block of a thread opens it, inner blocks share it, and the outermost
+    closes it. Its ``_cpus() - 1`` worker threads (at least one) start with the block's
+    first split, so a block without one starts no thread, and they are joined when the
+    block closes, so none outlives it and a process forked after it starts with none.
+    ``fit`` runs in one block; a split outside any block opens one for that call.
+    """
+    if hasattr(_scope, "pool"):
+        yield
+        return
+    _scope.pool = None  # until the first split
+    try:
+        yield
+    finally:
+        pool = _scope.pool
+        del _scope.pool
+        if pool is not None:
+            pool.shutdown()
+
+
+def _eigh_pool():
+    """The pool of this thread's open block, created on its first split."""
+    if _scope.pool is None:
+        from concurrent.futures import ThreadPoolExecutor  # it loads logging: only if needed
+
+        _scope.pool = ThreadPoolExecutor(max(_cpus() - 1, 1), thread_name_prefix="mvml-eigh")
+    return _scope.pool
+
+
+def _eigh_chunks(grams, parts, meanwhile=None):
+    """``np.linalg.eigh`` of the stack ``grams`` in ``parts >= 2`` contiguous chunks, yielded in
+    order as ``(chunk, (values, vectors))`` with ``chunk`` a slice of the stack.
+
+    The calling thread decomposes the first chunk while the workers of
+    :func:`_eigh_workers` take one each of the others. ``meanwhile``, if given, is called
+    on the calling thread once the workers have their chunks, and the caller's chunk
+    shrinks from ``1 / parts`` of the stack to ``1 / (2 * parts)`` to make room for it: a
+    sweep's local norms, an ``eigvalsh`` of as many Grams, cost about half the ``eigh``.
+    Inside an open block the first result is yielded while the workers run; a pool
+    opened for this call is joined first, so no pool stays open across a yield.
+    """
+    n = len(grams)
+    own = n // (2 * parts if meanwhile else parts)
+    bounds = [0] + [own + (n - own) * k // (parts - 1) for k in range(parts)]
+    chunks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    with _eigh_workers():
+        rest = [_eigh_pool().submit(np.linalg.eigh, grams[chunk]) for chunk in chunks[1:]]
+        if meanwhile is not None:
+            meanwhile()
+        first = np.linalg.eigh(grams[chunks[0]])
+    yield chunks[0], first
+    for chunk, future in zip(chunks[1:], rest):
+        yield chunk, future.result()
+
+
+def _spectra(mats, vectors, meanwhile=None):
     """The Gram spectra of the nonempty matrices of ``mats``, one LAPACK call per Gram size.
 
     Yields ``(members, values)``, or ``(members, (values, vectors))`` with ``vectors``,
@@ -77,7 +175,10 @@ def _spectra(mats, vectors):
     forms either by a symmetric rank-k update, so the Gram is exactly symmetric and
     LAPACK may read one triangle of it. A stacked ``eigh`` or ``eigvalsh`` decomposes
     each matrix of its stack as the one-matrix call would, so a matrix's result does
-    not depend on the others it is batched with.
+    not depend on the others it is batched with. With ``vectors`` a group may come in
+    several contiguous parts, split by ``_eigh_parts`` and decomposed by ``_eigh_chunks``,
+    and ``meanwhile``, if given, is called once on the calling thread: while the workers
+    decompose the first split group, or after the last group when none is split.
     """
     groups = {}
     for j, a in enumerate(mats):
@@ -88,20 +189,32 @@ def _spectra(mats, vectors):
         for j, gram in zip(members, grams):
             a = mats[j]
             np.matmul(a.T, a, out=gram) if _tall(a) else np.matmul(a, a.T, out=gram)
-        yield members, (np.linalg.eigh(grams) if vectors else np.linalg.eigvalsh(grams))
+        if not vectors:
+            yield members, np.linalg.eigvalsh(grams)
+            continue
+        parts = _eigh_parts(len(members), size)
+        if parts == 1:  # too little work to split, or one CPU
+            yield members, np.linalg.eigh(grams)
+            continue
+        for chunk, pair in _eigh_chunks(grams, parts, meanwhile):
+            yield members[chunk], pair
+        meanwhile = None
+    if meanwhile is not None:
+        meanwhile()
 
 
-def _reassemble(mats, weigh, out=None):
+def _reassemble(mats, weigh, out=None, meanwhile=None):
     """Each ``a`` of ``mats`` with its spectrum reweighted: ``a @ (V f V.T)`` for a tall ``a``
     with ``a.T @ a = V S V.T``, or ``(U f U.T) @ a`` for a wide ``a`` with ``a @ a.T = U S U.T``.
 
     ``f = diag(weigh(s))`` for the Gram's eigenvalues ``s``, ascending and clamped at zero,
     so singular value ``sqrt(s)`` becomes ``sqrt(s) * weigh(s)``; ``weigh`` maps a stack of
     spectra, one per row, at once. The results go to the arrays ``out``, new ones by
-    default, which are returned; an empty ``a`` has no entry to write.
+    default, which are returned; an empty ``a`` has no entry to write. ``meanwhile`` is
+    called once on the calling thread as :func:`_spectra` says.
     """
     out = [np.empty(a.shape) for a in mats] if out is None else out
-    for members, (values, vectors) in _spectra(mats, vectors=True):
+    for members, (values, vectors) in _spectra(mats, vectors=True, meanwhile=meanwhile):
         weighted = vectors * weigh(np.maximum(values, 0.0))[:, None, :]
         for j, core in zip(members, np.matmul(weighted, vectors.transpose(0, 2, 1))):
             a = mats[j]
@@ -119,18 +232,19 @@ def _nuclear_norm_many(mats):
     return norms
 
 
-def _svt_many(mats, tau, out=None):
+def _svt_many(mats, tau, out=None, meanwhile=None):
     """:func:`svt` by ``tau`` of each of ``mats``, finite float matrices that the caller
     checked, with ``tau`` too: bitwise what ``svt`` gives each alone. The Grams of one
     size share one stacked ``eigh``; the results go to ``out`` as :func:`_reassemble`
-    writes them."""
+    writes them, and ``meanwhile``, called once on the calling thread, may overlap the
+    workers' part of a split ``eigh`` (:func:`_spectra`)."""
 
     def shrink_ratio(values):  # shrunk over original singular value; exact zeros give 0
         sigma = np.sqrt(values)
         return np.divide(np.maximum(sigma - tau, 0.0), sigma, out=np.zeros_like(sigma),
                          where=sigma > 0)
 
-    return _reassemble(mats, shrink_ratio, out)
+    return _reassemble(mats, shrink_ratio, out, meanwhile)
 
 
 def singular_values(a):

@@ -47,7 +47,10 @@ def hamming_loss(scores, truth):
 
     Scores are thresholded at zero with ties going to +1.
     """
-    scores, truth = _check_scores_truth(scores, truth)
+    return _hamming_loss(*_check_scores_truth(scores, truth))
+
+
+def _hamming_loss(scores, truth):
     pred = np.where(scores >= 0, 1.0, -1.0)
     return float(np.mean(pred != truth))
 
@@ -56,7 +59,10 @@ def ranking_loss(scores, truth):
     """Mean, over samples with both tag kinds, of the fraction of
     (positive, negative) label pairs ranked wrongly; ties count wrong.
     """
-    scores, truth = _check_scores_truth(scores, truth)
+    return _ranking_loss(*_check_scores_truth(scores, truth))
+
+
+def _ranking_loss(scores, truth):
     n_pos = np.count_nonzero(truth == 1.0, axis=1)
     n_neg = scores.shape[1] - n_pos
     both = (n_pos > 0) & (n_neg > 0)
@@ -81,7 +87,10 @@ def average_precision(scores, truth):
     """Mean, over samples with a positive tag, of the per-sample average
     precision; equal scores rank by ascending label index.
     """
-    scores, truth = _check_scores_truth(scores, truth)
+    return _average_precision(*_check_scores_truth(scores, truth))
+
+
+def _average_precision(scores, truth):
     order = np.argsort(-scores, axis=1, kind="stable")
     relevant = np.take_along_axis(truth == 1.0, order, axis=1)
     precisions = np.cumsum(relevant, axis=1) / np.arange(1, scores.shape[1] + 1)
@@ -103,7 +112,10 @@ def adapted_auc(scores, truth):
     (positive, negative) sample pairs ranked correctly, ties counting
     one half; averaged over qualifying labels.
     """
-    scores, truth = _check_scores_truth(scores, truth)
+    return _adapted_auc(*_check_scores_truth(scores, truth))
+
+
+def _adapted_auc(scores, truth):
     per_label = []
     for k in range(scores.shape[1]):
         pos = scores[truth[:, k] == 1.0, k]
@@ -141,13 +153,13 @@ class MetricsReport:
 
 
 def evaluate_predictions(scores, truth):
-    """Score predictions against a fully observed +/-1 truth matrix."""
+    """Score predictions against a fully observed +/-1 truth matrix, checked once."""
     scores, truth = _check_scores_truth(scores, truth)
     return MetricsReport(
-        one_minus_hamming=1.0 - hamming_loss(scores, truth),
-        one_minus_ranking=1.0 - ranking_loss(scores, truth),
-        average_precision=average_precision(scores, truth),
-        auc=adapted_auc(scores, truth),
+        one_minus_hamming=1.0 - _hamming_loss(scores, truth),
+        one_minus_ranking=1.0 - _ranking_loss(scores, truth),
+        average_precision=_average_precision(scores, truth),
+        auc=_adapted_auc(scores, truth),
         n_test=scores.shape[0],
         n_labels=scores.shape[1],
     )

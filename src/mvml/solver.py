@@ -89,10 +89,13 @@ point where the step takes ``G``; then
 with ``H`` recomputed at the new W. The labels' shrinkages run as one
 batch, in which the Grams of one size share one stacked ``eigh``.
 ``||P_k||_* = ||P~_k||_*`` and ``||P_k - Z_k||_F = ||P~_k - Z~_k||_F``
-give the local terms, batched alike with ``eigvalsh``, and the residual,
-and the CCCP surrogate's linear term is ``<P, Q~ G> = <S, G>`` at the new
-``S``, which the new state carries, so a sweep stacks each layout once;
-``LOSS_PLUS_LOCAL`` has no global layout, ``S`` or ``G``.
+give the local terms, batched alike with ``eigvalsh``, and the residual.
+A stacked ``eigh`` with the work is split over the CPUs (``linalg``): the
+local norms run on the sweep's thread while worker threads decompose most
+of the shrinkage's Grams. The CCCP surrogate's linear term is
+``<P, Q~ G> = <S, G>`` at the new ``S``, which the new state carries, so
+a sweep stacks each layout once; ``LOSS_PLUS_LOCAL`` has no global
+layout, ``S`` or ``G``.
 
 Driver. ``fit`` seeds the state, applies the step until the objective's
 relative change falls below ``rel_tol`` or the budget runs out, and
@@ -117,7 +120,8 @@ from .errors import (
     _check_seed, _check_type, _set_checked,
 )
 from .linalg import (
-    SpdFactor, _nuclear_norm_many, _svt_many, nuclear_norm, svt, trace_norm_subgradient,
+    SpdFactor, _eigh_workers, _nuclear_norm_many, _svt_many, nuclear_norm, svt,
+    trace_norm_subgradient,
 )
 from .objective import ObjectiveValue
 
@@ -531,13 +535,17 @@ def _step(problem, state):
     if not all(np.isfinite(np.vdot(m, m)) for m in (stack, shift, global_stack) if m is not None):
         return state, (np.nan,) * 3  # some Gram of these stacks would overflow
     # finite stacks, so the batched label kernels skip their per-matrix input checks
-    z = np.empty_like(stack)
+    z, local = np.empty_like(stack), []
+
+    def local_norms():  # on this thread, while workers decompose the shrinkage's Grams
+        local.extend(_nuclear_norm_many([stack[block] for block in layout.index]).tolist())
+
     _svt_many([shift[block] for block in layout.index], config.lam / mu,
-              out=[z[block] for block in layout.index])
+              out=[z[block] for block in layout.index], meanwhile=local_norms)
     gap = stack - z
     residual = max((float(np.linalg.norm(gap[block])) for block in layout.index), default=0.0)
-    local = sum(_nuclear_norm_many([stack[block] for block in layout.index]).tolist())
-    value = linear = ObjectiveValue(_masked_loss_from_preds(grams, preds), local, 0.0, config.lam)
+    value = linear = ObjectiveValue(_masked_loss_from_preds(grams, preds), sum(local), 0.0,
+                                    config.lam)
     if glob is not None:  # the surrogate's global term is <S, G>, linear in the new S
         value = replace(value, global_term=nuclear_norm(global_stack))
         linear = replace(value, global_term=float(np.sum(global_stack * grad)))
@@ -546,8 +554,10 @@ def _step(problem, state):
 
 
 @single_threaded()
+@_eigh_workers()
 def fit(ds, config):
-    """Run the solver to tolerance or the sweep budget, with BLAS on one thread.
+    """Run the solver to tolerance or the sweep budget, with BLAS on one thread and the
+    label shrinkage's stacked ``eigh`` split over the CPUs (``linalg._eigh_workers``).
 
     Returns ``(weights, trace)``. The trace's objective column holds the
     variant's own objective: the full loss + lam * (local - global) for

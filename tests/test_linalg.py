@@ -1,5 +1,8 @@
 """Eigendecomposition-route kernels against full-SVD references."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,8 @@ from mvml import (
     symmetric_eig,
     trace_norm_subgradient,
 )
-from mvml.linalg import _nuclear_norm_many, _svt_many
+from mvml import linalg
+from mvml.linalg import _eigh_parts, _nuclear_norm_many, _svt_many
 
 import oracles
 
@@ -135,6 +139,155 @@ class TestBatchedKernels:
     def test_an_empty_list_gives_an_empty_result(self):
         assert _svt_many([], 0.5) == []
         assert _nuclear_norm_many([]).shape == (0,)
+
+
+def gate_crossing_list(rng, count):
+    """``count`` matrices with Grams of 30x30, 24x24 and 31x31: tall and wide, every fifth
+    rank-deficient. From 15 on, 8 or more are 30x30, enough work for the gate to split."""
+    mats = []
+    for k in range(count):
+        size = (30, 30, 24, 31)[k % 4]
+        shape = (size, size + int(rng.integers(0, 50)))
+        shape = shape[::-1] if k % 3 else shape  # two tall to one wide
+        if k % 5 == 0:
+            rank = size // 2
+            left = rng.standard_normal((shape[0], rank))
+            mats.append(left @ rng.standard_normal((rank, shape[1])))
+        else:
+            mats.append(rng.standard_normal(shape))
+    return mats
+
+
+def record_eigh(monkeypatch):
+    """Record the thread and the stack of each ``np.linalg.eigh`` call."""
+    calls, eigh = [], np.linalg.eigh
+
+    def recording(a):
+        calls.append((threading.get_ident(), a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return calls
+
+
+class TestSplitEigh:
+    @pytest.mark.parametrize("cpus, count, size, want", [
+        (2, 7, 30, 1), (2, 8, 30, 2), (2, 30, 30, 2), (1, 30, 30, 1), (4, 30, 30, 4),
+        (4, 12, 30, 3), (2, 1, 200, 1), (2, 40, 7, 1), (2, 0, 30, 1),
+    ])
+    def test_a_stack_splits_by_its_work_and_the_cpus(self, monkeypatch, cpus, count, size, want):
+        monkeypatch.setattr(linalg, "_cpus", lambda: cpus)
+        assert _eigh_parts(count, size) == want
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity call")
+    def test_the_cpus_are_those_the_process_may_use(self):
+        assert linalg._cpus() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("count", [9, 17, 40])
+    def test_forced_chunks_give_the_bytes_of_one_matrix_at_a_time(self, rng, monkeypatch, count):
+        mats = gate_crossing_list(rng, count)
+        alone = [svt(a, 0.7).tobytes() for a in mats]
+        norms = [nuclear_norm(a) for a in mats]
+        assert [z.tobytes() for z in _svt_many(mats, 0.7)] == alone  # the gate's own split
+        for parts in (1, 2, 3):
+            monkeypatch.setattr(linalg, "_eigh_parts", lambda count, size: min(parts, count))
+            assert [z.tobytes() for z in _svt_many(mats, 0.7)] == alone, parts
+            assert _nuclear_norm_many(mats).tolist() == norms
+        for a, z in zip(mats, _svt_many(mats, 0.7)):
+            assert np.linalg.norm(z - oracles.svd_svt(a, 0.7)) <= 1e-8
+
+    def test_the_caller_takes_the_first_chunk_and_workers_the_rest(self, rng, monkeypatch):
+        mats = [rng.standard_normal((40, 30)) for _ in range(9)]
+        monkeypatch.setattr(linalg, "_eigh_parts", lambda count, size: 3)
+        calls = record_eigh(monkeypatch)
+        threads = threading.active_count()
+        _svt_many(mats, 0.5)
+        assert sorted(len(stack) for _, stack in calls) == [3, 3, 3]
+        grams = np.stack([a.T @ a for a in mats])
+        placed = sorted((k, ident) for ident, stack in calls for k in (0, 3, 6)
+                        if np.allclose(stack, grams[k:k + 3]))
+        assert [k for k, _ in placed] == [0, 3, 6]
+        assert [ident == threading.get_ident() for _, ident in placed] == [True, False, False]
+        assert threading.active_count() == threads  # the call's pool is joined
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_work_meanwhile_leaves_the_bytes_as_they_are(self, rng, monkeypatch, parts):
+        mats = gate_crossing_list(rng, 17)
+        alone = [svt(a, 0.7).tobytes() for a in mats]
+        monkeypatch.setattr(linalg, "_eigh_parts", lambda count, size: min(parts, count))
+        calls = []
+        got = _svt_many(mats, 0.7, meanwhile=lambda: calls.append(threading.get_ident()))
+        assert [z.tobytes() for z in got] == alone
+        assert calls == [threading.get_ident()]
+
+    @pytest.mark.parametrize("count, parts, caller, workers", [
+        (8, 2, 2, [6]), (30, 2, 7, [23]), (12, 3, 2, [5, 5]), (9, 1, 9, []),
+    ])
+    def test_work_meanwhile_shrinks_the_callers_chunk_to_a_half_share(
+            self, rng, monkeypatch, count, parts, caller, workers):
+        mats = [rng.standard_normal((40, 30)) for _ in range(count)]
+        monkeypatch.setattr(linalg, "_eigh_parts", lambda count, size: parts)
+        calls = record_eigh(monkeypatch)
+        caller_id, seen = threading.get_ident(), []
+
+        def meanwhile():  # the workers have their chunks, and the caller's comes after
+            started = [t for t in threading.enumerate() if t.name.startswith("mvml-eigh")]
+            seen.append((bool(started), [ident for ident, _ in calls if ident == caller_id]))
+
+        _svt_many(mats, 0.5, meanwhile=meanwhile)
+        mine = [len(stack) for ident, stack in calls if ident == caller_id]
+        theirs = [len(stack) for ident, stack in calls if ident != caller_id]
+        assert (mine, sorted(theirs)) == ([caller], workers)
+        assert seen == [(bool(workers), [] if workers else [caller_id])]
+
+    @pytest.mark.parametrize("shapes", [
+        [],  # nothing to decompose
+        [(5, 3), (0, 4)],  # one small group, never split
+        [(40, 30)] * 9 + [(3, 5)],  # a split group and a small one
+        [(40, 30)] * 9 + [(50, 31)] * 9,  # two split groups
+    ])
+    def test_work_meanwhile_runs_once_whatever_is_split(self, rng, shapes):
+        mats = [rng.standard_normal(shape) for shape in shapes]
+        calls = []
+        _svt_many(mats, 0.5, meanwhile=lambda: calls.append(threading.get_ident()))
+        assert calls == [threading.get_ident()]
+
+    def test_a_worker_error_reaches_the_caller(self, rng, monkeypatch):
+        mats = [rng.standard_normal((40, 30)) for _ in range(8)]
+        monkeypatch.setattr(linalg, "_eigh_parts", lambda count, size: 2)
+        caller, eigh = threading.get_ident(), np.linalg.eigh
+
+        def failing_off_the_caller(a):
+            if threading.get_ident() != caller:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_off_the_caller)
+        with pytest.raises(np.linalg.LinAlgError):
+            _svt_many(mats, 0.5)
+
+    def test_an_open_block_keeps_one_pool_for_its_calls(self, rng, monkeypatch):
+        mats = [rng.standard_normal((40, 30)) for _ in range(8)]
+        monkeypatch.setattr(linalg, "_eigh_parts", lambda count, size: 2)
+        calls = record_eigh(monkeypatch)
+        threads = threading.active_count()
+        with linalg._eigh_workers():
+            for _ in range(2):
+                _svt_many(mats, 0.5)
+            with linalg._eigh_workers():
+                _svt_many(mats, 0.5)
+            assert threading.active_count() == threads + 1
+        workers = {ident for ident, _ in calls} - {threading.get_ident()}
+        assert len(workers) == 1
+        assert threading.active_count() == threads
+
+    def test_a_block_without_a_split_starts_no_thread(self, rng, monkeypatch):
+        calls = record_eigh(monkeypatch)
+        threads = threading.active_count()
+        with linalg._eigh_workers():
+            _svt_many([rng.standard_normal((40, 30)) for _ in range(7)], 0.5)
+            assert threading.active_count() == threads
+        assert {ident for ident, _ in calls} == {threading.get_ident()}
 
 
 class TestSymmetricEig:

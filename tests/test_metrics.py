@@ -15,6 +15,7 @@ from mvml import (
     rank_diagnostics,
     ranking_loss,
 )
+from mvml import metrics as metrics_mod
 
 import oracles
 
@@ -240,6 +241,27 @@ class TestEvaluatePredictions:
         assert report.average_precision == average_precision(scores, truth)
         assert report.auc == adapted_auc(scores, truth)
         assert (report.n_test, report.n_labels) == (18, 5)
+
+    def test_inputs_are_checked_once(self, rng, monkeypatch):
+        scores, truth = random_instance(rng, 40, 6)
+        calls = []
+        check = metrics_mod._check_scores_truth
+
+        def counting_check(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(metrics_mod, "_check_scores_truth", counting_check)
+        evaluate_predictions(scores, truth)
+        assert len(calls) == 1
+
+    def test_report_rejects_bad_truth_with_the_metrics_message(self, rng):
+        scores, truth = random_instance(rng, 5, 3)
+        truth[2, 1] = 0.0
+        with pytest.raises(InvalidInput, match="truth row 2, column 1 is 0.0"):
+            evaluate_predictions(scores, truth)
+        with pytest.raises(InvalidInput, match="truth row 2, column 1 is 0.0"):
+            hamming_loss(scores, truth)
 
     def test_report_rejects_out_of_range_values(self):
         with pytest.raises(InvalidInput):

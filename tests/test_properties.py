@@ -1,8 +1,9 @@
 """Property tests on small random inputs: metric ties, the CCCP bound, the compressed
-global and label terms, the batched label kernels, the loss on its Grams, the Grams from
-tag-pattern groups, the trace-norm duality pairing, save/load."""
+global and label terms, the batched label kernels and their split eigh, the loss on its
+Grams, the Grams from tag-pattern groups, the trace-norm duality pairing, save/load."""
 
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from mvml import (
     save_dataset,
     trace_norm_subgradient,
 )
+from mvml import linalg
 from mvml.data import StackGeometry
 from mvml.linalg import _nuclear_norm_many, _svt_many, nuclear_norm, svt
 from mvml.objective import stack_loss
@@ -220,6 +222,39 @@ def test_batched_label_kernels_give_each_matrix_its_own_result(mats, tau):
         # rank-deficient Gram's zero eigenvalues come back as round-off of eps * |a|^2
         full_rank = a.size == 0 or np.linalg.matrix_rank(a) == min(a.shape)
         assert norm == pytest.approx(oracles.svd_nuclear(a), rel=1e-9 if full_rank else 1e-7)
+
+
+@st.composite
+def split_lists(draw):
+    """9 to 40 tall, wide or square matrices whose Grams are mostly 24x24 to 31x31, each
+    full rank, rank-deficient or all zero, so some Gram size has the work to be split."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = []
+    for _ in range(draw(st.integers(9, 40))):
+        size = draw(st.sampled_from([24, 30, 30, 31]))
+        shape = (size, size + draw(st.integers(0, 40)))
+        shape = shape[::-1] if draw(st.booleans()) else shape
+        kind = draw(st.sampled_from(["full", "full", "rank_deficient", "zero"]))
+        if kind == "rank_deficient":
+            rank = draw(st.integers(1, size - 1))
+            left = rng.standard_normal((shape[0], rank))
+            mats.append(left @ rng.standard_normal((rank, shape[1])))
+        else:
+            mats.append(rng.standard_normal(shape) * (kind != "zero"))
+    return mats
+
+
+@PROPERTY_SETTINGS
+@given(mats=split_lists(), tau=st.floats(0.0, 3.0))
+def test_a_split_eigh_gives_the_bytes_of_one_matrix_at_a_time(mats, tau):
+    """However many chunks a stacked eigh runs in, and whatever the caller does meanwhile
+    (as a fit's step does), each matrix's shrinkage is bitwise its own, so a fit's results
+    do not depend on the CPU count."""
+    alone = [svt(a, tau).tobytes() for a in mats]
+    assert [z.tobytes() for z in _svt_many(mats, tau)] == alone
+    for parts in (1, 2, 3):
+        with mock.patch.object(linalg, "_eigh_parts", lambda count, size: min(parts, count)):
+            assert [z.tobytes() for z in _svt_many(mats, tau, meanwhile=lambda: None)] == alone
 
 
 @PROPERTY_SETTINGS

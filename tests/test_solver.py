@@ -1,5 +1,8 @@
 """Solver loop: state init, the three block updates, fit, and predict."""
 
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ from mvml import (
     update_w,
     update_z,
 )
-from mvml.linalg import RIDGE_SCALE, _nuclear_norm_many, _svt_many, nuclear_norm, svt
+from mvml.linalg import RIDGE_SCALE, _cpus, _nuclear_norm_many, _svt_many, nuclear_norm, svt
 from mvml.masking import CorruptionSpec, SyntheticSpec, corrupt, generate_synthetic
 from mvml.data import StackGeometry, present_rows, stack_predictions, sublabel_rows
 from mvml.objective import objective
@@ -383,6 +386,41 @@ class TestFit:
         assert np.isnan(info.value.value) and np.isnan(trace.objective[-1])
         assert np.all(np.isfinite(trace.objective[:-1]))
 
+    def test_only_the_label_eigh_leaves_the_calling_thread(self, monkeypatch):
+        """The 13 label Grams of 30x30 in this set cross the split gate: with two CPUs their
+        stacked eigh runs on the fit's thread and one worker, every other decomposition on
+        the fit's thread, and no thread outlives the fit."""
+        count = threading.active_count()
+        want_w, want_trace = fit_the_label_split_set()
+        threads = {"eigh": set(), "eigvalsh": set()}
+        for name in threads:
+            kernel = getattr(np.linalg, name)
+
+            def recording(a, kernel=kernel, seen=threads[name]):
+                seen.add(threading.get_ident())
+                return kernel(a)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        w, trace = fit_the_label_split_set()
+        assert threading.active_count() == count
+        assert not [t for t in threading.enumerate() if t.name.startswith("mvml-eigh")]
+        assert threads["eigvalsh"] == {threading.get_ident()}
+        assert threading.get_ident() in threads["eigh"]
+        assert len(threads["eigh"]) == min(_cpus(), 2)
+        assert trace.to_dict() == want_trace.to_dict()
+        assert [wi.tobytes() for wi in w.weights] == [wi.tobytes() for wi in want_w.weights]
+
+    # From 3.12, os.fork warns in a process with threads, and the BLAS library keeps some
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_a_forked_child_fits_after_the_parent_has_fit(self):
+        """A pool kept past the parent's fit would leave the child a pool whose worker
+        thread was not forked, and the child's first split eigh would wait forever."""
+        w, trace = fit_the_label_split_set()
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            child_w, child_trace = pool.apply_async(fit_the_label_split_set).get(timeout=60)
+        assert child_trace.to_dict() == trace.to_dict()
+        assert [wi.tobytes() for wi in child_w.weights] == [wi.tobytes() for wi in w.weights]
+
     def test_global_term_never_sees_more_rows_than_features(self, rng, monkeypatch):
         ds = make_dataset(rng, n=40, c=4, dims=(3, 5), with_missing=True,
                           ensure_positive_per_row=True)
@@ -477,6 +515,12 @@ class TestFit:
             with pytest.raises(InvalidInput, match=f"view {view}: no present row"):
                 update_w(state, ds, config)
         fit(ds, SolverConfig(lam=0.5, variant="loss_only"))  # one direct solve per label
+
+
+def fit_the_label_split_set():
+    """Three sweeps on a set whose label eigh is split; a module-level name, so a pool
+    worker can run it."""
+    return fit(diverging_training_set(), SolverConfig(lam=0.5, max_iters=3, rel_tol=0.0))
 
 
 def edge_case_dataset(rng, case, n=20):
