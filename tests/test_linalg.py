@@ -188,11 +188,12 @@ class TestSplitEigh:
         mats = gate_crossing_list(rng, count)
         alone = [svt(a, 0.7).tobytes() for a in mats]
         norms = [nuclear_norm(a) for a in mats]
-        assert [z.tobytes() for z in _svt_many(mats, 0.7)] == alone  # the gate's own split
-        for parts in (1, 2, 3):
-            monkeypatch.setattr(linalg, "_eigh_parts", lambda count, size: min(parts, count))
-            assert [z.tobytes() for z in _svt_many(mats, 0.7)] == alone, parts
-            assert _nuclear_norm_many(mats).tolist() == norms
+        with linalg._eigh_workers():
+            assert [z.tobytes() for z in _svt_many(mats, 0.7)] == alone  # the gate's own split
+            for parts in (1, 2, 3):
+                monkeypatch.setattr(linalg, "_eigh_parts", lambda count, size: min(parts, count))
+                assert [z.tobytes() for z in _svt_many(mats, 0.7)] == alone, parts
+                assert _nuclear_norm_many(mats).tolist() == norms
         for a, z in zip(mats, _svt_many(mats, 0.7)):
             assert np.linalg.norm(z - oracles.svd_svt(a, 0.7)) <= 1e-8
 
@@ -201,14 +202,15 @@ class TestSplitEigh:
         monkeypatch.setattr(linalg, "_eigh_parts", lambda count, size: 3)
         calls = record_eigh(monkeypatch)
         threads = threading.active_count()
-        _svt_many(mats, 0.5)
+        with linalg._eigh_workers():
+            _svt_many(mats, 0.5)
         assert sorted(len(stack) for _, stack in calls) == [3, 3, 3]
         grams = np.stack([a.T @ a for a in mats])
         placed = sorted((k, ident) for ident, stack in calls for k in (0, 3, 6)
                         if np.allclose(stack, grams[k:k + 3]))
         assert [k for k, _ in placed] == [0, 3, 6]
         assert [ident == threading.get_ident() for _, ident in placed] == [True, False, False]
-        assert threading.active_count() == threads  # the call's pool is joined
+        assert threading.active_count() == threads  # the block's pool is joined
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     def test_work_meanwhile_leaves_the_bytes_as_they_are(self, rng, monkeypatch, parts):
@@ -216,7 +218,8 @@ class TestSplitEigh:
         alone = [svt(a, 0.7).tobytes() for a in mats]
         monkeypatch.setattr(linalg, "_eigh_parts", lambda count, size: min(parts, count))
         calls = []
-        got = _svt_many(mats, 0.7, meanwhile=lambda: calls.append(threading.get_ident()))
+        with linalg._eigh_workers():
+            got = _svt_many(mats, 0.7, meanwhile=lambda: calls.append(threading.get_ident()))
         assert [z.tobytes() for z in got] == alone
         assert calls == [threading.get_ident()]
 
@@ -234,7 +237,8 @@ class TestSplitEigh:
             started = [t for t in threading.enumerate() if t.name.startswith("mvml-eigh")]
             seen.append((bool(started), [ident for ident, _ in calls if ident == caller_id]))
 
-        _svt_many(mats, 0.5, meanwhile=meanwhile)
+        with linalg._eigh_workers():
+            _svt_many(mats, 0.5, meanwhile=meanwhile)
         mine = [len(stack) for ident, stack in calls if ident == caller_id]
         theirs = [len(stack) for ident, stack in calls if ident != caller_id]
         assert (mine, sorted(theirs)) == ([caller], workers)
@@ -249,7 +253,8 @@ class TestSplitEigh:
     def test_work_meanwhile_runs_once_whatever_is_split(self, rng, shapes):
         mats = [rng.standard_normal(shape) for shape in shapes]
         calls = []
-        _svt_many(mats, 0.5, meanwhile=lambda: calls.append(threading.get_ident()))
+        with linalg._eigh_workers():
+            _svt_many(mats, 0.5, meanwhile=lambda: calls.append(threading.get_ident()))
         assert calls == [threading.get_ident()]
 
     def test_a_worker_error_reaches_the_caller(self, rng, monkeypatch):
@@ -263,11 +268,12 @@ class TestSplitEigh:
             return eigh(a)
 
         monkeypatch.setattr(np.linalg, "eigh", failing_off_the_caller)
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(np.linalg.LinAlgError), linalg._eigh_workers():
             _svt_many(mats, 0.5)
 
     def test_an_open_block_keeps_one_pool_for_its_calls(self, rng, monkeypatch):
         mats = [rng.standard_normal((40, 30)) for _ in range(8)]
+        monkeypatch.setattr(linalg, "_cpus", lambda: 2)  # a pool of one worker anywhere
         monkeypatch.setattr(linalg, "_eigh_parts", lambda count, size: 2)
         calls = record_eigh(monkeypatch)
         threads = threading.active_count()
@@ -280,6 +286,15 @@ class TestSplitEigh:
         workers = {ident for ident, _ in calls} - {threading.get_ident()}
         assert len(workers) == 1
         assert threading.active_count() == threads
+
+    def test_outside_a_block_a_stack_is_one_call(self, rng, monkeypatch):
+        mats = [rng.standard_normal((40, 30)) for _ in range(9)]
+        monkeypatch.setattr(linalg, "_eigh_parts", lambda count, size: 3)
+        calls = record_eigh(monkeypatch)
+        want = [z.tobytes() for z in _svt_many(mats, 0.5)]
+        assert [(ident, len(stack)) for ident, stack in calls] == [(threading.get_ident(), 9)]
+        with linalg._eigh_workers():
+            assert [z.tobytes() for z in _svt_many(mats, 0.5)] == want
 
     def test_a_block_without_a_split_starts_no_thread(self, rng, monkeypatch):
         calls = record_eigh(monkeypatch)

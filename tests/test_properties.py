@@ -251,10 +251,12 @@ def test_a_split_eigh_gives_the_bytes_of_one_matrix_at_a_time(mats, tau):
     (as a fit's step does), each matrix's shrinkage is bitwise its own, so a fit's results
     do not depend on the CPU count."""
     alone = [svt(a, tau).tobytes() for a in mats]
-    assert [z.tobytes() for z in _svt_many(mats, tau)] == alone
-    for parts in (1, 2, 3):
-        with mock.patch.object(linalg, "_eigh_parts", lambda count, size: min(parts, count)):
-            assert [z.tobytes() for z in _svt_many(mats, tau, meanwhile=lambda: None)] == alone
+    with linalg._eigh_workers():  # as in a fit, where a stack may be split
+        assert [z.tobytes() for z in _svt_many(mats, tau)] == alone
+        for parts in (1, 2, 3):
+            with mock.patch.object(linalg, "_eigh_parts", lambda count, size: min(parts, count)):
+                got = _svt_many(mats, tau, meanwhile=lambda: None)
+                assert [z.tobytes() for z in got] == alone
 
 
 @PROPERTY_SETTINGS
