@@ -2,11 +2,11 @@
 
 On the many small products of a solver sweep, the worker pool costs
 more in wake-ups and spinning than a second core saves. The other
-cores go to the split stacked ``eigh`` of ``linalg`` instead, whose
-worker threads call LAPACK at this count too. After a multi-threaded
-call, the library keeps one of its pool threads spinning for about
-0.13 s of CPU, so a fit that starts within that time shares a core
-with it. Where the bundled library is not found, nothing changes.
+cores go to a fit's label shrinkages instead, split by label once per
+fit (``solver``), whose worker threads call BLAS and LAPACK at this
+count too. After a multi-threaded call, the library keeps one of its
+pool threads spinning for about 0.13 s of CPU, so a fit that starts
+within that time shares a core with it. Where the bundled library is not found, nothing changes.
 """
 
 from __future__ import annotations

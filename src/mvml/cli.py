@@ -22,8 +22,10 @@ rederives every seed in the config (all but ``predict``, ``evaluate``,
 ``rank-diag`` and ``bench-subgrad``, whose own ``--seed`` seeds its
 random matrices), and ``--format``, ``json`` (default) or ``csv``
 reports (``fit``, ``evaluate``, ``ablate``, ``sweep-lambda``,
-``study-mu`` and ``bench-subgrad``). Two ``--grid`` values that print
-alike (``{value:g}``) would share an output directory, so they exit 1.
+``study-mu`` and ``bench-subgrad``, which writes a report only with
+``--out``, so ``--format`` without it exits 1). Two ``--grid`` values
+that print alike (``{value:g}``) would share an output directory, so
+they exit 1.
 
 Exit codes: 0 on success, 1 on validation or input errors, 2 on
 numerical failures (singular systems, non-finite objectives, failed
@@ -248,6 +250,8 @@ def _parse_size(text):
 
 
 def _cmd_bench_subgrad(args):
+    if args.format and not args.out:
+        raise InvalidInput("--format needs --out: without it bench-subgrad writes no report")
     sizes = [_parse_size(s) for s in args.sizes]
     rows = bench_subgradient(
         sizes=sizes,
@@ -336,7 +340,7 @@ def _build_parser():
     )
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--oracle-memory-limit", type=float, default=2e9)
-    p.set_defaults(func=_cmd_bench_subgrad)
+    p.set_defaults(func=_cmd_bench_subgrad, format=None)  # a report is JSON unless --format
 
     return parser
 

@@ -260,6 +260,18 @@ def test_bench_subgrad_csv_report(tmp_path):
     assert float(rows[0][3]) > 0 and rows[1][3] == ""
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bench_subgrad_format_without_out_exits_one(tmp_path, monkeypatch, capsys, fmt):
+    # without --out no report is written, so a --format would be a no-op setting
+    monkeypatch.chdir(tmp_path)
+    code = main(["bench-subgrad", "--sizes", "60x5", "--repeats", "1", "--format", fmt])
+    assert code == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "--out" in err[0]
+    assert captured.out == "" and not list(tmp_path.iterdir())
+
+
 def test_bench_subgrad_marks_skipped_oracle(capsys):
     code = main(["bench-subgrad", "--sizes", "80x4", "--repeats", "1",
                  "--oracle-memory-limit", "1000"])

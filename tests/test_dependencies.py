@@ -1,4 +1,5 @@
-"""The package's footprint: numpy is its only dependency, and one module writes files."""
+"""The package's footprint: numpy is its only dependency, a fit on one thread loads no
+thread pool, and one module writes files."""
 
 import ast
 import os
@@ -14,6 +15,23 @@ def test_import_loads_no_scipy():
     code = (
         "import sys, mvml; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(package_parent)},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert result.stdout.strip() == "[]"
+
+
+def test_a_fit_on_one_thread_loads_no_thread_pool():
+    """``concurrent.futures`` loads ``logging`` and more, so only a split fit imports it."""
+    package_parent = Path(mvml.__file__).resolve().parent.parent
+    code = (
+        "import sys; from mvml import SolverConfig, SyntheticSpec, fit, generate_synthetic; "
+        "fit(generate_synthetic(SyntheticSpec(n=60, c=3, n_views=2, dims=(4, 5), seed=1)), "
+        "SolverConfig(lam=0.5, max_iters=3)); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'logging')))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code],

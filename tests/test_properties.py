@@ -1,8 +1,9 @@
 """Property tests on small random inputs: metric ties, the CCCP bound, the compressed
-global and label terms, the batched label kernels and their split eigh, the loss on its
-Grams, the Grams from tag-pattern groups, the trace-norm duality pairing, save/load."""
+global and label terms, the batched label kernels and a sweep split into label parts, the
+loss on its Grams, the Grams from tag-pattern groups, the trace-norm duality pairing, save/load."""
 
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -23,11 +24,13 @@ from mvml import (
     save_dataset,
     trace_norm_subgradient,
 )
-from mvml import linalg
+from mvml import solver
 from mvml.data import StackGeometry
 from mvml.linalg import _nuclear_norm_many, _svt_many, nuclear_norm, svt
 from mvml.objective import stack_loss
-from mvml.solver import _LabelStacks, _LossGrams, _masked_loss_from_preds, _observed_grams
+from mvml.solver import (
+    _LabelStacks, _LossGrams, _Problem, _masked_loss_from_preds, _observed_grams, _step,
+)
 
 import oracles
 from conftest import make_dataset, make_weights
@@ -225,38 +228,44 @@ def test_batched_label_kernels_give_each_matrix_its_own_result(mats, tau):
 
 
 @st.composite
-def split_lists(draw):
-    """9 to 40 tall, wide or square matrices whose Grams are mostly 24x24 to 31x31, each
-    full rank, rank-deficient or all zero, so some Gram size has the work to be split."""
+def split_fits(draw):
+    """A small fit's dataset and config, and its active labels cut into 1 to 3 contiguous
+    parts, for the sweep's thread and its workers."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    mats = []
-    for _ in range(draw(st.integers(9, 40))):
-        size = draw(st.sampled_from([24, 30, 30, 31]))
-        shape = (size, size + draw(st.integers(0, 40)))
-        shape = shape[::-1] if draw(st.booleans()) else shape
-        kind = draw(st.sampled_from(["full", "full", "rank_deficient", "zero"]))
-        if kind == "rank_deficient":
-            rank = draw(st.integers(1, size - 1))
-            left = rng.standard_normal((shape[0], rank))
-            mats.append(left @ rng.standard_normal((rank, shape[1])))
-        else:
-            mats.append(rng.standard_normal(shape) * (kind != "zero"))
-    return mats
+    dims = tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3)))
+    ds = make_dataset(rng, n=draw(st.integers(8, 40)), c=draw(st.integers(1, 8)), dims=dims,
+                      with_missing=draw(st.booleans()), ensure_positive_per_row=True)
+    labels = len(StackGeometry(ds).active_index)
+    cuts = draw(st.sets(st.integers(1, labels - 1), max_size=2)) if labels > 1 else ()
+    bounds = [0, *sorted(cuts), labels]
+    config = SolverConfig(lam=draw(st.floats(0.0, 2.0)), mu=draw(st.floats(0.5, 10.0)),
+                          variant=draw(st.sampled_from(["full", "loss_plus_local"])))
+    return ds, config, [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 @PROPERTY_SETTINGS
-@given(mats=split_lists(), tau=st.floats(0.0, 3.0))
-def test_a_split_eigh_gives_the_bytes_of_one_matrix_at_a_time(mats, tau):
-    """However many chunks a stacked eigh runs in, and whatever the caller does meanwhile
-    (as a fit's step does), each matrix's shrinkage is bitwise its own, so a fit's results
-    do not depend on the CPU count."""
-    alone = [svt(a, tau).tobytes() for a in mats]
-    with linalg._eigh_workers():  # as in a fit, where a stack may be split
-        assert [z.tobytes() for z in _svt_many(mats, tau)] == alone
-        for parts in (1, 2, 3):
-            with mock.patch.object(linalg, "_eigh_parts", lambda count, size: min(parts, count)):
-                got = _svt_many(mats, tau, meanwhile=lambda: None)
-                assert [z.tobytes() for z in got] == alone
+@given(case=split_fits())
+def test_a_step_split_into_label_parts_gives_the_bytes_of_the_unsplit_step(case):
+    """However a sweep's labels are cut into parts, and whether workers or the sweep's own
+    thread shrink them, two sweeps give bitwise the states and records of one shrinkage
+    of every label, so a fit's results do not depend on the CPU count."""
+    ds, config, parts = case
+    geometry = StackGeometry(ds)
+
+    def two_sweeps(parts, pool=None):
+        with mock.patch.object(solver, "_label_parts", lambda rows, c: parts):
+            problem = _Problem(geometry, config)
+        state, records = problem.seed(geometry), []
+        for _ in range(2):
+            state, record = _step(problem, state, pool)
+            records.append(record)
+        arrays = [state.z, state.multipliers, state.global_stack, *state.preds.w.weights]
+        return [a.tobytes() for a in arrays if a is not None], np.array(records).tobytes()
+
+    want = two_sweeps([slice(0, parts[-1].stop)])
+    with ThreadPoolExecutor(len(parts) - 1 or 1) as pool:
+        assert two_sweeps(parts, pool) == want
+    assert two_sweeps(parts) == want
 
 
 @PROPERTY_SETTINGS

@@ -1,6 +1,8 @@
 """Solver loop: state init, the three block updates, fit, and predict."""
 
 import multiprocessing
+import os
+import sys
 import threading
 
 import numpy as np
@@ -23,7 +25,7 @@ from mvml import (
     update_w,
     update_z,
 )
-from mvml import linalg
+from mvml import solver as solver_mod
 from mvml.linalg import RIDGE_SCALE, _nuclear_norm_many, _svt_many, nuclear_norm, svt
 from mvml.masking import CorruptionSpec, SyntheticSpec, corrupt, generate_synthetic
 from mvml.data import StackGeometry, present_rows, stack_predictions, sublabel_rows
@@ -347,7 +349,6 @@ class TestFit:
 
     def test_non_finite_objective_is_reported(self, rng, monkeypatch):
         ds = small_training_set(rng)
-        import mvml.solver as solver_mod
         monkeypatch.setattr(solver_mod, "_masked_loss_from_preds",
                             lambda ws, preds: float("nan"))
         with pytest.raises(NonFiniteObjective) as info:
@@ -360,7 +361,6 @@ class TestFit:
         cfg = SolverConfig(lam=0.5, max_iters=5, rel_tol=0.0, init_seed=1, variant=variant)
         _, clean = fit(ds, cfg)
         fails_at = 1 if variant == "loss_only" else 3
-        import mvml.solver as solver_mod
         real, calls = solver_mod._masked_loss_from_preds, []
 
         def failing(grams, preds):
@@ -388,10 +388,10 @@ class TestFit:
         assert np.all(np.isfinite(trace.objective[:-1]))
 
     def test_only_the_label_eigh_leaves_the_calling_thread(self, monkeypatch):
-        """The 13 label Grams of 30x30 in this set cross the split gate: with two CPUs their
-        stacked eigh runs on the fit's thread and one worker, every other decomposition on
-        the fit's thread, and no thread outlives the fit."""
-        monkeypatch.setattr(linalg, "_cpus", lambda: 2)  # two chunks and one worker anywhere
+        """The labels of this set have the work to be split: with two CPUs their shrinkage's
+        eigh runs on the fit's thread and one worker, every other decomposition on the
+        fit's thread, and no thread outlives the fit."""
+        monkeypatch.setattr(solver_mod, "_cpus", lambda: 2)  # two parts and one worker anywhere
         count = threading.active_count()
         want_w, want_trace = fit_the_label_split_set()
         threads = {"eigh": set(), "eigvalsh": set()}
@@ -416,7 +416,7 @@ class TestFit:
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
     def test_a_forked_child_fits_after_the_parent_has_fit(self):
         """A pool kept past the parent's fit would leave the child a pool whose worker
-        thread was not forked, and the child's first split eigh would wait forever."""
+        thread was not forked, and the child's first split sweep would wait forever."""
         w, trace = fit_the_label_split_set()
         with multiprocessing.get_context("fork").Pool(1) as pool:
             child_w, child_trace = pool.apply_async(fit_the_label_split_set).get(timeout=60)
@@ -426,7 +426,6 @@ class TestFit:
     def test_global_term_never_sees_more_rows_than_features(self, rng, monkeypatch):
         ds = make_dataset(rng, n=40, c=4, dims=(3, 5), with_missing=True,
                           ensure_positive_per_row=True)
-        import mvml.solver as solver_mod
         rows = []
 
         def recording(a):
@@ -448,7 +447,6 @@ class TestFit:
                   for per_view in label_stack_rows(ds)]
         assert sum(bounds) < sum(rows.size for per_view in label_stack_rows(ds)
                                  for rows in per_view)
-        import mvml.solver as solver_mod
         rows = {"svt": [], "nuclear_norm": []}
 
         def recording(name, kernel):  # the label kernels take every label's stack at once
@@ -474,7 +472,6 @@ class TestFit:
                           ensure_positive_per_row=True)
         want = sum(min(rows.size, d) for per_view in label_stack_rows(ds)
                    for rows, d in zip(per_view, (3, 5)))
-        import mvml.solver as solver_mod
         layouts = []
 
         class Recording(solver_mod._LabelStacks):
@@ -520,9 +517,117 @@ class TestFit:
 
 
 def fit_the_label_split_set():
-    """Three sweeps on a set whose label eigh is split; a module-level name, so a pool
+    """Three sweeps on a set whose labels are split; a module-level name, so a pool
     worker can run it."""
     return fit(diverging_training_set(), SolverConfig(lam=0.5, max_iters=3, rel_tol=0.0))
+
+
+@pytest.fixture(scope="module")
+def desk_geometry():
+    """The geometry of the benchmark's desk fit: 30 labels, each stack taller than c."""
+    clean = generate_synthetic(SyntheticSpec(n=2000, c=30, n_views=3, dims=(40, 60, 80),
+                                             positives_per_sample=2, noise_sigma=0.3, seed=11))
+    return StackGeometry(corrupt(clean, CorruptionSpec(alpha=0.5, beta=0.5, dealign=True,
+                                                       seed=7)))
+
+
+class TestLabelParts:
+    """A fit cuts its labels into contiguous parts once: the sweep's thread shrinks the
+    first part and one worker thread each of the others."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [[5, 3, 7], [180], [40] * 7, [180] * 4 + [2] * 20])
+    def test_tiny_sets_get_one_part(self, monkeypatch, cpus, rows):
+        monkeypatch.setattr(solver_mod, "_cpus", lambda: cpus)
+        assert solver_mod._label_parts(rows, 30) == [slice(0, len(rows))]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_the_desk_shape_gives_the_sweeps_thread_the_smaller_share(
+            self, monkeypatch, desk_geometry, cpus):
+        monkeypatch.setattr(solver_mod, "_cpus", lambda: cpus)
+        problem = solver_mod._Problem(desk_geometry, SolverConfig(lam=0.5))
+        c = problem.layout.shape[1]
+        work = [min(b.stop - b.start, c) ** 3 for b in problem.layout.index]
+        parts = problem.parts
+        assert len(parts) == cpus and parts[0].start == 0 and parts[-1].stop == len(work) == 30
+        assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
+        own, *workers = [sum(work[part]) for part in parts]
+        assert all(own < theirs for theirs in workers)
+
+    def test_a_wide_stack_weighs_its_rows(self, monkeypatch):
+        monkeypatch.setattr(solver_mod, "_cpus", lambda: 2)
+        assert solver_mod._label_parts([20] * 13, 30) == [slice(0, 13)]  # 13 * 20**3 units
+        assert len(solver_mod._label_parts([20] * 40, 30)) == 2
+
+    def test_no_more_parts_than_labels(self, monkeypatch):
+        monkeypatch.setattr(solver_mod, "_cpus", lambda: 8)
+        assert solver_mod._label_parts([100] * 3, 100) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+    def test_a_part_with_no_label_is_dropped(self, monkeypatch):
+        """The one heavy label's work has its middle in the first worker's share, and the
+        light ones in the second's, so the sweep's thread gets no label."""
+        monkeypatch.setattr(solver_mod, "_cpus", lambda: 3)
+        assert solver_mod._label_parts([1000] + [1] * 5, 100) == [slice(0, 1), slice(1, 6)]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_a_fits_results_do_not_depend_on_the_cpu_count(self, monkeypatch, cpus):
+        """Up to 4 parts, the most this set's work has units for: more workers than this
+        machine may have cores, and switching threads every microsecond."""
+        monkeypatch.setattr(solver_mod, "_cpus", lambda: 1)
+        want_w, want_trace = fit_the_label_split_set()
+        monkeypatch.setattr(solver_mod, "_cpus", lambda: cpus)
+        parts = solver_mod._Problem(StackGeometry(diverging_training_set()),
+                                    SolverConfig(lam=0.5)).parts
+        eigh, threads = np.linalg.eigh, set()
+
+        def recording(a):
+            threads.add(threading.get_ident())
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            w, trace = fit_the_label_split_set()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(parts) == cpus
+        # the pool may hand two parts to one worker that is idle by then, on one CPU say
+        assert len(threads) == 1 if cpus == 1 else 2 <= len(threads) <= cpus
+        assert trace.to_dict() == want_trace.to_dict()
+        assert [wi.tobytes() for wi in w.weights] == [wi.tobytes() for wi in want_w.weights]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity call")
+    def test_the_cpus_are_those_the_process_may_use(self):
+        assert solver_mod._cpus() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("end", ["returns", "non_finite", "worker_error"])
+    def test_a_fit_joins_its_workers_on_every_exit(self, monkeypatch, end):
+        """A fit that returns, raises ``NonFiniteObjective`` or meets a worker's
+        ``LinAlgError``, which reaches its caller, leaves as many threads as it found."""
+        monkeypatch.setattr(solver_mod, "_cpus", lambda: 2)  # two parts and one worker anywhere
+        caller, eigh, workers = threading.get_ident(), np.linalg.eigh, set()
+
+        def failing_off_the_caller(a):
+            if threading.get_ident() != caller:
+                workers.add(threading.current_thread().name)
+                if end == "worker_error":
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_off_the_caller)
+        count = threading.active_count()
+        if end == "returns":
+            fit_the_label_split_set()
+        elif end == "non_finite":
+            with pytest.raises(NonFiniteObjective):
+                fit(diverging_training_set(), SolverConfig(**DIVERGING_SOLVER))
+        else:
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                fit_the_label_split_set()
+        assert [name.startswith("mvml-labels") for name in workers] == [True]
+        assert threading.active_count() == count
+        assert not [t for t in threading.enumerate() if t.name.startswith("mvml-labels")]
 
 
 def edge_case_dataset(rng, case, n=20):
@@ -660,7 +765,6 @@ class TestFitComposesBlockUpdates:
     def test_fit_iterates_a_pure_step(self, rng, variant):
         """Two steps from one state agree bit for bit, and K steps from the seeded state
         are ``fit(max_iters=K, rel_tol=0)``: no value crosses a sweep outside the state."""
-        import mvml.solver as solver_mod
         ds = make_dataset(rng, n=60, c=4, dims=(3, 5), with_missing=True, aligned=False,
                           ensure_positive_per_row=True)
         sweeps = 4
@@ -691,7 +795,6 @@ class TestFitComposesBlockUpdates:
     def test_state_carries_the_global_stack_of_its_weights(self, rng, variant):
         """The seeded state and each stepped state hold ``S`` of their own weights, bit for
         bit, under ``FULL``; ``LOSS_PLUS_LOCAL`` carries none."""
-        import mvml.solver as solver_mod
         ds = make_dataset(rng, n=60, c=4, dims=(3, 5), with_missing=True, aligned=False,
                           ensure_positive_per_row=True)
         cfg = SolverConfig(lam=0.6, mu=3.0, max_iters=3, rel_tol=0.0, init_seed=4,
@@ -711,7 +814,6 @@ class TestFitComposesBlockUpdates:
     def test_a_held_global_stack_linearizes_every_step_at_it(self, seed):
         """Steps from ``state._replace(global_stack=held)``, ``held`` the seeded ``S``, are
         the sample-space rounds whose subgradient stays at the seeded weights."""
-        import mvml.solver as solver_mod
         ds = make_dataset(np.random.default_rng(seed), n=30, c=4, dims=(3, 5),
                           with_missing=True, aligned=False, ensure_positive_per_row=True)
         cfg = SolverConfig(lam=0.6, mu=3.0, max_iters=5, rel_tol=0.0, init_seed=4)
@@ -735,7 +837,6 @@ class TestFitComposesBlockUpdates:
         """The step holds every Z~_k and every L~_k in one array each, row-aligned with the
         label layout's extended stack; label ``k``'s rows of the new arrays are its own
         shrinkage and multiplier step, bit for bit, from the seed and from later states."""
-        import mvml.solver as solver_mod
         ds = make_dataset(rng, n=60, c=4, dims=(3, 5), with_missing=True, aligned=False,
                           ensure_positive_per_row=True)
         cfg = SolverConfig(lam=0.6, mu=3.0, max_iters=3, rel_tol=0.0, init_seed=4,
