@@ -616,6 +616,13 @@ class TestLabelParts:
             return eigh(a)
 
         monkeypatch.setattr(np.linalg, "eigh", failing_off_the_caller)
+        step, pools = solver_mod._step, []
+
+        def holding(problem, state, pool=None):  # a pool left open stays alive past the fit
+            pools.append(pool)
+            return step(problem, state, pool)
+
+        monkeypatch.setattr(solver_mod, "_step", holding)
         count = threading.active_count()
         if end == "returns":
             fit_the_label_split_set()
@@ -626,6 +633,7 @@ class TestLabelParts:
             with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
                 fit_the_label_split_set()
         assert [name.startswith("mvml-labels") for name in workers] == [True]
+        assert pools[0] is not None
         assert threading.active_count() == count
         assert not [t for t in threading.enumerate() if t.name.startswith("mvml-labels")]
 
