@@ -25,6 +25,7 @@ from .errors import (
     SchemaViolation,
     SingularSystem,
     UndefinedMetric,
+    WorkerDied,
 )
 from .experiments import (
     ExperimentConfig,

@@ -27,7 +27,13 @@ reports (``fit``, ``evaluate``, ``ablate``, ``sweep-lambda``,
 that print alike (``{value:g}``) would share an output directory, so
 they exit 1.
 
-Exit codes: 0 on success, 1 on validation or input errors, 2 on
+``ablate``, ``sweep-lambda`` and ``study-mu`` load the dataset once and
+run the repeats of all their configurations on one lane per CPU, as
+``experiments.run_experiments`` describes; their reports, output and
+errors do not depend on the CPU count.
+
+Exit codes: 0 on success, 1 on validation or input errors and when a
+worker process of an experiment command dies (``WorkerDied``), 2 on
 numerical failures (singular systems, non-finite objectives, failed
 generation).
 """
@@ -62,7 +68,8 @@ from .experiments import (
     derive_seed,
     load_source,
     prediction_stack_with_sublabels,
-    run_experiment,
+    run_experiment,  # no command calls it, but perfbench's tracer wraps cli.run_experiment
+    run_experiments,
 )
 from .masking import SyntheticSpec, corrupt, generate_synthetic
 from .metrics import evaluate_predictions, rank_diagnostics
@@ -192,14 +199,14 @@ def _cmd_rank_diag(args):
 def _cmd_ablate(args):
     config = _experiment_config(args)
     out = _out_dir(args, config)
+    configs = [
+        replace(config, solver=replace(config.solver, variant=variant),
+                outputs=str(out / f"variant_{variant.value}"))
+        for variant in Variant
+    ]
     summary = {}
-    for variant in Variant:
-        vcfg = replace(
-            config,
-            solver=replace(config.solver, variant=variant),
-            outputs=str(out / f"variant_{variant.value}"),
-        )
-        record = run_experiment(vcfg, fmt=args.format)
+    for variant, record in zip(Variant, run_experiments(load_source(config), configs,
+                                                        args.format)):
         summary[variant.value] = record.summary
         print(f"{variant.value}: " + ", ".join(
             f"{name}={stats['mean']:.4f}" for name, stats in record.summary.items()
@@ -217,11 +224,10 @@ def _grid_command(args, name, field):
         values[key] = value
     config = _experiment_config(args)
     out = _out_dir(args, config)
+    configs = [replace(config, solver=replace(config.solver, **{field: value}),
+                       outputs=str(out / f"{name}_{key}")) for key, value in values.items()]
     rows = {}
-    for key, value in values.items():
-        vcfg = replace(config, solver=replace(config.solver, **{field: value}),
-                       outputs=str(out / f"{name}_{key}"))
-        record = run_experiment(vcfg, fmt=args.format)
+    for key, record in zip(values, run_experiments(load_source(config), configs, args.format)):
         rows[key] = {
             "summary": record.summary,
             "iterations": [r.trace.iterations for r in record.repeats],

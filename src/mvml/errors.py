@@ -84,6 +84,10 @@ class IoError(MvmlError):
     """Writing a report or output file failed."""
 
 
+class WorkerDied(MvmlError):
+    """A worker process of an experiment command ended before returning a task it claimed."""
+
+
 # The conditions ``_check_real`` can state besides being finite.
 _REAL_BOUNDS = {
     "nonnegative": lambda x: x >= 0,

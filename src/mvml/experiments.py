@@ -8,23 +8,38 @@ predicts on the untouched test split, and scores the four headline
 metrics. Reports serialize to JSON (source of truth) and CSV; repeated
 runs of the same configuration produce byte-identical JSON once the
 timing fields are stripped.
+
+A command's repeats, over all of its configurations, are independent
+tasks, which ``run_experiments`` spreads over one lane per CPU. The
+calling process is the first lane and starts on the first task; each
+other lane is one spawned worker process that receives the dataset once.
+A lane claims the next unclaimed task whenever it is free, by reading one
+record from a pipe that holds the task numbers. Outcomes are put back in
+task order, so reports, summaries and errors do not depend on the lane
+count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import pickle
+import struct
+import threading
 import time
 from dataclasses import dataclass, fields, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
+from . import solver
 from .data import MultiViewDataset, StackGeometry, ViewData
 from .dataset_io import csv_text, json_text, load_dataset, write_file
 from .errors import (
-    InvalidInput, MvmlError, _check_int, _check_list, _check_real, _check_rows, _check_seed,
-    _check_type, _set_checked,
+    InvalidInput, MvmlError, WorkerDied, _check_int, _check_list, _check_real, _check_rows,
+    _check_seed, _check_type, _set_checked,
 )
 from .linalg import trace_norm_subgradient
 from .masking import CorruptionSpec, SyntheticSpec, corrupt, generate_synthetic
@@ -47,6 +62,14 @@ CONFIG_SYNTHETIC_DEFAULTS = {"positives_per_sample": 3, "noise_sigma": 0.6, "dim
 _STREAM_SPLIT = 0
 _STREAM_CORRUPT = 1
 _STREAM_INIT = 2
+
+# A lane claims a block of tasks by reading its number, one 4-byte record, from a pipe.
+# All the numbers go in one write of at most POSIX's least PIPE_BUF bytes, which an empty
+# pipe always takes without blocking, and a read of one record takes it whole, so no two
+# lanes claim one block.
+_PIPE_BUF = 512
+_CLAIM = struct.Struct("=I")
+_MAX_CLAIMS = _PIPE_BUF // _CLAIM.size
 
 
 def _fields_dict(spec):
@@ -285,27 +308,194 @@ def run_experiment(config, fmt="json"):
     """Run all repeats of one configuration and optionally write reports.
 
     Returns the :class:`RunRecord`; reports land under ``config.outputs``
-    when that is set.
+    when that is set. The repeats run on one lane per CPU the process may
+    use, as ``run_experiments`` describes; the record, the reports and an
+    error, which names its repeat, are the same on any number of CPUs, and
+    ``taskset -c 0`` runs them one after another in this process.
     """
     _check_type(config, "config", ExperimentConfig)
     _check_format(fmt)
-    ds = load_source(config)
-    repeats = []
-    for r in range(config.repeats):
-        try:
-            repeats.append(run_repeat(ds, config, r))
-        except MvmlError as exc:
-            exc.args = (f"repeat {r}: {exc}",)
-            raise
-    record = RunRecord(
-        config_hash=config.config_hash,
-        config=config.to_dict(),
-        repeats=repeats,
-        summary=summarize(repeats),
-    )
-    if config.outputs is not None:
-        export_report(record, fmt, config.outputs)
+    (record,) = run_experiments(load_source(config), [config], fmt)
     return record
+
+
+def run_experiments(ds, configs, fmt="json"):
+    """Run every repeat of each configuration on the dataset ``ds`` and yield each
+    configuration's :class:`RunRecord` in order, after writing its reports.
+
+    The (configuration, repeat) tasks run on ``min(tasks, CPUs)`` lanes: this
+    process takes the first task, and each further lane is a spawned worker
+    process. While more than one lane runs, each fit keeps its labels in one
+    part. Every task runs before the first record is yielded, and every worker
+    has ended by then. The first failing task in task order raises its
+    ``MvmlError``, prefixed ``repeat r: ``, where its configuration's record would
+    be; a worker that dies with a task raises ``WorkerDied`` there.
+    """
+    _check_type(ds, "ds", MultiViewDataset)
+    configs = [_check_type(c, f"configs[{k}]", ExperimentConfig)
+               for k, c in enumerate(_check_list(configs, "configs"))]
+    _check_format(fmt)
+    tasks = [(k, r) for k, config in enumerate(configs) for r in range(config.repeats)]
+    outcomes = _run_tasks(ds, configs, tasks)
+    for k, config in enumerate(configs):
+        repeats = [outcome for (owner, _), outcome in zip(tasks, outcomes) if owner == k]
+        for outcome in repeats:
+            if not isinstance(outcome, RepeatResult):
+                raise outcome  # the first failure in task order: every earlier task succeeded
+        record = RunRecord(
+            config_hash=config.config_hash,
+            config=config.to_dict(),
+            repeats=repeats,
+            summary=summarize(repeats),
+        )
+        if config.outputs is not None:
+            export_report(record, fmt, config.outputs)
+        yield record
+
+
+def _run_task(ds, configs, task):
+    """The ``RepeatResult`` of ``task``, or the ``MvmlError`` it raised, naming its repeat."""
+    k, r = task
+    try:
+        return run_repeat(ds, configs[k], r)
+    except MvmlError as exc:
+        exc.args = (f"repeat {r}: {exc}",)
+        return exc
+
+
+def _blocks(n):
+    """``n`` task indices cut into at most ``_MAX_CLAIMS`` consecutive blocks."""
+    per = -(-n // _MAX_CLAIMS)
+    return [range(lo, min(lo + per, n)) for lo in range(0, n, per)]
+
+
+def _lane(ds, configs, tasks, blocks, keep):
+    """Run the tasks of each block in turn, calling ``keep(index, outcome)`` for each.
+    Returns False as soon as a task fails, True when the blocks run out."""
+    for block in blocks:
+        for i in block:
+            outcome = _run_task(ds, configs, tasks[i])
+            keep(i, outcome)
+            if not isinstance(outcome, RepeatResult):
+                return False
+    return True
+
+
+def _claimed(claims, blocks):
+    """The blocks whose numbers this lane reads from the pipe ``claims``, until it is empty."""
+    while record := os.read(claims.fileno(), _CLAIM.size):
+        yield blocks[_CLAIM.unpack(record)[0]]
+
+
+def _drain(claims):
+    """Claim every block left, so that no lane starts a task after a failed one."""
+    while os.read(claims.fileno(), _PIPE_BUF):
+        pass
+
+
+def _first_gap(outcomes):
+    """The index of the first task without a ``RepeatResult``, or None."""
+    return next((i for i, o in enumerate(outcomes) if not isinstance(o, RepeatResult)), None)
+
+
+def _run_tasks(ds, configs, tasks):
+    """Each task's outcome, in task order: its ``RepeatResult`` or its error; None for a
+    task that no lane ran because an earlier one failed."""
+    outcomes = [None] * len(tasks)
+    blocks = _blocks(len(tasks))
+    lanes = min(len(tasks), solver._cpus())
+    if lanes == 1:
+        _lane(ds, configs, tasks, blocks, outcomes.__setitem__)
+    else:
+        _spread(ds, configs, tasks, blocks, lanes, outcomes)
+    return outcomes
+
+
+def _spread(ds, configs, tasks, blocks, lanes, outcomes):
+    """Run the tasks on this process and ``lanes - 1`` spawned workers, into ``outcomes``.
+
+    Spawn never forks this process, whose BLAS library keeps threads, and passes
+    it ``sys.path``. A sender thread per worker writes it the dataset, so this
+    lane starts at once. When every task up to the first failure has its
+    outcome, no worker has work left: those still running, such as one that
+    never finished starting, are terminated, and all are joined. The resource
+    tracker that spawning starts is stopped too, unless it ran before.
+    """
+    import multiprocessing
+    from multiprocessing.connection import wait
+    from multiprocessing.resource_tracker import _resource_tracker as tracker
+
+    context = multiprocessing.get_context("spawn")
+    tracker_ran = tracker._fd is not None
+    claims, claims_w = context.Pipe(duplex=False)
+    os.write(claims_w.fileno(), b"".join(_CLAIM.pack(b) for b in range(1, len(blocks))))
+    claims_w.close()
+    payload = pickle.dumps((ds, configs, tasks), pickle.HIGHEST_PROTOCOL)
+    owned, workers, results, senders, ended = [claims], [], {}, [], []
+    one_part, solver._one_part = solver._one_part, True
+    try:
+        for _ in range(lanes - 1):
+            payload_r, payload_w = context.Pipe(duplex=False)
+            results_r, results_w = context.Pipe(duplex=False)
+            owned += [payload_w, results_r]
+            worker = context.Process(target=_worker, args=(claims, payload_r, results_w),
+                                     daemon=True)
+            try:
+                worker.start()
+            finally:  # the worker holds its own ends now
+                payload_r.close()
+                results_w.close()
+            workers.append(worker)
+            results[results_r] = worker
+            senders.append(threading.Thread(target=_send, args=(payload_w, payload)))
+            senders[-1].start()
+        lane = chain(blocks[:1], _claimed(claims, blocks))
+        if not _lane(ds, configs, tasks, lane, outcomes.__setitem__):
+            _drain(claims)
+        gap = _first_gap(outcomes)
+        while results and gap is not None and outcomes[gap] is None:
+            for conn in wait(list(results)):
+                try:
+                    outcomes.__setitem__(*conn.recv())
+                except EOFError:  # the worker has ended
+                    ended.append(results.pop(conn))
+            gap = _first_gap(outcomes)
+    finally:
+        for worker in workers:
+            worker.terminate()
+        for worker in workers:
+            worker.join()
+        for sender in senders:
+            sender.join()
+        for conn in owned:
+            conn.close()
+        solver._one_part = one_part
+        if not tracker_ran:
+            tracker._stop()
+    if gap is not None and outcomes[gap] is None:
+        code = next((w.exitcode for w in ended if w.exitcode), None)
+        outcomes[gap] = WorkerDied(
+            f"repeat {tasks[gap][1]}: the worker process running it died (exit code {code})"
+        )
+
+
+def _send(conn, payload):
+    """Write ``payload`` to a worker, which may end before it reads it all."""
+    try:
+        conn.send_bytes(payload)
+    except BrokenPipeError:
+        pass
+
+
+def _worker(claims, payload, results):
+    """A worker lane: it reads the dataset, configurations and tasks once, then sends
+    ``(index, outcome)`` for each task it claims, until the claims run out or a task fails."""
+    solver._one_part = True
+    ds, configs, tasks = pickle.loads(payload.recv_bytes())
+    payload.close()
+    blocks = _blocks(len(tasks))
+    if not _lane(ds, configs, tasks, _claimed(claims, blocks), lambda *sent: results.send(sent)):
+        _drain(claims)
 
 
 def _check_format(fmt):

@@ -471,6 +471,10 @@ _PART_WORK = 4 * 30**3
 # The work of the sweep's own part over a worker's: its thread also takes every local norm.
 _OWN_SHARE = 0.5
 
+# True while an experiment runner fills the CPUs with whole fits (``experiments``): each
+# fit then keeps its labels in one part, so no more fit threads run than there are CPUs.
+_one_part = False
+
 
 def _cpus():
     """The number of CPUs this process may run on."""
@@ -483,13 +487,14 @@ def _cpus():
 def _label_parts(rows, c):
     """Contiguous slices of the labels whose stacks have ``rows`` rows and ``c`` columns:
     the first for the sweep's own thread, one per worker after it. One part per CPU, but
-    at most one per label and no more than the labels' work, ``min(rows, c)**3`` each, has
-    ``_PART_WORK`` units for. The first part's work is ``_OWN_SHARE`` of a worker's; each
-    label goes to the part that holds the middle of its work, and an empty part is dropped.
+    at most one per label, no more than the labels' work, ``min(rows, c)**3`` each, has
+    ``_PART_WORK`` units for, and one in all under ``_one_part``. The first part's work is
+    ``_OWN_SHARE`` of a worker's; each label goes to the part that holds the middle of its
+    work, and an empty part is dropped.
     """
     work = np.minimum(np.asarray(rows, dtype=float), c) ** 3
     most = min(len(work), int(work.sum()) // _PART_WORK)
-    parts = min(_cpus(), most) if most > 1 else 1  # the CPUs are counted for a split only
+    parts = min(_cpus(), most) if most > 1 and not _one_part else 1  # counted for a split only
     targets = work.sum() * (_OWN_SHARE + np.arange(parts - 1)) / (_OWN_SHARE + parts - 1)
     bounds = [0, *np.searchsorted(np.cumsum(work) - work / 2, targets).tolist(), len(work)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]

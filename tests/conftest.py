@@ -1,4 +1,11 @@
-"""Shared builders for randomized test datasets and weights."""
+"""Shared builders for randomized test datasets and weights, and lane controls for the
+experiment runner."""
+
+import json
+import multiprocessing
+import os
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -7,6 +14,8 @@ from mvml import (
     CorruptionSpec, MultiViewDataset, SyntheticSpec, ViewData, WeightStack, corrupt,
     generate_synthetic,
 )
+from mvml import experiments, solver
+from mvml.experiments import strip_timing
 
 # At this mu the fit of diverging_training_set() grows its iterates about 2x a sweep
 # until, after sweep 117, the Gram of a label stack overflows.
@@ -90,3 +99,64 @@ def guarantee_conditions_dataset(rng, n=20, c=4, dims=(3, 4)):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@contextmanager
+def one_lane():
+    """Experiment commands run every task in this process, as on one CPU."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_cpus", lambda: 1)
+        yield
+
+
+@contextmanager
+def worker_takes_the_rest(lanes=2, timeout=120):
+    """Experiment commands run on ``lanes`` lanes whatever the CPU count, and the calling
+    lane's first task waits until every worker has ended, so the workers run every task they
+    can claim before the calling lane claims another. Yields the repeats the calling lane
+    ran, and checks that each fit there ran its labels in one part."""
+    run_repeat = experiments.run_repeat
+    ran = []
+
+    def held(ds, config, repeat):
+        assert solver._one_part
+        if not ran:
+            workers = multiprocessing.active_children()
+            assert len(workers) == lanes - 1
+            for worker in workers:
+                worker.join(timeout)
+                assert not worker.is_alive()
+        ran.append(repeat)
+        return run_repeat(ds, config, repeat)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_cpus", lambda: lanes)
+        patch.setattr(experiments, "run_repeat", held)
+        yield ran
+    assert not solver._one_part
+
+
+def stripped_outputs(root):
+    """Every file under ``root`` by relative path, a JSON file with its timing stripped."""
+    texts = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        text = path.read_text()
+        if path.suffix == ".json":
+            text = json.dumps(strip_timing(json.loads(text)), sort_keys=True)
+        texts[str(path.relative_to(root))] = text
+    return texts
+
+
+class DyingDataset(MultiViewDataset):
+    """A dataset whose size, read by every repeat first, kills with SIGKILL any process but
+    the one that built it: a worker that claims a task dies in the middle of it."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.home = os.getpid()
+
+    @property
+    def n_samples(self):
+        if os.getpid() != self.home:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().n_samples

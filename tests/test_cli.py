@@ -1,14 +1,22 @@
 """End-to-end command-line checks: every subcommand, exit codes, chaining."""
 
 import json
+import multiprocessing
+import shutil
+import threading
 
 import numpy as np
 import pytest
 
-from mvml import CorruptionSpec, SyntheticSpec, corrupt, generate_synthetic, save_dataset
+from mvml import (
+    CorruptionSpec, SyntheticSpec, corrupt, dataset_io, generate_synthetic, save_dataset,
+)
 from mvml.cli import main
 
-from conftest import DIVERGING_SOLVER, diverging_training_set
+from conftest import (
+    DIVERGING_SOLVER, DyingDataset, diverging_training_set, one_lane, stripped_outputs,
+    worker_takes_the_rest,
+)
 
 SMALL_CONFIG = {
     "dataset": {
@@ -198,6 +206,78 @@ def test_study_mu_grid(tmp_path):
     assert main(["study-mu", "--config", config, "--out", str(out), "--grid", "1", "5"]) == 0
     rows = json.loads((out / "mu_sweep.json").read_text())
     assert sorted(rows) == ["1", "5"]
+
+
+def test_ablate_loads_the_dataset_once(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    save_dataset(generate_synthetic(SyntheticSpec(n=60, c=5, n_views=2, dims=(5, 6),
+                                                  positives_per_sample=2, seed=7)), data)
+    loads = []
+
+    def counted(path):
+        loads.append(path)
+        return dataset_io.load_dataset(path)
+
+    monkeypatch.setattr("mvml.experiments.load_dataset", counted)
+    config = write_config(tmp_path, solver={**SMALL_CONFIG["solver"], "max_iters": 15})
+    assert main(["ablate", "--config", config, "--data", str(data),
+                 "--out", str(tmp_path / "ablation")]) == 0
+    assert loads == [str(data)]
+
+
+def on_one_and_two_lanes(tmp_path, capsys, argv):
+    """``(exit code, stdout, stderr, outputs)`` of ``main(argv + --out)`` on one lane and
+    on two, with a worker that runs all it can claim; the output directory is reused."""
+    out = tmp_path / "out"
+    runs = []
+    for lanes in (one_lane(), worker_takes_the_rest()):
+        with lanes:
+            code = main([*argv, "--out", str(out)])
+        runs.append((code, *capsys.readouterr(), stripped_outputs(out)))
+        shutil.rmtree(out)
+    return runs
+
+
+@pytest.mark.parametrize("argv", [
+    ["ablate"],
+    ["sweep-lambda", "--grid", "0.1", "1.0", "--format", "csv"],
+])
+def test_two_lanes_write_and_print_what_one_lane_does(tmp_path, capsys, argv):
+    config = write_config(tmp_path, solver={**SMALL_CONFIG["solver"], "max_iters": 15},
+                          repeats=2)
+    one, two = on_one_and_two_lanes(tmp_path, capsys, [*argv, "--config", config])
+    assert one == two
+    assert one[0] == 0 and one[1].count("\n") == (3 if argv[0] == "ablate" else 2)
+
+
+def test_a_command_whose_worker_task_diverges_exits_two_like_one_lane(tmp_path, capsys):
+    config = write_config(tmp_path, solver={"lam": 0.5, "mu": 5.0, "max_iters": 150,
+                                            "rel_tol": 0.0, "init_seed": 1})
+    threads = threading.active_count()
+    one, two = on_one_and_two_lanes(
+        tmp_path, capsys, ["study-mu", "--config", config, "--grid", "5", "0.02"])
+    assert one == two
+    code, stdout, stderr, outputs = one
+    assert code == 2 and stdout.startswith("mu=5: ") and stdout.count("\n") == 1
+    assert stderr.startswith("numerical failure: repeat 0: objective became non-finite")
+    assert len(stderr.splitlines()) == 1 and "Traceback" not in stderr
+    assert sorted(outputs) == ["mu_5/report.json"]  # the diverging value writes no report
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+
+
+def test_a_worker_killed_mid_task_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("mvml.cli.load_source",
+                        lambda config: DyingDataset(views=generate_synthetic(config.source).views))
+    threads = threading.active_count()
+    with worker_takes_the_rest():
+        code = main(["ablate", "--config", write_config(tmp_path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    stdout, stderr = capsys.readouterr()
+    assert stderr == "error: repeat 0: the worker process running it died (exit code -9)\n"
+    assert stdout.startswith("full: ") and stdout.count("\n") == 1  # the first variant's line
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("command", ["sweep-lambda", "study-mu"])

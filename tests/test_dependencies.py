@@ -1,5 +1,5 @@
-"""The package's footprint: numpy is its only dependency, a fit on one thread loads no
-thread pool, and one module writes files."""
+"""The package's footprint: numpy is its only dependency, a fit on one thread and an
+experiment on one lane load no thread or process pool, and one module writes files."""
 
 import ast
 import os
@@ -39,6 +39,28 @@ def test_a_fit_on_one_thread_loads_no_thread_pool():
         capture_output=True, text=True, timeout=120, check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_the_package_and_a_one_lane_experiment_load_no_process_or_thread_pool():
+    """Only an experiment command on more than one lane imports ``multiprocessing``."""
+    package_parent = Path(mvml.__file__).resolve().parent.parent
+    code = (
+        "import sys, mvml, mvml.cli; "
+        "loaded = lambda: sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent')); "
+        "print(loaded()); "
+        "from mvml import ExperimentConfig, SolverConfig, SyntheticSpec, run_experiment, solver; "
+        "solver._cpus = lambda: 1; "
+        "run_experiment(ExperimentConfig(SyntheticSpec(n=60, c=3, n_views=2, dims=(4, 5), "
+        "seed=1), solver=SolverConfig(lam=0.5, max_iters=3), repeats=3)); "
+        "print(loaded())"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(package_parent)},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert result.stdout.split("\n") == ["[]", "[]", ""]
 
 
 # Calls that write a file; ``mvml.dataset_io.write_file`` is the one writer.

@@ -1,9 +1,12 @@
 """Experiment pipeline: seeds, splits, repeat orchestration, reports, bench."""
 
 import json
+import multiprocessing
 import os
 import pickle
+import shutil
 import stat
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
@@ -21,6 +24,7 @@ from mvml import (
     SplitSpec,
     SyntheticSpec,
     Variant,
+    WorkerDied,
     bench_subgradient,
     corrupt,
     evaluate_predictions,
@@ -37,12 +41,16 @@ from mvml.experiments import (
     _STREAM_INIT,
     METRIC_NAMES,
     derive_seed,
+    load_source,
+    run_experiments,
     split_indices,
     subset_dataset,
     summarize,
 )
 
-from conftest import make_dataset
+from conftest import (
+    DyingDataset, make_dataset, one_lane, stripped_outputs, worker_takes_the_rest,
+)
 
 
 def small_config(**overrides):
@@ -258,6 +266,98 @@ def test_a_repeat_that_diverges_pickles_with_its_repeat(monkeypatch):
     back = pickle.loads(pickle.dumps(info.value))
     assert str(back) == str(info.value) and back.iteration == 1
     assert back.trace.rows() == info.value.trace.rows()
+
+
+# ---------------------------------------------------------------- lanes
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_worker_lane_writes_the_reports_of_one_lane(tmp_path, fmt):
+    config = small_config(repeats=3, outputs=str(tmp_path / "run"))
+    runs = []
+    for lanes in (one_lane(), worker_takes_the_rest()):
+        with lanes as ran:
+            record = run_experiment(config, fmt=fmt)
+        runs.append((json.dumps(strip_timing(record.to_dict()), sort_keys=True),
+                     stripped_outputs(tmp_path / "run")))
+        shutil.rmtree(tmp_path / "run")
+    assert ran == [0]  # the worker ran repeats 1 and 2
+    assert runs[0] == runs[1]
+
+
+def test_workers_that_claim_at_once_run_every_task_once():
+    """Two workers race for eleven claims while the calling lane waits: a claim torn or
+    lost between them would change the record or end in ``WorkerDied``."""
+    config = small_config(repeats=12, solver=SolverConfig(lam=0.3, mu=5.0, max_iters=5))
+    records = []
+    for lanes in (one_lane(), worker_takes_the_rest(lanes=3)):
+        with lanes as ran:
+            records.append(json.dumps(strip_timing(run_experiment(config).to_dict())))
+    assert ran == [0]
+    assert records[0] == records[1]
+
+
+def diverging_after_the_first(mu_grid=(5.0, 0.02)):
+    """Configurations of which the first converges and the second diverges in every repeat."""
+    base = small_config(solver=SolverConfig(lam=0.5, mu=5.0, max_iters=150, rel_tol=0.0,
+                                            init_seed=1))
+    return [replace(base, solver=replace(base.solver, mu=mu)) for mu in mu_grid]
+
+
+def test_a_task_that_fails_in_a_worker_raises_what_one_lane_raises():
+    configs = diverging_after_the_first()
+    ds = load_source(configs[0])
+    threads = threading.active_count()
+    errors = []
+    for lanes in (one_lane(), worker_takes_the_rest()):
+        with lanes as ran, pytest.raises(NonFiniteObjective) as info:
+            list(run_experiments(ds, configs))
+        errors.append((type(info.value), str(info.value), info.value.trace.rows()))
+    assert ran == [0]  # the worker ran repeat 1 and then failed at the second config's first
+    assert errors[0] == errors[1]
+    assert errors[0][1].startswith("repeat 0: objective became non-finite")
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+
+
+def test_the_records_before_the_first_failure_are_yielded_in_order():
+    configs = diverging_after_the_first()
+    with worker_takes_the_rest():
+        records = run_experiments(load_source(configs[0]), configs)
+        assert next(records).config == configs[0].to_dict()
+        with pytest.raises(NonFiniteObjective, match="^repeat 0: "):
+            next(records)
+
+
+def test_a_worker_killed_mid_task_raises_worker_died():
+    config = small_config(repeats=3)
+    source = load_source(config)
+    threads = threading.active_count()
+    with worker_takes_the_rest() as ran, pytest.raises(WorkerDied) as info:
+        list(run_experiments(DyingDataset(views=source.views), [config]))
+    assert ran == [0, 2]  # the worker died in repeat 1, so this lane claimed repeat 2
+    assert str(info.value) == "repeat 1: the worker process running it died (exit code -9)"
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+
+
+def test_one_task_starts_no_worker(monkeypatch):
+    def no_workers(*args):
+        raise AssertionError("a worker was started")
+
+    monkeypatch.setattr("mvml.solver._cpus", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_context", no_workers)
+    assert len(run_experiment(small_config(repeats=1)).repeats) == 1
+
+
+def test_run_experiments_checks_its_arguments():
+    ds = load_source(small_config())
+    with pytest.raises(InvalidInput, match="configs"):
+        next(run_experiments(ds, small_config()))
+    with pytest.raises(InvalidInput, match=r"configs\[0\]"):
+        next(run_experiments(ds, [{"repeats": 1}]))
+    with pytest.raises(InvalidInput, match="ds"):
+        next(run_experiments("data", [small_config()]))
 
 
 # -------------------------------------------------------------- config
