@@ -53,7 +53,8 @@ class ViewData:
             if bad.size:
                 raise InvalidInput(f"missing row {bad[0]} must be 0 or 1")
             missing = missing.astype(bool)
-        stored = np.flatnonzero(missing)[feats[missing].any(axis=1) | labels[missing].any(axis=1)]
+        # reduced over every row, so the missing rows are not copied
+        stored = np.flatnonzero(missing & (feats.any(axis=1) | labels.any(axis=1)))
         if stored.size:
             raise InvalidInput(f"row {stored[0]} is flagged missing but stored nonzero")
         self.features = feats
@@ -190,32 +191,63 @@ class StackGeometry:
     ``k``, the rows tagged positive for ``k`` (local terms), so every
     per-label stack is the row selection ``stack[label_index[k]]``.
 
+    The layout holds no feature row: ``view_features`` gathers one
+    view's present rows when asked, so a caller that takes the views in
+    turn holds one view's rows at a time.
+
     Attributes
     ----------
-    features : list of (n_i, d_i) arrays, each view's present rows.
+    views : list of ``ViewData``, the dataset's views.
+    present : list of index arrays, each view's present samples, ascending.
+    dims : list of ints, each view's feature count.
     blocks : list of slices, the stack rows of each view.
     labels : (N, c) array, the labels stacked over the present rows.
-    indicator : (N, c) array, 1.0 where a stacked tag is observed.
     label_index : list of c index arrays, ascending, possibly empty.
     active_index : the nonempty entries of ``label_index``; a label
         positive nowhere adds nothing to the objective.
+    features : list of (n_i, d_i) arrays, each view's present rows,
+        gathered on access.
+    indicator : (N, c) array, 1.0 where a stacked tag is observed,
+        computed on access.
     """
 
     def __init__(self, ds):
         _check_type(ds, "ds", MultiViewDataset)
-        present = [present_rows(view) for view in ds.views]
-        self.features = [view.features[rows] for view, rows in zip(ds.views, present)]
-        ends = np.cumsum([rows.size for rows in present])
-        self.blocks = [slice(end - rows.size, end) for rows, end in zip(present, ends)]
-        self.labels = np.vstack([view.labels[rows] for view, rows in zip(ds.views, present)])
-        self.indicator = (self.labels != 0.0).astype(float)
-        self.label_index = [np.flatnonzero(col == 1.0) for col in self.labels.T]
+        self.views = list(ds.views)
+        self.present = [present_rows(view) for view in ds.views]
+        self.dims = [view.n_features for view in ds.views]
+        ends = np.cumsum([rows.size for rows in self.present])
+        self.blocks = [slice(end - rows.size, end) for rows, end in zip(self.present, ends)]
+        self.labels = np.empty((ends[-1], ds.n_labels))
+        for view, rows, block in zip(ds.views, self.present, self.blocks):
+            self.labels[block] = view.labels[rows]
+        # (label, row) pairs in label order, rows ascending within a label
+        label, row = np.nonzero(self.labels.T == 1.0)
+        bounds = np.searchsorted(label, np.arange(1, self.labels.shape[1]))
+        self.label_index = np.split(row, bounds)
         self.active_index = [rows for rows in self.label_index if rows.size]
 
+    def view_features(self, i, rows=slice(None)):
+        """A new array of view ``i``'s present rows, or of those at positions ``rows``
+        among them, gathered straight from the view."""
+        return self.views[i].features[self.present[i][rows]]
+
+    @property
+    def features(self):
+        return [self.view_features(i) for i in range(len(self.blocks))]
+
+    @property
+    def indicator(self):
+        return (self.labels != 0.0).astype(float)
+
     def stack(self, w):
-        """The present-row prediction stack of weights ``w``, shape ``(N, c)``."""
-        check_weight_shapes(w, [feats.shape[1] for feats in self.features], self.labels.shape[1])
-        return np.vstack([feats @ wi for feats, wi in zip(self.features, w.weights)])
+        """The present-row prediction stack of weights ``w``, shape ``(N, c)``, filled
+        one view at a time."""
+        check_weight_shapes(w, self.dims, self.labels.shape[1])
+        stack = np.empty((self.labels.shape[0], w.n_labels))
+        for i, (block, wi) in enumerate(zip(self.blocks, w.weights)):
+            stack[block] = self.view_features(i) @ wi
+        return stack
 
 
 def stack_predictions(ds, w, rows_per_view):

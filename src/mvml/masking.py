@@ -132,8 +132,11 @@ def _draw_views(spec, rng, cluster, labels):
     for d in spec.dims:
         embed = rng.standard_normal((g, d))
         feats = latent @ embed
-        if spec.noise_sigma:
-            feats = feats + spec.noise_sigma * rng.standard_normal((spec.n, d))
+        if spec.noise_sigma:  # in place: two (n, d) arrays at a time
+            noise = rng.standard_normal((spec.n, d))
+            noise *= spec.noise_sigma
+            feats += noise
+            del noise
         views.append(
             ViewData(
                 features=feats,
@@ -265,11 +268,12 @@ def corrupt(ds, spec):
         missing = masks[i]
         present = ~missing
         labels = _mask_labels(view.labels, present, spec.beta, spec.seed, i)
-        feats = view.features.copy()
+        if spec.dealign:  # each array's rows are gathered once, then its missing rows zeroed
+            perm = _rng(spec.seed, _STREAM_PERMUTE, i).permutation(n)
+            feats, labels, missing = view.features[perm], labels[perm], missing[perm]
+        else:
+            feats = view.features.copy()
         feats[missing] = 0.0
         labels[missing] = 0.0
-        if spec.dealign:
-            perm = _rng(spec.seed, _STREAM_PERMUTE, i).permutation(n)
-            feats, labels, missing = feats[perm], labels[perm], missing[perm]
         views.append(ViewData(features=feats, labels=labels, missing_rows=missing))
     return MultiViewDataset(views=views, aligned=ds.aligned and not spec.dealign)

@@ -6,7 +6,7 @@ macro (per-label) pairwise AUC. Tie handling is fixed and documented
 per metric so results are reproducible down to the bit.
 
 Ranking loss and average precision work on the whole score matrix: one
-row-wise sort, then integer counts along the rows, O(n·c·log c) with
+row-wise sort that both share, then integer counts along the rows, O(n·c·log c) with
 O(n·c) temporaries. Their values are bit-identical to the brute-force
 pair counts and rank lists: each row's fraction or mean is formed from
 the same integers, and the means are taken in row order.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,25 +63,44 @@ def ranking_loss(scores, truth):
     return _ranking_loss(*_check_scores_truth(scores, truth))
 
 
-def _ranking_loss(scores, truth):
+class _Ranking(NamedTuple):
+    """Each row's tags by descending score, ties by ascending label index."""
+
+    tied: np.ndarray  # (n, c - 1): positions j and j + 1 hold equal scores
+    relevant: np.ndarray  # (n, c): the tag at each position is positive
+    hits: np.ndarray  # (n, c) int64: positive tags at or above each position
+
+
+def _rank(scores, truth):
+    """The ``_Ranking`` of ``scores``: the stable sort's order, from one sort of every
+    row and a stable re-sort of the rows holding a tie (an untied row has one order)."""
+    order = np.argsort(-scores, axis=1)
+    ranked = np.take_along_axis(scores, order, axis=1)  # the same values in any such order
+    tied = ranked[:, 1:] == ranked[:, :-1]
+    redo = np.flatnonzero(tied.any(axis=1))
+    order[redo] = np.argsort(-scores[redo], axis=1, kind="stable")
+    relevant = np.take_along_axis(truth == 1.0, order, axis=1)
+    return _Ranking(tied, relevant, np.cumsum(relevant, axis=1))
+
+
+def _ranking_loss(scores, truth, ranking=None):
     n_pos = np.count_nonzero(truth == 1.0, axis=1)
     n_neg = scores.shape[1] - n_pos
     both = (n_pos > 0) & (n_neg > 0)
     if not both.any():
         raise UndefinedMetric("no sample has both positive and negative tags")
-    order = np.argsort(scores, axis=1)
-    ascending = np.take_along_axis(scores, order, axis=1)
-    negative = np.take_along_axis(truth == -1.0, order, axis=1)
-    # a positive ranks right against the negatives strictly below its score: those
-    # before the first entry of its tie run; the count never falls along a row, so
-    # carrying each run start's count forward is a running maximum
-    neg_before = np.cumsum(negative, axis=1) - negative
-    run_start = np.ones(ascending.shape, dtype=bool)
-    run_start[:, 1:] = ascending[:, 1:] != ascending[:, :-1]
-    neg_below = np.maximum.accumulate(np.where(run_start, neg_before, 0), axis=1)
-    good = np.where(negative, 0, neg_below).sum(axis=1)
+    ranking = _rank(scores, truth) if ranking is None else ranking
+    # a positive ranks wrong against the negatives at or above the end of its tie run;
+    # the count at or above a position never falls along a row, so carrying each run
+    # end's count back to the run is a running minimum from the right
+    above = np.arange(1, scores.shape[1] + 1) - ranking.hits
+    run_end = np.ones(above.shape, dtype=bool)
+    run_end[:, :-1] = ~ranking.tied
+    through_run = np.minimum.accumulate(np.where(run_end, above, above.shape[1])[:, ::-1],
+                                        axis=1)[:, ::-1]
+    wrong = np.where(ranking.relevant, through_run, 0).sum(axis=1)
     pairs = n_pos * n_neg
-    return float(np.mean((pairs - good)[both] / pairs[both]))
+    return float(np.mean(wrong[both] / pairs[both]))
 
 
 def average_precision(scores, truth):
@@ -90,10 +110,10 @@ def average_precision(scores, truth):
     return _average_precision(*_check_scores_truth(scores, truth))
 
 
-def _average_precision(scores, truth):
-    order = np.argsort(-scores, axis=1, kind="stable")
-    relevant = np.take_along_axis(truth == 1.0, order, axis=1)
-    precisions = np.cumsum(relevant, axis=1) / np.arange(1, scores.shape[1] + 1)
+def _average_precision(scores, truth, ranking=None):
+    ranking = _rank(scores, truth) if ranking is None else ranking
+    relevant = ranking.relevant
+    precisions = ranking.hits / np.arange(1, scores.shape[1] + 1)
     n_rel = np.count_nonzero(relevant, axis=1)
     if not n_rel.any():
         raise UndefinedMetric("no sample has a positive tag")
@@ -117,9 +137,9 @@ def adapted_auc(scores, truth):
 
 def _adapted_auc(scores, truth):
     per_label = []
-    for k in range(scores.shape[1]):
-        pos = scores[truth[:, k] == 1.0, k]
-        neg = np.sort(scores[truth[:, k] == -1.0, k])
+    for column, tags in zip(np.ascontiguousarray(scores.T), np.ascontiguousarray(truth.T)):
+        pos = column[tags == 1.0]
+        neg = np.sort(column[tags == -1.0])
         if pos.size == 0 or neg.size == 0:
             continue
         # integer counts of negatives below, and below or tied: U is exact
@@ -155,10 +175,11 @@ class MetricsReport:
 def evaluate_predictions(scores, truth):
     """Score predictions against a fully observed +/-1 truth matrix, checked once."""
     scores, truth = _check_scores_truth(scores, truth)
+    ranking = _rank(scores, truth)  # one row order for ranking loss and precision
     return MetricsReport(
         one_minus_hamming=1.0 - _hamming_loss(scores, truth),
-        one_minus_ranking=1.0 - _ranking_loss(scores, truth),
-        average_precision=_average_precision(scores, truth),
+        one_minus_ranking=1.0 - _ranking_loss(scores, truth, ranking),
+        average_precision=_average_precision(scores, truth, ranking),
         auc=_adapted_auc(scores, truth),
         n_test=scores.shape[0],
         n_labels=scores.shape[1],

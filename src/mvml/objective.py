@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import single_threaded
 from .data import StackGeometry
 from .errors import _check_real
 from .linalg import nuclear_norm
@@ -44,9 +45,12 @@ class ObjectiveValue:
 
 
 def stack_loss(geometry, stack):
-    """Half the squared error of a present-row ``stack`` over observed tags."""
-    resid = geometry.indicator * (stack - geometry.labels)
-    return 0.5 * float(np.sum(resid * resid))
+    """Half the squared error of a present-row ``stack`` over observed tags, in one
+    residual buffer."""
+    resid = np.subtract(stack, geometry.labels)
+    resid *= geometry.labels != 0.0  # the observed-entry indicator
+    resid *= resid
+    return 0.5 * float(np.sum(resid))
 
 
 def _stack_regularizer(geometry, stack):
@@ -77,8 +81,10 @@ def regularizer_value(ds, w):
     return _stack_regularizer(geometry, geometry.stack(w))
 
 
+@single_threaded()
 def objective(ds, w, lam):
-    """Evaluate the full objective at ``(ds, w)`` for trade-off ``lam``."""
+    """Evaluate the full objective at ``(ds, w)`` for trade-off ``lam``, with BLAS on
+    one thread as in ``solver.fit``."""
     lam = _check_real(lam, "lam", bound="nonnegative")
     geometry = StackGeometry(ds)
     stack = geometry.stack(w)

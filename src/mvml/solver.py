@@ -229,16 +229,19 @@ def _group_width(rows):
     return min(max((rows // 256).bit_length(), 1), 8)
 
 
-def _observed_grams(feats, observed, _width=None):
-    """``gram[k] = X_k' X_k`` over the rows of ``feats`` where ``observed[k]`` holds.
+def _observed_grams(feats, observed, _width=None, rows=None):
+    """``gram[k] = X_k' X_k`` over the rows ``rows`` of ``feats`` (all rows by default)
+    where ``observed[k]`` holds.
 
-    The labels go in blocks of ``b = _group_width(rows)`` (``_width`` overrides it in
-    tests), the last one padded with never-observed labels. Bit ``j`` of a row's key
-    in a block says whether the block's ``j``-th tag is observed. The rows are sorted
-    by key once per block, each group with a nonzero key gives one Gram, and a label's
-    Gram is the sum of the groups whose key has its bit set, so a row enters the
-    products once per block instead of once per observed tag. At ``b = 1`` the one
-    group holds the label's rows in ascending order.
+    The labels go in blocks of ``b = _group_width(n)`` for ``n`` rows (``_width``
+    overrides it in tests), the last one padded with never-observed labels. Bit ``j``
+    of a row's key in a block says whether the block's ``j``-th tag is observed. The
+    rows are sorted by key once per block, each group with a nonzero key gives one
+    Gram, and a label's Gram is the sum of the groups whose key has its bit set, so a
+    row enters the products once per block instead of once per observed tag. Each
+    block gathers its rows from ``feats`` in key order, and its gather is gone before
+    the next block's. At ``b = 1`` the one group holds the label's rows in ascending
+    order.
     """
     c, n = observed.shape
     d = feats.shape[1]
@@ -251,17 +254,23 @@ def _observed_grams(feats, observed, _width=None):
     counts = np.bincount((keys + (np.arange(blocks) << b)[:, None]).ravel(),
                          minlength=blocks << b).reshape(blocks, 1 << b)
     sizes = counts[:, 1:]  # key 0 enters no Gram
-    ends = np.cumsum(sizes, axis=1)
     member = ((np.arange(1, 1 << b) >> np.arange(b)[:, None]) & 1).astype(float)
     grams = np.empty((blocks, b, d * d))
     for block in range(blocks):
-        x = feats[order[block, counts[block, 0]:]]
-        groups = np.zeros(((1 << b) - 1, d, d))
-        for g in np.flatnonzero(sizes[block]):
-            xg = x[ends[block, g] - sizes[block, g]:ends[block, g]]
-            groups[g] = xg.T @ xg
+        keyed = order[block, counts[block, 0]:]
+        groups = _group_grams(feats[keyed if rows is None else rows[keyed]], sizes[block])
         grams[block] = member @ groups.reshape(len(groups), d * d)
     return grams.reshape(blocks * b, d, d)[:c]
+
+
+def _group_grams(x, sizes):
+    """The Gram of each run of ``sizes[g]`` consecutive rows of ``x``, zero for an empty run."""
+    d = x.shape[1]
+    groups, ends = np.zeros((len(sizes), d, d)), np.cumsum(sizes)
+    for g in np.flatnonzero(sizes):
+        xg = x[ends[g] - sizes[g]:ends[g]]
+        groups[g] = xg.T @ xg
+    return groups
 
 
 class _LossGrams:
@@ -274,14 +283,18 @@ class _LossGrams:
 
         loss(W)                  =  0.5 * sum_i <W_i, H_i - 2 rhs_i>  +  constant
         Xp_i' (-I o (P - Y))_i   =  rhs_i - H_i.
+
+    The views are taken in turn, so the set-up holds one view's rows at a time.
     """
 
     def __init__(self, geometry):
-        self.grams = [_observed_grams(feats, geometry.indicator[block].T.astype(bool))
-                      for feats, block in zip(geometry.features, geometry.blocks)]
-        self.rhs = [feats.T @ geometry.labels[block]
-                    for feats, block in zip(geometry.features, geometry.blocks)]
-        self.constant = 0.5 * float(geometry.indicator.sum())
+        self.grams, self.rhs = [], []
+        for i, block in enumerate(geometry.blocks):
+            labels = geometry.labels[block]
+            self.grams.append(_observed_grams(geometry.views[i].features, labels.T != 0.0,
+                                              rows=geometry.present[i]))
+            self.rhs.append(geometry.view_features(i).T @ labels)
+        self.constant = 0.5 * np.count_nonzero(geometry.labels)
 
     def predict(self, w):
         """``w`` and its Gram products ``H_i``, one batched product per view."""
@@ -325,6 +338,12 @@ def _gram_root(gram):
         return np.sqrt(np.maximum(s, 0.0))[:, None] * v.T * norms
 
 
+def _block_root(x):
+    """``R~`` of a block ``x``: ``_gram_root`` of its Gram if it has more rows than
+    columns, ``x`` itself otherwise."""
+    return _gram_root(x.T @ x) if len(x) > x.shape[1] else x
+
+
 class _LabelStacks:
     """The stacks of some row sets of ``P`` as contiguous blocks of one compressed stack.
 
@@ -338,12 +357,11 @@ class _LabelStacks:
 
     def __init__(self, geometry, row_sets):
         self.r_factors, owner = [], [np.zeros(0, dtype=int)]
-        for feats, block in zip(geometry.features, geometry.blocks):
-            factors = [np.zeros((0, feats.shape[1]))]
+        for i, block in enumerate(geometry.blocks):
+            factors = [np.zeros((0, geometry.dims[i]))]
             for a, rows in enumerate(row_sets):
                 lo, hi = np.searchsorted(rows, (block.start, block.stop))
-                x = feats[rows[lo:hi] - block.start]
-                factors.append(_gram_root(x.T @ x) if len(x) > x.shape[1] else x)
+                factors.append(_block_root(geometry.view_features(i, rows[lo:hi] - block.start)))
                 owner.append(np.full(len(factors[-1]), a))
             self.r_factors.append(np.vstack(factors))
         owner = np.concatenate(owner)  # the row set of each row, views in turn
@@ -373,8 +391,7 @@ def _initial_weights(geometry, config):
     """Random weights scaled by 1/sqrt(d) per view, drawn from ``config.init_seed``."""
     rng = np.random.default_rng(np.random.SeedSequence([config.init_seed]))
     c = geometry.labels.shape[1]
-    return WeightStack([rng.standard_normal((feats.shape[1], c)) / np.sqrt(feats.shape[1])
-                        for feats in geometry.features])
+    return WeightStack([rng.standard_normal((d, c)) / np.sqrt(d) for d in geometry.dims])
 
 
 def _check_state(state, geometry):
@@ -444,9 +461,10 @@ def update_w(state, ds, config, grad_prev=None):
             raise InvalidInput(f"grad_prev must have shape {stack.shape}, got {grad_prev.shape}")
         resid += config.lam * grad_prev
     positives = np.sum(geometry.labels == 1.0, axis=1)
+    features = geometry.features
     grams = [feats.T @ (positives[block, None] * feats)
-             for feats, block in zip(geometry.features, geometry.blocks)]
-    rhs = [feats.T @ resid[block] for feats, block in zip(geometry.features, geometry.blocks)]
+             for feats, block in zip(features, geometry.blocks)]
+    rhs = [feats.T @ resid[block] for feats, block in zip(features, geometry.blocks)]
     return _update_w(_factor_views(grams, config.mu), rhs)
 
 
@@ -650,8 +668,10 @@ def fit(ds, config):
     return state.preds.w, trace
 
 
+@single_threaded()
 def predict(w, test):
-    """Average the per-view predictions over the views that saw each sample.
+    """Average the per-view predictions over the views that saw each sample, with
+    BLAS on one thread as in ``fit``.
 
     Raises ``AllViewsMissing`` if some test sample is absent everywhere.
     """
@@ -660,11 +680,12 @@ def predict(w, test):
         raise InvalidInput("prediction averages across views, which needs aligned rows")
     check_weight_shapes(w, [view.n_features for view in test.views], test.n_labels)
     n, c = test.n_samples, test.n_labels
-    scores = np.zeros((n, c))
+    scores, product = np.zeros((n, c)), np.empty((n, c))
     counts = np.zeros(n)
     for view, wi in zip(test.views, w.weights):  # a missing row is stored as zeros
-        scores += view.features @ wi
+        scores += np.matmul(view.features, wi, out=product)
         counts += ~view.missing_rows
     if np.any(counts == 0):
         raise AllViewsMissing(int(np.flatnonzero(counts == 0)[0]))
-    return scores / counts[:, None]
+    scores /= counts[:, None]
+    return scores
