@@ -201,7 +201,8 @@ class StackGeometry:
     present : list of index arrays, each view's present samples, ascending.
     dims : list of ints, each view's feature count.
     blocks : list of slices, the stack rows of each view.
-    labels : (N, c) array, the labels stacked over the present rows.
+    labels : (N, c) int8 array, the labels stacked over the present rows; a
+        use promotes it to float64 exactly.
     label_index : list of c index arrays, ascending, possibly empty.
     active_index : the nonempty entries of ``label_index``; a label
         positive nowhere adds nothing to the objective.
@@ -218,11 +219,11 @@ class StackGeometry:
         self.dims = [view.n_features for view in ds.views]
         ends = np.cumsum([rows.size for rows in self.present])
         self.blocks = [slice(end - rows.size, end) for rows, end in zip(self.present, ends)]
-        self.labels = np.empty((ends[-1], ds.n_labels))
+        self.labels = np.empty((ends[-1], ds.n_labels), dtype=np.int8)
         for view, rows, block in zip(ds.views, self.present, self.blocks):
             self.labels[block] = view.labels[rows]
         # (label, row) pairs in label order, rows ascending within a label
-        label, row = np.nonzero(self.labels.T == 1.0)
+        label, row = np.nonzero(self.labels.T == 1)
         bounds = np.searchsorted(label, np.arange(1, self.labels.shape[1]))
         self.label_index = np.split(row, bounds)
         self.active_index = [rows for rows in self.label_index if rows.size]
@@ -238,7 +239,7 @@ class StackGeometry:
 
     @property
     def indicator(self):
-        return (self.labels != 0.0).astype(float)
+        return (self.labels != 0).astype(float)
 
     def stack(self, w):
         """The present-row prediction stack of weights ``w``, shape ``(N, c)``, filled
@@ -246,7 +247,7 @@ class StackGeometry:
         check_weight_shapes(w, self.dims, self.labels.shape[1])
         stack = np.empty((self.labels.shape[0], w.n_labels))
         for i, (block, wi) in enumerate(zip(self.blocks, w.weights)):
-            stack[block] = self.view_features(i) @ wi
+            np.matmul(self.view_features(i), wi, out=stack[block])
         return stack
 
 

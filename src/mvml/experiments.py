@@ -247,15 +247,25 @@ def split_indices(n, split, repeat):
 
 
 def subset_dataset(ds, rows):
-    """Row subset of an aligned dataset, one shared selection for all views."""
+    """Row subset of an aligned dataset, one shared selection for all views.
+
+    A label matrix that several views share is gathered once, and the views of
+    the subset share the gathered matrix, read-only.
+    """
     _check_type(ds, "ds", MultiViewDataset)
     if not ds.aligned:
         raise InvalidInput("row subsetting requires an aligned dataset")
     rows = _check_rows(rows, ds.n_samples, "rows")
+    gathered = {}  # id of a view's label matrix -> its rows
+    for view in ds.views:
+        if id(view.labels) not in gathered:
+            gathered[id(view.labels)] = view.labels[rows]
+        else:
+            gathered[id(view.labels)].flags.writeable = False
     views = [
         ViewData(
             features=view.features[rows],
-            labels=view.labels[rows],
+            labels=gathered[id(view.labels)],
             missing_rows=view.missing_rows[rows],
         )
         for view in ds.views

@@ -122,7 +122,12 @@ def _cluster_labels(spec, rng):
 
 
 def _draw_views(spec, rng, cluster, labels):
-    """Each view's features for the drawn clusters, from the generator that drew them."""
+    """Each view's features for the drawn clusters, from the generator that drew them.
+
+    Every view holds the one ``labels`` matrix, marked read-only so that an edit
+    through one view raises instead of changing them all.
+    """
+    labels.flags.writeable = False
     g = spec.c
     latent = np.zeros((spec.n, g))
     latent[np.arange(spec.n), cluster] = 1.0
@@ -140,7 +145,7 @@ def _draw_views(spec, rng, cluster, labels):
         views.append(
             ViewData(
                 features=feats,
-                labels=labels.copy(),
+                labels=labels,
                 missing_rows=np.zeros(spec.n, dtype=bool),
             )
         )
@@ -226,18 +231,18 @@ def _view_missing_masks(n, n_views, n_missing, seed):
     return masks
 
 
-def _mask_labels(labels, present, beta, seed, view_index):
-    """Blank ``floor(beta * count)`` observed positive and negative tags per
-    label among the present rows."""
-    out = labels.copy()
+def _mask_labels(labels, present, beta, seed, view_index, out, position=None):
+    """Blank in ``out`` ``floor(beta * count)`` observed positive and negative tags
+    per label of ``labels`` among the present rows; row ``r`` of ``labels`` is row
+    ``position[r]`` of ``out`` (row ``r`` without ``position``)."""
     rng = _rng(seed, _STREAM_LABEL_MASK, view_index)
     for k in range(labels.shape[1]):
         for value in (1.0, -1.0):
             rows = np.flatnonzero((labels[:, k] == value) & present)
             n_drop = int(beta * rows.size)
             if n_drop:
-                out[rng.choice(rows, size=n_drop, replace=False), k] = 0.0
-    return out
+                drop = rng.choice(rows, size=n_drop, replace=False)
+                out[drop if position is None else position[drop], k] = 0.0
 
 
 def corrupt(ds, spec):
@@ -267,12 +272,14 @@ def corrupt(ds, spec):
     for i, view in enumerate(ds.views):
         missing = masks[i]
         present = ~missing
-        labels = _mask_labels(view.labels, present, spec.beta, spec.seed, i)
-        if spec.dealign:  # each array's rows are gathered once, then its missing rows zeroed
+        if spec.dealign:  # each array's rows are gathered once, then blanked or zeroed
             perm = _rng(spec.seed, _STREAM_PERMUTE, i).permutation(n)
-            feats, labels, missing = view.features[perm], labels[perm], missing[perm]
+            feats, labels, missing = view.features[perm], view.labels[perm], missing[perm]
+            position = np.empty(n, dtype=np.intp)
+            position[perm] = np.arange(n)
         else:
-            feats = view.features.copy()
+            feats, labels, position = view.features.copy(), view.labels.copy(), None
+        _mask_labels(view.labels, present, spec.beta, spec.seed, i, labels, position)
         feats[missing] = 0.0
         labels[missing] = 0.0
         views.append(ViewData(features=feats, labels=labels, missing_rows=missing))

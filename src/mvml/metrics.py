@@ -5,11 +5,13 @@ All four headline metrics are reported so that larger is better:
 macro (per-label) pairwise AUC. Tie handling is fixed and documented
 per metric so results are reproducible down to the bit.
 
-Ranking loss and average precision work on the whole score matrix: one
-row-wise sort that both share, then integer counts along the rows, O(n·c·log c) with
-O(n·c) temporaries. Their values are bit-identical to the brute-force
-pair counts and rank lists: each row's fraction or mean is formed from
-the same integers, and the means are taken in row order.
+Ranking loss and average precision rank the score matrix in blocks of
+``_ROW_BLOCK`` rows: one row-wise sort per block that both share, then
+integer counts along the rows, O(n·c·log c) with one block's
+temporaries held at a time. Their values are bit-identical to the
+brute-force pair counts and rank lists: each row's fraction or mean is
+formed from the same integers, and each mean is taken once, over all
+rows in row order.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ from .linalg import nuclear_norm, singular_values
 METRIC_NAMES = ("one_minus_hamming", "one_minus_ranking", "average_precision", "auc")
 
 RANK_TOL = 1e-8
+
+# Rows per block of the ranking metrics: one block's sort and counts are held at once.
+_ROW_BLOCK = 4096
 
 
 def _check_scores_truth(scores, truth):
@@ -52,15 +57,53 @@ def hamming_loss(scores, truth):
 
 
 def _hamming_loss(scores, truth):
-    pred = np.where(scores >= 0, 1.0, -1.0)
-    return float(np.mean(pred != truth))
+    wrong = np.count_nonzero((scores >= 0) != (truth == 1.0))  # truth is +/-1
+    return float(np.divide(wrong, scores.size))  # NaN, with a warning, for no entry
 
 
 def ranking_loss(scores, truth):
     """Mean, over samples with both tag kinds, of the fraction of
     (positive, negative) label pairs ranked wrongly; ties count wrong.
     """
-    return _ranking_loss(*_check_scores_truth(scores, truth))
+    scores, truth = _check_scores_truth(scores, truth)
+    pairs = _tag_pairs(truth)
+    return _mean_ranking_loss(*_per_row(scores, truth, _wrong_pairs), pairs)
+
+
+def _tag_pairs(truth):
+    """Each row's count of (positive, negative) tag pairs; ``UndefinedMetric`` when
+    every count is zero."""
+    n_pos = np.count_nonzero(truth == 1.0, axis=1)
+    pairs = n_pos * (truth.shape[1] - n_pos)
+    if not pairs.any():
+        raise UndefinedMetric("no sample has both positive and negative tags")
+    return pairs
+
+
+def _mean_ranking_loss(wrong, pairs):
+    both = pairs > 0
+    return float(np.mean(wrong[both] / pairs[both]))
+
+
+def average_precision(scores, truth):
+    """Mean, over samples with a positive tag, of the per-sample average
+    precision; equal scores rank by ascending label index.
+    """
+    scores, truth = _check_scores_truth(scores, truth)
+    n_pos = _positive_counts(truth)
+    return _mean_average_precision(*_per_row(scores, truth, _row_precisions), n_pos)
+
+
+def _positive_counts(truth):
+    """Each row's count of positive tags; ``UndefinedMetric`` when every count is zero."""
+    n_pos = np.count_nonzero(truth == 1.0, axis=1)
+    if not n_pos.any():
+        raise UndefinedMetric("no sample has a positive tag")
+    return n_pos
+
+
+def _mean_average_precision(per_sample, n_pos):
+    return float(np.mean(per_sample[n_pos > 0]))
 
 
 class _Ranking(NamedTuple):
@@ -83,48 +126,45 @@ def _rank(scores, truth):
     return _Ranking(tied, relevant, np.cumsum(relevant, axis=1))
 
 
-def _ranking_loss(scores, truth, ranking=None):
-    n_pos = np.count_nonzero(truth == 1.0, axis=1)
-    n_neg = scores.shape[1] - n_pos
-    both = (n_pos > 0) & (n_neg > 0)
-    if not both.any():
-        raise UndefinedMetric("no sample has both positive and negative tags")
-    ranking = _rank(scores, truth) if ranking is None else ranking
+def _per_row(scores, truth, *measures):
+    """One float array of per-row values for each of ``measures``, each a function of
+    a ``_Ranking``, filled one block of ``_ROW_BLOCK`` rows at a time; the measures
+    share each block's ranking."""
+    values = [np.empty(scores.shape[0]) for _ in measures]
+    for start in range(0, scores.shape[0], _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        ranking = _rank(scores[block], truth[block])
+        for out, measure in zip(values, measures):
+            out[block] = measure(ranking)
+    return values
+
+
+def _wrong_pairs(ranking):
+    """Each row's (positive, negative) tag pairs ranked wrong, ties counting wrong."""
     # a positive ranks wrong against the negatives at or above the end of its tie run;
     # the count at or above a position never falls along a row, so carrying each run
     # end's count back to the run is a running minimum from the right
-    above = np.arange(1, scores.shape[1] + 1) - ranking.hits
+    c = ranking.relevant.shape[1]
+    above = np.arange(1, c + 1) - ranking.hits
     run_end = np.ones(above.shape, dtype=bool)
     run_end[:, :-1] = ~ranking.tied
-    through_run = np.minimum.accumulate(np.where(run_end, above, above.shape[1])[:, ::-1],
-                                        axis=1)[:, ::-1]
-    wrong = np.where(ranking.relevant, through_run, 0).sum(axis=1)
-    pairs = n_pos * n_neg
-    return float(np.mean(wrong[both] / pairs[both]))
+    through_run = np.minimum.accumulate(np.where(run_end, above, c)[:, ::-1], axis=1)[:, ::-1]
+    return np.where(ranking.relevant, through_run, 0).sum(axis=1)
 
 
-def average_precision(scores, truth):
-    """Mean, over samples with a positive tag, of the per-sample average
-    precision; equal scores rank by ascending label index.
-    """
-    return _average_precision(*_check_scores_truth(scores, truth))
-
-
-def _average_precision(scores, truth, ranking=None):
-    ranking = _rank(scores, truth) if ranking is None else ranking
+def _row_precisions(ranking):
+    """Each row's average precision over its positive tags, 0 for a row with none."""
     relevant = ranking.relevant
-    precisions = ranking.hits / np.arange(1, scores.shape[1] + 1)
+    precisions = ranking.hits / np.arange(1, relevant.shape[1] + 1)
     n_rel = np.count_nonzero(relevant, axis=1)
-    if not n_rel.any():
-        raise UndefinedMetric("no sample has a positive tag")
     # np.mean sums 8 or more values pairwise, so each row's mean is taken over
     # exactly its own k precisions: one (rows, k) block per positive count k
     hit_precisions = precisions[relevant]
     row_count = np.repeat(n_rel, n_rel)
-    per_sample = np.zeros(scores.shape[0])
+    per_sample = np.zeros(relevant.shape[0])
     for k in np.flatnonzero(np.bincount(row_count)):
         per_sample[n_rel == k] = np.mean(hit_precisions[row_count == k].reshape(-1, k), axis=1)
-    return float(np.mean(per_sample[n_rel > 0]))
+    return per_sample
 
 
 def adapted_auc(scores, truth):
@@ -137,7 +177,8 @@ def adapted_auc(scores, truth):
 
 def _adapted_auc(scores, truth):
     per_label = []
-    for column, tags in zip(np.ascontiguousarray(scores.T), np.ascontiguousarray(truth.T)):
+    for k in range(scores.shape[1]):  # one column copy at a time
+        column, tags = np.ascontiguousarray(scores[:, k]), truth[:, k]
         pos = column[tags == 1.0]
         neg = np.sort(column[tags == -1.0])
         if pos.size == 0 or neg.size == 0:
@@ -175,11 +216,12 @@ class MetricsReport:
 def evaluate_predictions(scores, truth):
     """Score predictions against a fully observed +/-1 truth matrix, checked once."""
     scores, truth = _check_scores_truth(scores, truth)
-    ranking = _rank(scores, truth)  # one row order for ranking loss and precision
+    pairs, n_pos = _tag_pairs(truth), _positive_counts(truth)
+    wrong, precision = _per_row(scores, truth, _wrong_pairs, _row_precisions)
     return MetricsReport(
         one_minus_hamming=1.0 - _hamming_loss(scores, truth),
-        one_minus_ranking=1.0 - _ranking_loss(scores, truth, ranking),
-        average_precision=_average_precision(scores, truth, ranking),
+        one_minus_ranking=1.0 - _mean_ranking_loss(wrong, pairs),
+        average_precision=_mean_average_precision(precision, n_pos),
         auc=_adapted_auc(scores, truth),
         n_test=scores.shape[0],
         n_labels=scores.shape[1],

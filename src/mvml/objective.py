@@ -44,11 +44,11 @@ class ObjectiveValue:
         return self.loss + self.lam * self.regularizer
 
 
-def stack_loss(geometry, stack):
+def stack_loss(geometry, stack, out=None):
     """Half the squared error of a present-row ``stack`` over observed tags, in one
-    residual buffer."""
-    resid = np.subtract(stack, geometry.labels)
-    resid *= geometry.labels != 0.0  # the observed-entry indicator
+    residual buffer: ``out``, which may be ``stack`` itself, or a new array."""
+    resid = np.subtract(stack, geometry.labels, out=out)
+    resid *= geometry.labels != 0  # the observed-entry indicator
     resid *= resid
     return 0.5 * float(np.sum(resid))
 
@@ -90,6 +90,6 @@ def objective(ds, w, lam):
     stack = geometry.stack(w)
     local, global_term = _stack_regularizer(geometry, stack)
     return ObjectiveValue(
-        loss=stack_loss(geometry, stack), local_term=local, global_term=global_term,
-        lam=lam,
+        loss=stack_loss(geometry, stack, out=stack),  # the stack's last use
+        local_term=local, global_term=global_term, lam=lam,
     )

@@ -291,9 +291,9 @@ class _LossGrams:
         self.grams, self.rhs = [], []
         for i, block in enumerate(geometry.blocks):
             labels = geometry.labels[block]
-            self.grams.append(_observed_grams(geometry.views[i].features, labels.T != 0.0,
+            self.grams.append(_observed_grams(geometry.views[i].features, labels.T != 0,
                                               rows=geometry.present[i]))
-            self.rhs.append(geometry.view_features(i).T @ labels)
+            self.rhs.append(geometry.view_features(i).T @ labels.astype(float))
         self.constant = 0.5 * np.count_nonzero(geometry.labels)
 
     def predict(self, w):
@@ -460,7 +460,7 @@ def update_w(state, ds, config, grad_prev=None):
         if grad_prev.shape != stack.shape:
             raise InvalidInput(f"grad_prev must have shape {stack.shape}, got {grad_prev.shape}")
         resid += config.lam * grad_prev
-    positives = np.sum(geometry.labels == 1.0, axis=1)
+    positives = np.sum(geometry.labels == 1, axis=1)
     features = geometry.features
     grams = [feats.T @ (positives[block, None] * feats)
              for feats, block in zip(features, geometry.blocks)]

@@ -142,6 +142,20 @@ def test_subset_dataset_extracts_rows():
         assert np.array_equal(small.missing_rows, full.missing_rows[rows])
 
 
+def test_subset_dataset_gathers_shared_labels_once():
+    ds = generate_synthetic(SyntheticSpec(n=30, c=5, n_views=3, dims=(2, 3, 4), seed=7))
+    rows = np.array([0, 5, 9, 20])
+    sub = subset_dataset(ds, rows)
+    assert all(view.labels is sub.views[0].labels for view in sub.views)
+    assert np.array_equal(sub.views[0].labels, ds.views[0].labels[rows])
+    with pytest.raises(ValueError):
+        sub.views[2].labels[0, 0] = 0.0
+    # labels of their own stay apart and writeable
+    own = subset_dataset(make_dataset(np.random.default_rng(5), n=10, c=3, dims=(3, 4)), rows[:3])
+    assert own.views[0].labels is not own.views[1].labels
+    assert all(view.labels.flags.writeable for view in own.views)
+
+
 def test_subset_dataset_requires_alignment():
     rng = np.random.default_rng(6)
     ds = make_dataset(rng, n=8, c=3, dims=(3, 4), aligned=False)

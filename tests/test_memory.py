@@ -1,4 +1,5 @@
-"""Peak memory of a fit and of the objective: one view's sample rows at a time.
+"""Peak memory of a fit, the objective, the stack layout and scoring, and the label
+matrix a generated set's views share.
 
 ``tracemalloc`` sees numpy's array buffers, so a peak read here is the bytes
 of the arrays the call holds at once, taken over the allocations made during
@@ -8,8 +9,11 @@ the call (the dataset itself is built before tracing starts).
 import tracemalloc
 
 import numpy as np
+import pytest
 
+from mvml.data import StackGeometry
 from mvml.masking import CorruptionSpec, SyntheticSpec, corrupt, generate_synthetic
+from mvml.metrics import evaluate_predictions
 from mvml.objective import objective
 from mvml.solver import SolverConfig, fit
 
@@ -65,3 +69,29 @@ def test_the_objective_holds_one_view_of_present_rows():
     widest = max(rows * (view.n_features + c) * FLOAT for rows, view in zip(counts, ds.views))
     peak = peak_bytes(lambda: objective(ds, w, 0.5))
     assert peak < 3 * stack + widest, f"peak {peak} bytes, bound {3 * stack + widest}"
+
+
+def test_a_generated_set_holds_one_read_only_label_matrix():
+    ds = generate_synthetic(SyntheticSpec(n=60, c=5, n_views=3, dims=(4, 5, 6), seed=1))
+    assert all(view.labels is ds.views[0].labels for view in ds.views)
+    with pytest.raises(ValueError):
+        ds.views[1].labels[0, 0] = 0.0
+
+
+def test_the_stack_layout_holds_less_than_one_float_label_stack():
+    # the stacked labels take one byte a tag; one view's gathered rows come and go
+    ds = training_set(16000)
+    floats = sum(present_counts(ds)) * ds.n_labels * FLOAT
+    peak = peak_bytes(lambda: StackGeometry(ds))
+    assert peak < floats, f"peak {peak} bytes, one float label stack is {floats}"
+
+
+def test_scoring_holds_one_block_of_rows():
+    # the ranking metrics sort and count a block of rows at a time, and AUC reads one
+    # column at a time: no n x c integer or transposed copy of the scores
+    rng = np.random.default_rng(0)
+    scores = rng.standard_normal((32000, 30))
+    truth = np.where(rng.random(scores.shape) < 0.2, 1.0, -1.0)
+    evaluate_predictions(scores[:10], truth[:10])  # one-time imports stay out of the peak
+    peak = peak_bytes(lambda: evaluate_predictions(scores, truth))
+    assert peak < 2 * scores.nbytes, f"peak {peak} bytes, two score matrices are {2 * scores.nbytes}"

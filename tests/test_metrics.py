@@ -16,6 +16,7 @@ from mvml import (
     ranking_loss,
 )
 from mvml import metrics as metrics_mod
+from mvml.metrics import METRIC_NAMES
 
 import oracles
 
@@ -267,6 +268,76 @@ class TestEvaluatePredictions:
         with pytest.raises(InvalidInput):
             MetricsReport(one_minus_hamming=1.2, one_minus_ranking=0.5,
                           average_precision=0.5, auc=0.5, n_test=1, n_labels=1)
+
+
+def tied_instance(rng, n, c, edges):
+    """Scores in steps of 0.1 with -0.0 ties, and a +/-1 truth whose rows ``edges[0]``,
+    ``edges[1]`` and ``edges[2]`` are all positive, all negative and one positive."""
+    scores = np.round(rng.uniform(-1.0, 1.0, (n, c)), 1)
+    scores[rng.random(scores.shape) < 0.1] = -0.0
+    truth = np.where(rng.random((n, c)) < rng.random((n, 1)), 1.0, -1.0)
+    positive, negative, single = edges
+    truth[positive] = 1.0
+    truth[negative] = -1.0
+    truth[single] = -1.0
+    truth[single, rng.integers(c, size=len(single))] = 1.0
+    return scores, truth
+
+
+class TestRowBlocks:
+    """Scoring in blocks of a few rows, with the degenerate rows at block edges."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5])
+    def test_blocked_metrics_match_the_oracles(self, block, monkeypatch):
+        monkeypatch.setattr(metrics_mod, "_ROW_BLOCK", block)
+        rng = np.random.default_rng(block)
+        n = 4 * block + 3  # a last block shorter than the rest
+        ends = list(range(block - 1, n, block))
+        starts = list(range(block, n, block))
+        edges = (ends[0::2], starts[0::2], [*ends[1::2], n - 1])
+        for c in (1, 2, 7, 12):
+            scores, truth = tied_instance(rng, n, c, edges)
+            want = {
+                "hamming": oracles.brute_hamming(scores, truth),
+                "ranking": oracles.brute_ranking(scores, truth),
+                "precision": oracles.brute_average_precision(scores, truth),
+            }
+            assert hamming_loss(scores, truth) == want["hamming"]
+            if want["ranking"] is None:  # one label: no row holds both tag kinds
+                with pytest.raises(UndefinedMetric):
+                    ranking_loss(scores, truth)
+                continue
+            assert ranking_loss(scores, truth) == want["ranking"]
+            assert average_precision(scores, truth) == want["precision"]
+            report = evaluate_predictions(scores, truth)
+            assert report.one_minus_hamming == 1.0 - want["hamming"]
+            assert report.one_minus_ranking == 1.0 - want["ranking"]
+            assert report.average_precision == want["precision"]
+
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_undefined_metrics_raise_the_same_texts(self, block, monkeypatch):
+        monkeypatch.setattr(metrics_mod, "_ROW_BLOCK", block)
+        scores = np.round(np.random.default_rng(0).uniform(-1.0, 1.0, (5, 4)), 1)
+        single_class = np.array([[1.0] * 4, [-1.0] * 4] * 2 + [[1.0] * 4])
+        negative = -np.ones((5, 4))
+        both = "no sample has both positive and negative tags"
+        for call in (ranking_loss, evaluate_predictions):
+            for truth in (single_class, negative):
+                with pytest.raises(UndefinedMetric, match=f"^{both}$"):
+                    call(scores, truth)
+        with pytest.raises(UndefinedMetric, match="^no sample has a positive tag$"):
+            average_precision(scores, negative)
+        assert average_precision(scores, single_class) == 1.0
+
+    def test_every_value_is_a_python_float(self, rng, monkeypatch):
+        monkeypatch.setattr(metrics_mod, "_ROW_BLOCK", 4)
+        scores, truth = tied_instance(rng, 11, 6, ([3], [4], [7]))
+        report = evaluate_predictions(scores, truth)
+        for name in METRIC_NAMES:
+            assert type(getattr(report, name)) is float, name
+        for metric in (hamming_loss, ranking_loss, average_precision, adapted_auc):
+            assert type(metric(scores, truth)) is float, metric.__name__
+        assert "np." not in repr(report)
 
 
 class TestRankDiagnostics:

@@ -504,7 +504,11 @@ class TestFit:
             )
         else:
             ds = generate_synthetic(SyntheticSpec(n=60, c=5, n_views=2, dims=(5, 6), seed=7))
-            ds.views[1].labels[ds.views[1].labels == 1.0] = 0.0
+            labels = ds.views[1].labels.copy()
+            labels[labels == 1.0] = 0.0
+            blanked = ViewData(features=ds.views[1].features, labels=labels,
+                               missing_rows=ds.views[1].missing_rows)
+            ds = MultiViewDataset(views=[ds.views[0], blanked], aligned=True)
         view = 0 if blank == "every_view" else 1
         for variant in ("full", "loss_plus_local"):
             config = SolverConfig(lam=0.5, max_iters=5, variant=variant)
