@@ -1,12 +1,12 @@
 """Scoped thread count of the OpenBLAS build bundled with numpy.
 
 On the many small products of a solver sweep, the worker pool costs
-more in wake-ups and spinning than a second core saves. The other
-cores go to a fit's label shrinkages instead, split by label once per
-fit (``solver``), whose worker threads call BLAS and LAPACK at this
-count too. After a multi-threaded call, the library keeps one of its
-pool threads spinning for about 0.13 s of CPU, so a fit that starts
-within that time shares a core with it. Where the bundled library is not found, nothing changes.
+more in wake-ups and spinning than a second core saves. A fit runs on
+its calling thread alone (``solver``), and the other cores go to whole
+fits in other processes (``experiments``). After a multi-threaded call,
+the library keeps one of its pool threads spinning for about 0.13 s of
+CPU, so a fit that starts within that time shares a core with it. Where
+the bundled library is not found, nothing changes.
 """
 
 from __future__ import annotations

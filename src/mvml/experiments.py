@@ -34,7 +34,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import solver
 from .data import MultiViewDataset, StackGeometry, ViewData
 from .dataset_io import csv_text, json_text, load_dataset, write_file
 from .errors import (
@@ -335,11 +334,12 @@ def run_experiments(ds, configs, fmt="json"):
 
     The (configuration, repeat) tasks run on ``min(tasks, CPUs)`` lanes: this
     process takes the first task, and each further lane is a spawned worker
-    process. While more than one lane runs, each fit keeps its labels in one
-    part. Every task runs before the first record is yielded, and every worker
-    has ended by then. The first failing task in task order raises its
-    ``MvmlError``, prefixed ``repeat r: ``, where its configuration's record would
-    be; a worker that dies with a task raises ``WorkerDied`` there.
+    process. A fit runs on the thread that calls it, so the lanes run no more
+    fits at once than there are CPUs. Every task runs before the first record
+    is yielded, and every worker has ended by then. The first failing task in
+    task order raises its ``MvmlError``, prefixed ``repeat r: ``, where its
+    configuration's record would be; a worker that dies with a task raises
+    ``WorkerDied`` there.
     """
     _check_type(ds, "ds", MultiViewDataset)
     configs = [_check_type(c, f"configs[{k}]", ExperimentConfig)
@@ -408,12 +408,20 @@ def _first_gap(outcomes):
     return next((i for i, o in enumerate(outcomes) if not isinstance(o, RepeatResult)), None)
 
 
+def _cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _run_tasks(ds, configs, tasks):
     """Each task's outcome, in task order: its ``RepeatResult`` or its error; None for a
     task that no lane ran because an earlier one failed."""
     outcomes = [None] * len(tasks)
     blocks = _blocks(len(tasks))
-    lanes = min(len(tasks), solver._cpus())
+    lanes = min(len(tasks), _cpus())
     if lanes == 1:
         _lane(ds, configs, tasks, blocks, outcomes.__setitem__)
     else:
@@ -442,7 +450,6 @@ def _spread(ds, configs, tasks, blocks, lanes, outcomes):
     claims_w.close()
     payload = pickle.dumps((ds, configs, tasks), pickle.HIGHEST_PROTOCOL)
     owned, workers, results, senders, ended = [claims], [], {}, [], []
-    one_part, solver._one_part = solver._one_part, True
     try:
         for _ in range(lanes - 1):
             payload_r, payload_w = context.Pipe(duplex=False)
@@ -479,7 +486,6 @@ def _spread(ds, configs, tasks, blocks, lanes, outcomes):
             sender.join()
         for conn in owned:
             conn.close()
-        solver._one_part = one_part
         if not tracker_ran:
             tracker._stop()
     if gap is not None and outcomes[gap] is None:
@@ -500,7 +506,6 @@ def _send(conn, payload):
 def _worker(claims, payload, results):
     """A worker lane: it reads the dataset, configurations and tasks once, then sends
     ``(index, outcome)`` for each task it claims, until the claims run out or a task fails."""
-    solver._one_part = True
     ds, configs, tasks = pickle.loads(payload.recv_bytes())
     payload.close()
     blocks = _blocks(len(tasks))

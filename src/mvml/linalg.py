@@ -9,11 +9,10 @@ None of the kernels ever forms a full SVD of the input itself. The
 batched kernels stack the Grams of one size and decompose them with one
 LAPACK call, and the one-matrix kernels are their one-element case.
 
-Every kernel runs on the calling thread. A fit spreads its label
-shrinkages over the CPUs by calling the batched kernels from several
-threads, each on its own labels (``solver``); numpy's ``eigh`` decomposes
-each matrix of a stack on its own, so a matrix's result does not depend
-on the thread or on the others it is batched with.
+Every kernel runs on the calling thread, and a fit calls them from its
+own thread alone (``solver``). numpy's ``eigh`` decomposes each matrix
+of a stack on its own, so a matrix's result does not depend on the
+others it is batched with.
 """
 
 from __future__ import annotations

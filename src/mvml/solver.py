@@ -90,18 +90,10 @@ with ``H`` recomputed at the new W. The labels' shrinkages run in
 batches, in which the Grams of one size share one stacked ``eigh``.
 ``||P_k||_* = ||P~_k||_*`` and ``||P_k - Z_k||_F = ||P~_k - Z~_k||_F``
 give the local terms, batched alike with ``eigvalsh``, and the residual.
-The label layout is fixed for the fit, so the set-up cuts the labels
-once into contiguous parts (``_label_parts``), one per CPU when their
-work calls for it. A worker thread shrinks each part but the first.
-Meanwhile the sweep's thread takes every label's local norm, one stacked
-``eigvalsh`` that costs about half as much as the ``eigh``, and then
-shrinks the first part, which has half a worker's share of the work.
-Parts that each took their own labels' norms too measured slower on
-desk. Each label's shrinkage is bitwise the same in any part on any
-thread, so the split leaves every result as it is. The CCCP surrogate's
-linear term is ``<P, Q~ G> = <S, G>`` at the new ``S``, which the new
-state carries, so a sweep stacks each layout once; ``LOSS_PLUS_LOCAL``
-has no global layout, ``S`` or ``G``.
+A sweep runs on the calling thread, as the whole fit does. The CCCP
+surrogate's linear term is ``<P, Q~ G> = <S, G>`` at the new ``S``, which
+the new state carries, so a sweep stacks each layout once;
+``LOSS_PLUS_LOCAL`` has no global layout, ``S`` or ``G``.
 
 Driver. ``fit`` seeds the state, applies the step until the objective's
 relative change falls below ``rel_tol`` or the budget runs out, and
@@ -112,9 +104,7 @@ whose new stacks would overflow a Gram records NaN without calling a kernel.
 
 from __future__ import annotations
 
-import os
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
@@ -483,41 +473,6 @@ def update_multipliers(state, ds, config):
             for rows, m, zk in zip(geometry.active_index, state.multipliers, state.z)]
 
 
-# The least label work, min(rows, c)**3 summed over a part's labels, worth a thread.
-_PART_WORK = 4 * 30**3
-
-# The work of the sweep's own part over a worker's: its thread also takes every local norm.
-_OWN_SHARE = 0.5
-
-# True while an experiment runner fills the CPUs with whole fits (``experiments``): each
-# fit then keeps its labels in one part, so no more fit threads run than there are CPUs.
-_one_part = False
-
-
-def _cpus():
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _label_parts(rows, c):
-    """Contiguous slices of the labels whose stacks have ``rows`` rows and ``c`` columns:
-    the first for the sweep's own thread, one per worker after it. One part per CPU, but
-    at most one per label, no more than the labels' work, ``min(rows, c)**3`` each, has
-    ``_PART_WORK`` units for, and one in all under ``_one_part``. The first part's work is
-    ``_OWN_SHARE`` of a worker's; each label goes to the part that holds the middle of its
-    work, and an empty part is dropped.
-    """
-    work = np.minimum(np.asarray(rows, dtype=float), c) ** 3
-    most = min(len(work), int(work.sum()) // _PART_WORK)
-    parts = min(_cpus(), most) if most > 1 and not _one_part else 1  # counted for a split only
-    targets = work.sum() * (_OWN_SHARE + np.arange(parts - 1)) / (_OWN_SHARE + parts - 1)
-    bounds = [0, *np.searchsorted(np.cumsum(work) - work / 2, targets).tolist(), len(work)]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-
-
 def _rel_change(curr, prev):
     return abs(curr - prev) / max(abs(prev), 1e-12)
 
@@ -544,15 +499,13 @@ def _fit_loss_only(grams, trace):
 
 class _Problem:
     """A fit's set-up, built once and never written: the loss Grams, the label layout
-    with the W step's factors of ``mu R~_i' R~_i`` and its labels' ``parts`` from
-    ``_label_parts``, and, for ``FULL``, the global layout."""
+    with the W step's factors of ``mu R~_i' R~_i``, and, for ``FULL``, the global
+    layout."""
 
     def __init__(self, geometry, config):
         self.config = config
         self.grams = _LossGrams(geometry)
         self.layout = _LabelStacks(geometry, geometry.active_index)
-        self.parts = _label_parts([b.stop - b.start for b in self.layout.index],
-                                  self.layout.shape[1])
         self.factors = _factor_views([r.T @ r for r in self.layout.r_factors], config.mu)
         every_row = [np.arange(geometry.labels.shape[0])]
         self.glob = _LabelStacks(geometry, every_row) if config.variant is Variant.FULL else None
@@ -577,16 +530,15 @@ class _Iterate(NamedTuple):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _step(problem, state, pool=None):
+def _step(problem, state):
     """One sweep: the state after ``state`` and its (objective, surrogate, residual).
 
     A pure map of ``problem`` and ``state``, linearized at ``state.global_stack``; a
     driver holds that point with ``state._replace(global_stack=held)``. A diverging
     sweep warns of no overflow: its objective comes out non-finite, and once a new
     stack is too large for its Gram to be finite the record is NaN and the state
-    ``state`` itself, since no trace-norm kernel can take that stack. With a ``pool``,
-    its workers shrink the labels of every part but the first while this thread takes
-    the local norms and then the first part; without one, this thread takes them all.
+    ``state`` itself, since no trace-norm kernel can take that stack. Every label's
+    shrinkage and local norm runs on the calling thread, in one batched call each.
     """
     config, grams, layout, glob = problem.config, problem.grams, problem.layout, problem.glob
     mu = config.mu
@@ -601,19 +553,9 @@ def _step(problem, state, pool=None):
         return state, (np.nan,) * 3  # some Gram of these stacks would overflow
     # finite stacks, so the batched label kernels skip their per-matrix input checks
     z = np.empty_like(stack)
-
-    def shrink(part):  # the labels of ``part`` into their rows of ``z``
-        blocks = layout.index[part]
-        _svt_many([shift[block] for block in blocks], config.lam / mu,
-                  out=[z[block] for block in blocks])
-
-    own = problem.parts if pool is None else problem.parts[:1]
-    workers = [] if pool is None else [pool.submit(shrink, part) for part in problem.parts[1:]]
+    _svt_many([shift[block] for block in layout.index], config.lam / mu,
+              out=[z[block] for block in layout.index])
     local = _nuclear_norm_many([stack[block] for block in layout.index]).tolist()
-    for part in own:
-        shrink(part)
-    for worker in workers:
-        worker.result()
     gap = stack - z
     residual = max((float(np.linalg.norm(gap[block])) for block in layout.index), default=0.0)
     value = linear = ObjectiveValue(_masked_loss_from_preds(grams, preds), sum(local), 0.0,
@@ -627,8 +569,8 @@ def _step(problem, state, pool=None):
 
 @single_threaded()
 def fit(ds, config):
-    """Run the solver to tolerance or the sweep budget, with BLAS on one thread and the
-    labels' shrinkages split over the CPUs in the parts of ``_Problem.parts``.
+    """Run the solver to tolerance or the sweep budget on the calling thread, with BLAS
+    on one thread.
 
     Returns ``(weights, trace)``. The trace's objective column holds the
     variant's own objective: the full loss + lam * (local - global) for
@@ -636,10 +578,9 @@ def fit(ds, config):
     loss for ``LOSS_ONLY`` (which is a single direct solve). The trace's
     ``setup_seconds`` times the build of ``_Problem`` (of ``_LossGrams``
     for ``LOSS_ONLY``). Raises ``NonFiniteObjective``, carrying the trace
-    so far, as soon as the objective stops being finite. A fit with more
-    than one part keeps a pool of one worker thread per part after the
-    first; its first sweep starts them, and they are joined before the fit
-    returns or raises, so none outlives the fit.
+    so far, as soon as the objective stops being finite. A fit starts no
+    thread or process; experiment commands spread whole fits over the CPUs
+    instead (``experiments.run_experiments``).
     """
     config = _check_type(config, "config", SolverConfig)
     geometry = StackGeometry(ds)
@@ -649,22 +590,17 @@ def fit(ds, config):
         return _fit_loss_only(grams, SolverTrace(setup_seconds=time.perf_counter() - start))
     problem = _Problem(geometry, config)
     trace = SolverTrace(setup_seconds=time.perf_counter() - start)
-    state, pool = problem.seed(geometry), nullcontext()
-    if len(problem.parts) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # it loads logging: only if needed
-
-        pool = ThreadPoolExecutor(len(problem.parts) - 1, thread_name_prefix="mvml-labels")
-    with pool as pool:  # None without workers; a pool shuts down, joined, on every exit
-        for t in range(1, config.max_iters + 1):
-            t0 = time.perf_counter()
-            state, record = _step(problem, state, pool)
-            trace.append(*record, time.perf_counter() - t0)
-            f = trace.objective[-1]
-            if not np.isfinite(f):
-                raise NonFiniteObjective(t, f, trace)
-            if t > 1 and _rel_change(f, trace.objective[-2]) < config.rel_tol:
-                trace.converged = True
-                break
+    state = problem.seed(geometry)
+    for t in range(1, config.max_iters + 1):
+        t0 = time.perf_counter()
+        state, record = _step(problem, state)
+        trace.append(*record, time.perf_counter() - t0)
+        f = trace.objective[-1]
+        if not np.isfinite(f):
+            raise NonFiniteObjective(t, f, trace)
+        if t > 1 and _rel_change(f, trace.objective[-2]) < config.rel_tol:
+            trace.converged = True
+            break
     return state.preds.w, trace
 
 

@@ -14,7 +14,7 @@ from mvml import (
     CorruptionSpec, MultiViewDataset, SyntheticSpec, ViewData, WeightStack, corrupt,
     generate_synthetic,
 )
-from mvml import experiments, solver
+from mvml import experiments
 from mvml.experiments import strip_timing
 
 # At this mu the fit of diverging_training_set() grows its iterates about 2x a sweep
@@ -105,7 +105,7 @@ def rng():
 def one_lane():
     """Experiment commands run every task in this process, as on one CPU."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "_cpus", lambda: 1)
+        patch.setattr(experiments, "_cpus", lambda: 1)
         yield
 
 
@@ -114,12 +114,11 @@ def worker_takes_the_rest(lanes=2, timeout=120):
     """Experiment commands run on ``lanes`` lanes whatever the CPU count, and the calling
     lane's first task waits until every worker has ended, so the workers run every task they
     can claim before the calling lane claims another. Yields the repeats the calling lane
-    ran, and checks that each fit there ran its labels in one part."""
+    ran."""
     run_repeat = experiments.run_repeat
     ran = []
 
     def held(ds, config, repeat):
-        assert solver._one_part
         if not ran:
             workers = multiprocessing.active_children()
             assert len(workers) == lanes - 1
@@ -130,10 +129,9 @@ def worker_takes_the_rest(lanes=2, timeout=120):
         return run_repeat(ds, config, repeat)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "_cpus", lambda: lanes)
+        patch.setattr(experiments, "_cpus", lambda: lanes)
         patch.setattr(experiments, "run_repeat", held)
         yield ran
-    assert not solver._one_part
 
 
 def stripped_outputs(root):

@@ -25,7 +25,7 @@ def test_import_loads_no_scipy():
 
 
 def test_a_fit_on_one_thread_loads_no_thread_pool():
-    """``concurrent.futures`` loads ``logging`` and more, so only a split fit imports it."""
+    """``concurrent.futures`` loads ``logging`` and more, and a fit needs neither."""
     package_parent = Path(mvml.__file__).resolve().parent.parent
     code = (
         "import sys; from mvml import SolverConfig, SyntheticSpec, fit, generate_synthetic; "
@@ -42,15 +42,21 @@ def test_a_fit_on_one_thread_loads_no_thread_pool():
 
 
 def test_the_package_and_a_one_lane_experiment_load_no_process_or_thread_pool():
-    """Only an experiment command on more than one lane imports ``multiprocessing``."""
+    """Only an experiment command on more than one lane imports ``multiprocessing``; a fit
+    of the desk recipe, on as many CPUs as the process may use, imports no pool either."""
     package_parent = Path(mvml.__file__).resolve().parent.parent
     code = (
         "import sys, mvml, mvml.cli; "
         "loaded = lambda: sorted(m for m in sys.modules "
         "if m.split('.')[0] in ('multiprocessing', 'concurrent')); "
         "print(loaded()); "
-        "from mvml import ExperimentConfig, SolverConfig, SyntheticSpec, run_experiment, solver; "
-        "solver._cpus = lambda: 1; "
+        "from mvml import (CorruptionSpec, ExperimentConfig, SolverConfig, SyntheticSpec, "
+        "corrupt, experiments, fit, generate_synthetic, run_experiment); "
+        "clean = generate_synthetic(SyntheticSpec(n=2000, c=30, dims=(40, 60, 80), seed=11)); "
+        "fit(corrupt(clean, CorruptionSpec(alpha=0.5, beta=0.5, dealign=True, seed=7)), "
+        "SolverConfig(lam=0.5, max_iters=3)); "
+        "print(loaded()); "
+        "experiments._cpus = lambda: 1; "
         "run_experiment(ExperimentConfig(SyntheticSpec(n=60, c=3, n_views=2, dims=(4, 5), "
         "seed=1), solver=SolverConfig(lam=0.5, max_iters=3), repeats=3)); "
         "print(loaded())"
@@ -60,7 +66,7 @@ def test_the_package_and_a_one_lane_experiment_load_no_process_or_thread_pool():
         env={**os.environ, "PYTHONPATH": str(package_parent)},
         capture_output=True, text=True, timeout=120, check=True,
     )
-    assert result.stdout.split("\n") == ["[]", "[]", ""]
+    assert result.stdout.split("\n") == ["[]", "[]", "[]", ""]
 
 
 # Calls that write a file; ``mvml.dataset_io.write_file`` is the one writer.

@@ -36,6 +36,7 @@ from mvml import (
     save_dataset,
     strip_timing,
 )
+from mvml import experiments
 from mvml.experiments import (
     _STREAM_CORRUPT,
     _STREAM_INIT,
@@ -359,9 +360,14 @@ def test_one_task_starts_no_worker(monkeypatch):
     def no_workers(*args):
         raise AssertionError("a worker was started")
 
-    monkeypatch.setattr("mvml.solver._cpus", lambda: 2)
+    monkeypatch.setattr("mvml.experiments._cpus", lambda: 2)
     monkeypatch.setattr(multiprocessing, "get_context", no_workers)
     assert len(run_experiment(small_config(repeats=1)).repeats) == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity call")
+def test_the_cpus_are_those_the_process_may_use():
+    assert experiments._cpus() == len(os.sched_getaffinity(0))
 
 
 def test_run_experiments_checks_its_arguments():

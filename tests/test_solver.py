@@ -1,8 +1,6 @@
 """Solver loop: state init, the three block updates, fit, and predict."""
 
 import multiprocessing
-import os
-import sys
 import threading
 
 import numpy as np
@@ -387,36 +385,34 @@ class TestFit:
         assert np.isnan(info.value.value) and np.isnan(trace.objective[-1])
         assert np.all(np.isfinite(trace.objective[:-1]))
 
-    def test_only_the_label_eigh_leaves_the_calling_thread(self, monkeypatch):
-        """The labels of this set have the work to be split: with two CPUs their shrinkage's
-        eigh runs on the fit's thread and one worker, every other decomposition on the
-        fit's thread, and no thread outlives the fit."""
-        monkeypatch.setattr(solver_mod, "_cpus", lambda: 2)  # two parts and one worker anywhere
+    def test_a_fit_runs_every_eigendecomposition_on_the_calling_thread(self, monkeypatch):
+        """Even on a set with label work for several threads, every ``eigh`` and
+        ``eigvalsh`` runs on the fit's thread, no other thread runs meanwhile, and the
+        results are those of the unwatched fit."""
         count = threading.active_count()
         want_w, want_trace = fit_the_label_split_set()
-        threads = {"eigh": set(), "eigvalsh": set()}
-        for name in threads:
+        calls = []
+        for name in ("eigh", "eigvalsh"):
             kernel = getattr(np.linalg, name)
 
-            def recording(a, kernel=kernel, seen=threads[name]):
-                seen.add(threading.get_ident())
+            def recording(a, kernel=kernel, name=name):
+                calls.append((name, threading.get_ident(), threading.active_count()))
                 return kernel(a)
 
             monkeypatch.setattr(np.linalg, name, recording)
         w, trace = fit_the_label_split_set()
+        assert {name for name, _, _ in calls} == {"eigh", "eigvalsh"}
+        assert {(ident, active) for _, ident, active in calls} == {(threading.get_ident(), count)}
         assert threading.active_count() == count
-        assert not [t for t in threading.enumerate() if t.name.startswith("mvml-eigh")]
-        assert threads["eigvalsh"] == {threading.get_ident()}
-        assert threading.get_ident() in threads["eigh"]
-        assert len(threads["eigh"]) == 2
         assert trace.to_dict() == want_trace.to_dict()
         assert [wi.tobytes() for wi in w.weights] == [wi.tobytes() for wi in want_w.weights]
 
     # From 3.12, os.fork warns in a process with threads, and the BLAS library keeps some
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
     def test_a_forked_child_fits_after_the_parent_has_fit(self):
-        """A pool kept past the parent's fit would leave the child a pool whose worker
-        thread was not forked, and the child's first split sweep would wait forever."""
+        """A fit leaves nothing behind that a forked child cannot use: a thread pool kept
+        past the parent's fit, say, would reach the child without its worker threads,
+        and the child's fit would wait forever."""
         w, trace = fit_the_label_split_set()
         with multiprocessing.get_context("fork").Pool(1) as pool:
             child_w, child_trace = pool.apply_async(fit_the_label_split_set).get(timeout=60)
@@ -521,125 +517,9 @@ class TestFit:
 
 
 def fit_the_label_split_set():
-    """Three sweeps on a set whose labels are split; a module-level name, so a pool
-    worker can run it."""
+    """Three sweeps on a set with enough label work to keep several threads busy; a
+    module-level name, so a pool worker can run it."""
     return fit(diverging_training_set(), SolverConfig(lam=0.5, max_iters=3, rel_tol=0.0))
-
-
-@pytest.fixture(scope="module")
-def desk_geometry():
-    """The geometry of the benchmark's desk fit: 30 labels, each stack taller than c."""
-    clean = generate_synthetic(SyntheticSpec(n=2000, c=30, n_views=3, dims=(40, 60, 80),
-                                             positives_per_sample=2, noise_sigma=0.3, seed=11))
-    return StackGeometry(corrupt(clean, CorruptionSpec(alpha=0.5, beta=0.5, dealign=True,
-                                                       seed=7)))
-
-
-class TestLabelParts:
-    """A fit cuts its labels into contiguous parts once: the sweep's thread shrinks the
-    first part and one worker thread each of the others."""
-
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    @pytest.mark.parametrize("rows", [[5, 3, 7], [180], [40] * 7, [180] * 4 + [2] * 20])
-    def test_tiny_sets_get_one_part(self, monkeypatch, cpus, rows):
-        monkeypatch.setattr(solver_mod, "_cpus", lambda: cpus)
-        assert solver_mod._label_parts(rows, 30) == [slice(0, len(rows))]
-
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_the_desk_shape_gives_the_sweeps_thread_the_smaller_share(
-            self, monkeypatch, desk_geometry, cpus):
-        monkeypatch.setattr(solver_mod, "_cpus", lambda: cpus)
-        problem = solver_mod._Problem(desk_geometry, SolverConfig(lam=0.5))
-        c = problem.layout.shape[1]
-        work = [min(b.stop - b.start, c) ** 3 for b in problem.layout.index]
-        parts = problem.parts
-        assert len(parts) == cpus and parts[0].start == 0 and parts[-1].stop == len(work) == 30
-        assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
-        own, *workers = [sum(work[part]) for part in parts]
-        assert all(own < theirs for theirs in workers)
-
-    def test_a_wide_stack_weighs_its_rows(self, monkeypatch):
-        monkeypatch.setattr(solver_mod, "_cpus", lambda: 2)
-        assert solver_mod._label_parts([20] * 13, 30) == [slice(0, 13)]  # 13 * 20**3 units
-        assert len(solver_mod._label_parts([20] * 40, 30)) == 2
-
-    def test_no_more_parts_than_labels(self, monkeypatch):
-        monkeypatch.setattr(solver_mod, "_cpus", lambda: 8)
-        assert solver_mod._label_parts([100] * 3, 100) == [slice(0, 1), slice(1, 2), slice(2, 3)]
-
-    def test_a_part_with_no_label_is_dropped(self, monkeypatch):
-        """The one heavy label's work has its middle in the first worker's share, and the
-        light ones in the second's, so the sweep's thread gets no label."""
-        monkeypatch.setattr(solver_mod, "_cpus", lambda: 3)
-        assert solver_mod._label_parts([1000] + [1] * 5, 100) == [slice(0, 1), slice(1, 6)]
-
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-    def test_a_fits_results_do_not_depend_on_the_cpu_count(self, monkeypatch, cpus):
-        """Up to 4 parts, the most this set's work has units for: more workers than this
-        machine may have cores, and switching threads every microsecond."""
-        monkeypatch.setattr(solver_mod, "_cpus", lambda: 1)
-        want_w, want_trace = fit_the_label_split_set()
-        monkeypatch.setattr(solver_mod, "_cpus", lambda: cpus)
-        parts = solver_mod._Problem(StackGeometry(diverging_training_set()),
-                                    SolverConfig(lam=0.5)).parts
-        eigh, threads = np.linalg.eigh, set()
-
-        def recording(a):
-            threads.add(threading.get_ident())
-            return eigh(a)
-
-        monkeypatch.setattr(np.linalg, "eigh", recording)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            w, trace = fit_the_label_split_set()
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(parts) == cpus
-        # the pool may hand two parts to one worker that is idle by then, on one CPU say
-        assert len(threads) == 1 if cpus == 1 else 2 <= len(threads) <= cpus
-        assert trace.to_dict() == want_trace.to_dict()
-        assert [wi.tobytes() for wi in w.weights] == [wi.tobytes() for wi in want_w.weights]
-
-    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity call")
-    def test_the_cpus_are_those_the_process_may_use(self):
-        assert solver_mod._cpus() == len(os.sched_getaffinity(0))
-
-    @pytest.mark.parametrize("end", ["returns", "non_finite", "worker_error"])
-    def test_a_fit_joins_its_workers_on_every_exit(self, monkeypatch, end):
-        """A fit that returns, raises ``NonFiniteObjective`` or meets a worker's
-        ``LinAlgError``, which reaches its caller, leaves as many threads as it found."""
-        monkeypatch.setattr(solver_mod, "_cpus", lambda: 2)  # two parts and one worker anywhere
-        caller, eigh, workers = threading.get_ident(), np.linalg.eigh, set()
-
-        def failing_off_the_caller(a):
-            if threading.get_ident() != caller:
-                workers.add(threading.current_thread().name)
-                if end == "worker_error":
-                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return eigh(a)
-
-        monkeypatch.setattr(np.linalg, "eigh", failing_off_the_caller)
-        step, pools = solver_mod._step, []
-
-        def holding(problem, state, pool=None):  # a pool left open stays alive past the fit
-            pools.append(pool)
-            return step(problem, state, pool)
-
-        monkeypatch.setattr(solver_mod, "_step", holding)
-        count = threading.active_count()
-        if end == "returns":
-            fit_the_label_split_set()
-        elif end == "non_finite":
-            with pytest.raises(NonFiniteObjective):
-                fit(diverging_training_set(), SolverConfig(**DIVERGING_SOLVER))
-        else:
-            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-                fit_the_label_split_set()
-        assert [name.startswith("mvml-labels") for name in workers] == [True]
-        assert pools[0] is not None
-        assert threading.active_count() == count
-        assert not [t for t in threading.enumerate() if t.name.startswith("mvml-labels")]
 
 
 def edge_case_dataset(rng, case, n=20):
