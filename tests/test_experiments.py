@@ -365,9 +365,37 @@ def test_one_task_starts_no_worker(monkeypatch):
     assert len(run_experiment(small_config(repeats=1)).repeats) == 1
 
 
+@pytest.mark.parametrize("lanes", [2, 3, 4])
+def test_a_grid_on_any_lane_count_yields_the_records_of_one_lane(lanes):
+    """Two configurations of three repeats each: the workers run every task but the
+    first, whichever configuration it belongs to, and the records come back in
+    configuration order, as on one lane."""
+    base = small_config(repeats=3, solver=SolverConfig(lam=0.3, mu=5.0, max_iters=5))
+    configs = [base, replace(base, solver=replace(base.solver, lam=0.6, variant="loss_plus_local"))]
+    ds = load_source(base)
+    threads = threading.active_count()
+    records = []
+    for lane_count in (one_lane(), worker_takes_the_rest(lanes=lanes)):
+        with lane_count as ran:
+            records.append([json.dumps(strip_timing(record.to_dict()))
+                            for record in run_experiments(ds, configs)])
+    assert ran == [0]
+    assert records[0] == records[1]
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity call")
 def test_the_cpus_are_those_the_process_may_use():
     assert experiments._cpus() == len(os.sched_getaffinity(0))
+
+
+@pytest.mark.parametrize("count, cpus", [(5, 5), (None, 1)])
+def test_without_an_affinity_call_the_cpus_are_the_cpu_count(monkeypatch, count, cpus):
+    """Where the platform has no ``sched_getaffinity``, an unknown count is one CPU."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert experiments._cpus() == cpus
 
 
 def test_run_experiments_checks_its_arguments():

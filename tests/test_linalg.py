@@ -154,6 +154,24 @@ class TestBatchedKernels:
         assert threads == {threading.get_ident()}
         assert threading.active_count() == count
 
+    @pytest.mark.parametrize("c", [3, 30, 100])
+    @pytest.mark.parametrize("rows", [[5, 3, 7], [180], [40] * 7, [180] * 4 + [2] * 20])
+    def test_shrinking_into_a_stacks_row_blocks_gives_each_block_its_own_svt(
+            self, rng, rows, c):
+        """As a sweep shrinks its labels: one call over the row blocks of one stack, tall
+        and wide blocks mixed, writes each block what ``svt`` gives it alone, and the
+        norms are each block's own."""
+        bounds = np.cumsum([0, *rows]).tolist()
+        blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        stack, z = rng.standard_normal((bounds[-1], c)), np.full((bounds[-1], c), np.nan)
+        out = [z[block] for block in blocks]
+        assert all(got is want for got, want in zip(_svt_many([stack[b] for b in blocks],
+                                                               0.5, out=out), out))
+        norms = _nuclear_norm_many([stack[block] for block in blocks])
+        for block, norm in zip(blocks, norms):
+            assert z[block].tobytes() == svt(stack[block], 0.5).tobytes()
+            assert np.float64(norm).tobytes() == np.float64(nuclear_norm(stack[block])).tobytes()
+
 
 class TestSymmetricEig:
     def test_identity(self):

@@ -1,7 +1,8 @@
 """Property tests on small random inputs: metric ties, the CCCP bound, the compressed
-global and label terms, the batched label kernels, the loss on its Grams, the Grams from
-tag-pattern groups, the trace-norm duality pairing, save/load."""
+global and label terms, the batched label kernels, a sweep as a pure map, the loss on its
+Grams, the Grams from tag-pattern groups, the trace-norm duality pairing, save/load."""
 
+import pickle
 import tempfile
 
 import numpy as np
@@ -25,7 +26,9 @@ from mvml import (
 from mvml.data import StackGeometry
 from mvml.linalg import _nuclear_norm_many, _svt_many, nuclear_norm, svt
 from mvml.objective import stack_loss
-from mvml.solver import _LabelStacks, _LossGrams, _masked_loss_from_preds, _observed_grams
+from mvml.solver import (
+    _LabelStacks, _LossGrams, _Problem, _masked_loss_from_preds, _observed_grams, _step,
+)
 
 import oracles
 from conftest import make_dataset, make_weights
@@ -220,6 +223,44 @@ def test_batched_label_kernels_give_each_matrix_its_own_result(mats, tau):
         # rank-deficient Gram's zero eigenvalues come back as round-off of eps * |a|^2
         full_rank = a.size == 0 or np.linalg.matrix_rank(a) == min(a.shape)
         assert norm == pytest.approx(oracles.svd_nuclear(a), rel=1e-9 if full_rank else 1e-7)
+
+
+@st.composite
+def two_sweep_fits(draw):
+    """A small fit's dataset and a config of two sweeps with no early stop."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3)))
+    ds = make_dataset(rng, n=draw(st.integers(8, 40)), c=draw(st.integers(1, 8)), dims=dims,
+                      with_missing=draw(st.booleans()), ensure_positive_per_row=True)
+    config = SolverConfig(lam=draw(st.floats(0.0, 2.0)), mu=draw(st.floats(0.5, 10.0)),
+                          variant=draw(st.sampled_from(["full", "loss_plus_local"])),
+                          max_iters=2, rel_tol=0.0)
+    return ds, config
+
+
+@PROPERTY_SETTINGS
+@given(case=two_sweep_fits())
+def test_a_step_is_a_pure_map_and_two_steps_are_a_two_sweep_fit(case):
+    """Stepping a state again gives the same bytes, no step writes the problem or the
+    state it is given, and two steps from the seed give the bytes of ``fit``'s weights
+    and records."""
+    ds, config = case
+    geometry = StackGeometry(ds)
+    problem = _Problem(geometry, config)
+    problem_bytes = pickle.dumps(problem)
+    state, records = problem.seed(geometry), []
+    for _ in range(2):
+        state_bytes = pickle.dumps(state)
+        stepped = _step(problem, state)
+        assert pickle.dumps(_step(problem, state)) == pickle.dumps(stepped)
+        assert pickle.dumps(state) == state_bytes
+        state, record = stepped
+        records.append(record)
+    assert pickle.dumps(problem) == problem_bytes
+    w, trace = fit(ds, config)
+    assert [wi.tobytes() for wi in w.weights] == [wi.tobytes() for wi in state.preds.w.weights]
+    columns = np.array([trace.objective, trace.surrogate, trace.residual])
+    assert columns.tobytes() == np.array(records, dtype=float).T.tobytes()
 
 
 @PROPERTY_SETTINGS

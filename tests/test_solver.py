@@ -1,6 +1,7 @@
 """Solver loop: state init, the three block updates, fit, and predict."""
 
 import multiprocessing
+import sys
 import threading
 
 import numpy as np
@@ -521,6 +522,120 @@ def fit_the_label_split_set():
     module-level name, so a pool worker can run it."""
     return fit(diverging_training_set(), SolverConfig(lam=0.5, max_iters=3, rel_tol=0.0))
 
+
+def recording_factorizations(monkeypatch):
+    """Make every ``cholesky``, ``inv``, ``eigh`` and ``eigvalsh`` of numpy record its
+    name, the thread it runs on and the live thread count then; returns the records."""
+    calls = []
+    for name in ("cholesky", "inv", "eigh", "eigvalsh"):
+        kernel = getattr(np.linalg, name)
+
+        def recording(a, kernel=kernel, name=name):
+            calls.append((name, threading.get_ident(), threading.active_count()))
+            return kernel(a)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return calls
+
+
+def weight_bytes(w):
+    return [wi.tobytes() for wi in w.weights]
+
+
+class TestOneThread:
+    """A fit runs on the thread that calls it, starts no other and shares no state with
+    the fits of other threads."""
+
+    @pytest.mark.parametrize("variant", ["full", "loss_plus_local", "loss_only"])
+    def test_every_variant_runs_on_the_calling_thread(self, monkeypatch, variant):
+        count = threading.active_count()
+        calls = recording_factorizations(monkeypatch)
+        fit(diverging_training_set(), SolverConfig(lam=0.5, max_iters=2, variant=variant))
+        names = {name for name, _, _ in calls}
+        assert {"cholesky", "inv"} <= names
+        assert ("eigh" in names) == (variant != "loss_only")
+        assert {(ident, active) for _, ident, active in calls} == {(threading.get_ident(), count)}
+        assert threading.active_count() == count
+
+    @pytest.mark.parametrize("end", ["returns", "non_finite", "linalg_error"])
+    def test_a_fit_leaves_the_thread_count_on_every_exit(self, monkeypatch, end):
+        """A fit that returns, raises ``NonFiniteObjective`` or meets a ``LinAlgError`` in
+        its sweep, which reaches its caller as raised, leaves as many threads as it found."""
+        count = threading.active_count()
+        if end == "returns":
+            fit_the_label_split_set()
+        elif end == "non_finite":
+            with pytest.raises(NonFiniteObjective):
+                fit(diverging_training_set(), SolverConfig(**DIVERGING_SOLVER))
+        else:
+            def failing(a):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+            monkeypatch.setattr(np.linalg, "eigh", failing)
+            with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+                fit_the_label_split_set()
+        assert threading.active_count() == count
+
+    def test_a_fit_on_another_thread_keeps_its_work_there(self, monkeypatch):
+        want_w, want_trace = fit_the_label_split_set()
+        calls = recording_factorizations(monkeypatch)
+        got = []
+        thread = threading.Thread(target=lambda: got.append(fit_the_label_split_set()))
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        (w, trace), = got
+        assert calls and {ident for _, ident, _ in calls} == {thread.ident}
+        assert trace.to_dict() == want_trace.to_dict()
+        assert weight_bytes(w) == weight_bytes(want_w)
+
+    def test_fits_on_two_threads_at_once_give_the_bytes_of_fits_in_turn(self):
+        """No module state links two fits: run together, switching threads every
+        microsecond, each gives what it gives alone."""
+        ds = diverging_training_set()
+        configs = [SolverConfig(lam=0.5, max_iters=3, rel_tol=0.0),
+                   SolverConfig(lam=0.2, mu=3.0, max_iters=3, rel_tol=0.0,
+                                variant="loss_plus_local")]
+        want = [fit(ds, config) for config in configs]
+        got = [None] * len(configs)
+
+        def run(k):
+            got[k] = fit(ds, configs[k])
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(configs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for (w, trace), (want_w, want_trace) in zip(got, want):
+            assert trace.to_dict() == want_trace.to_dict()
+            assert weight_bytes(w) == weight_bytes(want_w)
+
+    def test_a_sweep_shrinks_every_label_in_one_batched_call(self, monkeypatch):
+        """Each sweep makes one ``_svt_many`` and one ``_nuclear_norm_many`` call, each
+        over every label's block of the stack."""
+        ds = diverging_training_set()
+        geometry = StackGeometry(ds)
+        layout = solver_mod._LabelStacks(geometry, geometry.active_index)
+        shapes = [(block.stop - block.start, layout.shape[1]) for block in layout.index]
+        assert len(shapes) == 30
+        calls = []
+        for name in ("_svt_many", "_nuclear_norm_many"):
+            kernel = getattr(solver_mod, name)
+
+            def counting(mats, *args, kernel=kernel, name=name, **kwargs):
+                calls.append((name, [m.shape for m in mats]))
+                return kernel(mats, *args, **kwargs)
+
+            monkeypatch.setattr(solver_mod, name, counting)
+        fit(ds, SolverConfig(lam=0.5, max_iters=3, rel_tol=0.0))
+        assert calls == [("_svt_many", shapes), ("_nuclear_norm_many", shapes)] * 3
 
 def edge_case_dataset(rng, case, n=20):
     """Two views, the second partly missing, shaped to hit one edge case."""
