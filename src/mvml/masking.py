@@ -231,10 +231,10 @@ def _view_missing_masks(n, n_views, n_missing, seed):
     return masks
 
 
-def _mask_labels(labels, present, beta, seed, view_index, out, position=None):
+def _mask_labels(labels, present, beta, seed, view_index, out, position):
     """Blank in ``out`` ``floor(beta * count)`` observed positive and negative tags
     per label of ``labels`` among the present rows; row ``r`` of ``labels`` is row
-    ``position[r]`` of ``out`` (row ``r`` without ``position``)."""
+    ``position[r]`` of ``out``."""
     rng = _rng(seed, _STREAM_LABEL_MASK, view_index)
     for k in range(labels.shape[1]):
         for value in (1.0, -1.0):
@@ -242,7 +242,7 @@ def _mask_labels(labels, present, beta, seed, view_index, out, position=None):
             n_drop = int(beta * rows.size)
             if n_drop:
                 drop = rng.choice(rows, size=n_drop, replace=False)
-                out[drop if position is None else position[drop], k] = 0.0
+                out[position[drop], k] = 0.0
 
 
 def corrupt(ds, spec):
@@ -252,10 +252,10 @@ def corrupt(ds, spec):
     ``floor(alpha * n)`` samples are marked missing (every sample stays
     present in at least one view, else ``InvalidInput``), then
     ``floor(beta * count)`` of the observed positive and negative tags
-    of every label are blanked. With ``dealign`` set, each view's rows
-    are shuffled by an independent uniform permutation applied jointly
-    to features, labels, and missing flags, and the result is marked
-    unaligned.
+    of every label are blanked. Each view's features, labels and missing
+    flags are gathered jointly into new arrays by one row permutation:
+    with ``dealign`` set, an independent uniform one per view, and the
+    result is marked unaligned; without it, the identity.
     """
     _check_type(ds, "ds", MultiViewDataset)
     _check_type(spec, "spec", CorruptionSpec)
@@ -272,13 +272,11 @@ def corrupt(ds, spec):
     for i, view in enumerate(ds.views):
         missing = masks[i]
         present = ~missing
-        if spec.dealign:  # each array's rows are gathered once, then blanked or zeroed
-            perm = _rng(spec.seed, _STREAM_PERMUTE, i).permutation(n)
-            feats, labels, missing = view.features[perm], view.labels[perm], missing[perm]
-            position = np.empty(n, dtype=np.intp)
-            position[perm] = np.arange(n)
-        else:
-            feats, labels, position = view.features.copy(), view.labels.copy(), None
+        # each array's rows are gathered once, in a fresh array, then blanked or zeroed
+        perm = _rng(spec.seed, _STREAM_PERMUTE, i).permutation(n) if spec.dealign else np.arange(n)
+        feats, labels, missing = view.features[perm], view.labels[perm], missing[perm]
+        position = np.empty(n, dtype=np.intp)
+        position[perm] = np.arange(n)
         _mask_labels(view.labels, present, spec.beta, spec.seed, i, labels, position)
         feats[missing] = 0.0
         labels[missing] = 0.0

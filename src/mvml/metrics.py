@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (
     InvalidInput, UndefinedMetric, _check_int, _check_list, _check_matrix, _check_real, _check_rows,
 )
-from .linalg import nuclear_norm, singular_values
+from .linalg import singular_values
 
 # The four headline metrics, all larger-is-better, in report order.
 METRIC_NAMES = ("one_minus_hamming", "one_minus_ranking", "average_precision", "auc")
@@ -243,15 +243,17 @@ class RankDiagnostics:
         return {**asdict(self), "sub_ranks": list(self.sub_ranks)}
 
 
-def _numeric_rank(a, tol):
+def _rank_and_norm(a, tol):
+    """The numeric rank and the nuclear norm of ``a``, from one spectrum."""
     sigma = singular_values(a)
+    norm = float(np.sum(sigma))
     if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
+        return 0, norm
     # the Gram route cannot resolve singular values below
     # sqrt(dim * eps) * sigma_max; treat that band as zero
     floor = math.sqrt(max(a.shape) * np.finfo(float).eps)
     cut = max(RANK_TOL if tol is None else tol, floor) * float(sigma[0])
-    return int(np.count_nonzero(sigma > cut))
+    return int(np.count_nonzero(sigma > cut)), norm
 
 
 def rank_diagnostics(pred, sublabel_rows_per_label, tol=None):
@@ -266,15 +268,14 @@ def rank_diagnostics(pred, sublabel_rows_per_label, tol=None):
     pred = _check_matrix(pred, "pred")
     if tol is not None:
         tol = _check_real(tol, "tol", bound="in (0, 1)")
-    sub_ranks = []
-    sub_nuclear = []
+    sub_ranks, sub_nuclear = [], []
     for k, rows in enumerate(_check_list(sublabel_rows_per_label, "sublabel_rows_per_label")):
         block = pred[_check_rows(rows, pred.shape[0], f"sublabel_rows_per_label[{k}]")]
-        sub_ranks.append(_numeric_rank(block, tol))
-        sub_nuclear.append(nuclear_norm(block))
+        rank, norm = _rank_and_norm(block, tol)
+        sub_ranks.append(rank)
+        sub_nuclear.append(norm)
     return RankDiagnostics(
-        entire_rank=_numeric_rank(pred, tol),
-        entire_nuclear=nuclear_norm(pred),
+        *_rank_and_norm(pred, tol),  # entire_rank, entire_nuclear
         sub_ranks=tuple(sub_ranks),
         sub_nuclear_mean=float(np.mean(sub_nuclear)) if sub_nuclear else 0.0,
         sub_nuclear_median=float(np.median(sub_nuclear)) if sub_nuclear else 0.0,

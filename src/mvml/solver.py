@@ -66,11 +66,13 @@ of it; a residual on it is back-projected, ``R~_i' M[view i]`` over view
 The label terms are the layout of the active labels' row sets, and the
 same rows give the W step's matrix,
 ``Xp_i' D_i Xp_i = sum_k X_{k,i}' X_{k,i} = R~_i' R~_i``, whose factor
-of ``mu R~_i' R~_i`` the set-up keeps. ``FULL`` also keeps the layout of
-one row set, every present row: its rows ``R_i`` (the Gram root of
-``Xp_i`` for a tall view) give the stack ``S = vstack_i(R_i W_i)``, so
-``||P||_* = ||S||_*`` and the subgradient is ``Q~ G`` with
-``G = subgrad ||S||_*``.
+of ``mu R~_i' R~_i`` the set-up keeps. The variant picks the row sets of
+the global layout. For ``FULL`` it holds one, every present row: its rows
+``R_i`` (the Gram root of ``Xp_i`` for a tall view) give the stack
+``S = vstack_i(R_i W_i)``, so ``||P||_* = ||S||_*`` and the subgradient is
+``Q~ G`` with ``G = subgrad ||S||_*``. ``LOSS_PLUS_LOCAL`` drops the global
+term, so its layout holds no row set: ``S`` and ``G`` have no rows, each
+``R_i' G_i`` is zero and ``||S||_*`` is 0.
 
 Step, a pure map from the state ``(W with its products H, Z~, L~)`` to
 the next state and its objective, surrogate and primal residual.
@@ -79,8 +81,8 @@ the next state and its objective, surrogate and primal residual.
 the compressed stack's rows. The labels' row blocks are disjoint and
 fill the label layout's extended stack ``P~``, so ``Z~`` and ``L~`` are
 two arrays row-aligned with it that hold ``Z~_k`` and ``L~_k`` at the
-rows of ``P~_k``. For ``FULL`` the state also carries ``S`` of its W, the
-point where the step takes ``G``; then
+rows of ``P~_k``. The state also carries ``S`` of its W, the point where
+the step takes ``G``; then
 
     W_i  <- (mu R~_i' R~_i)^-1  (B_i - H_i  +  R~_i' (mu Z~ - L~)[view i]  +  lam * R_i' G_i)
     Z~_k <- svt(P~_k + L~_k / mu, lam / mu)
@@ -92,8 +94,8 @@ batches, in which the Grams of one size share one stacked ``eigh``.
 give the local terms, batched alike with ``eigvalsh``, and the residual.
 A sweep runs on the calling thread, as the whole fit does. The CCCP
 surrogate's linear term is ``<P, Q~ G> = <S, G>`` at the new ``S``, which
-the new state carries, so a sweep stacks each layout once;
-``LOSS_PLUS_LOCAL`` has no global layout, ``S`` or ``G``.
+the new state carries, so a sweep stacks each layout once. Both
+variants run this one sweep; they differ only in their global row sets.
 
 Driver. ``fit`` seeds the state, applies the step until the objective's
 relative change falls below ``rel_tol`` or the budget runs out, and
@@ -499,25 +501,21 @@ def _fit_loss_only(grams, trace):
 
 class _Problem:
     """A fit's set-up, built once and never written: the loss Grams, the label layout
-    with the W step's factors of ``mu R~_i' R~_i``, and, for ``FULL``, the global
-    layout."""
+    with the W step's factors of ``mu R~_i' R~_i``, and the global layout, of every
+    present row for ``FULL`` and of no row set for ``LOSS_PLUS_LOCAL``."""
 
     def __init__(self, geometry, config):
         self.config = config
         self.grams = _LossGrams(geometry)
         self.layout = _LabelStacks(geometry, geometry.active_index)
         self.factors = _factor_views([r.T @ r for r in self.layout.r_factors], config.mu)
-        every_row = [np.arange(geometry.labels.shape[0])]
-        self.glob = _LabelStacks(geometry, every_row) if config.variant is Variant.FULL else None
+        full = config.variant is Variant.FULL
+        self.glob = _LabelStacks(geometry, [np.arange(geometry.labels.shape[0])] if full else [])
 
     def seed(self, geometry):
         """The seeded state: ``init_state``'s weights, zero ``Z~`` and ``L~``, and ``S``."""
         w, zero = _initial_weights(geometry, self.config), np.zeros(self.layout.shape)
-        return _Iterate(self.grams.predict(w), zero, zero, self.global_stack(w))
-
-    def global_stack(self, w):
-        """The global stack ``S`` of ``w`` for ``FULL``, ``None`` otherwise."""
-        return None if self.glob is None else self.glob.stack(w)
+        return _Iterate(self.grams.predict(w), zero, zero, self.glob.stack(w))
 
 
 class _Iterate(NamedTuple):
@@ -526,7 +524,7 @@ class _Iterate(NamedTuple):
     preds: _GramPreds
     z: np.ndarray  # row-aligned with the label layout's extended stack, as is ``multipliers``
     multipliers: np.ndarray
-    global_stack: np.ndarray | None  # the linearization point of the global term
+    global_stack: np.ndarray  # the linearization point of the global term
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -534,22 +532,23 @@ def _step(problem, state):
     """One sweep: the state after ``state`` and its (objective, surrogate, residual).
 
     A pure map of ``problem`` and ``state``, linearized at ``state.global_stack``; a
-    driver holds that point with ``state._replace(global_stack=held)``. A diverging
-    sweep warns of no overflow: its objective comes out non-finite, and once a new
-    stack is too large for its Gram to be finite the record is NaN and the state
-    ``state`` itself, since no trace-norm kernel can take that stack. Every label's
-    shrinkage and local norm runs on the calling thread, in one batched call each.
+    driver holds that point with ``state._replace(global_stack=held)``. The global
+    term runs the same calls for both variants, on a stack of no rows for
+    ``LOSS_PLUS_LOCAL``. A diverging sweep warns of no overflow: its objective comes
+    out non-finite, and once a new stack is too large for its Gram to be finite the
+    record is NaN and the state ``state`` itself, since no trace-norm kernel can take
+    that stack. Every label's shrinkage and local norm runs on the calling thread, in
+    one batched call each.
     """
     config, grams, layout, glob = problem.config, problem.grams, problem.layout, problem.glob
     mu = config.mu
-    shares = [grams.w_rhs(state.preds), layout.back_project(mu * state.z - state.multipliers)]
-    if glob is not None:  # CCCP: the global term is linearized at the state's stack S
-        grad = trace_norm_subgradient(state.global_stack)
-        shares.append([config.lam * g for g in glob.back_project(grad)])
-    w = _update_w(problem.factors, *shares)
-    stack, preds, global_stack = layout.stack(w), grams.predict(w), problem.global_stack(w)
+    grad = trace_norm_subgradient(state.global_stack)  # CCCP: linearized at the state's S
+    w = _update_w(problem.factors, grams.w_rhs(state.preds),
+                  layout.back_project(mu * state.z - state.multipliers),
+                  [config.lam * g for g in glob.back_project(grad)])
+    stack, preds, global_stack = layout.stack(w), grams.predict(w), glob.stack(w)
     shift = stack + state.multipliers / mu
-    if not all(np.isfinite(np.vdot(m, m)) for m in (stack, shift, global_stack) if m is not None):
+    if not all(np.isfinite(np.vdot(m, m)) for m in (stack, shift, global_stack)):
         return state, (np.nan,) * 3  # some Gram of these stacks would overflow
     # finite stacks, so the batched label kernels skip their per-matrix input checks
     z = np.empty_like(stack)
@@ -558,11 +557,10 @@ def _step(problem, state):
     local = _nuclear_norm_many([stack[block] for block in layout.index]).tolist()
     gap = stack - z
     residual = max((float(np.linalg.norm(gap[block])) for block in layout.index), default=0.0)
-    value = linear = ObjectiveValue(_masked_loss_from_preds(grams, preds), sum(local), 0.0,
-                                    config.lam)
-    if glob is not None:  # the surrogate's global term is <S, G>, linear in the new S
-        value = replace(value, global_term=nuclear_norm(global_stack))
-        linear = replace(value, global_term=float(np.sum(global_stack * grad)))
+    value = ObjectiveValue(_masked_loss_from_preds(grams, preds), sum(local),
+                           nuclear_norm(global_stack), config.lam)
+    # the surrogate's global term is <S, G>, linear in the new S
+    linear = replace(value, global_term=float(np.sum(global_stack * grad)))
     state = _Iterate(preds, z, state.multipliers + mu * gap, global_stack)
     return state, (value.total, linear.total, residual)
 

@@ -11,7 +11,8 @@ last bits of a product, differ between CPUs.
 The groups:
 
 - ``data``: the generated and the corrupted set (features, labels, missing flags,
-  ``aligned``) of the desk, large and ablate recipes at seeds 0 and 1;
+  ``aligned``) of the desk, large and ablate recipes at seeds 0 and 1, and, on the
+  ``aligned`` lines, the set that the same corruption gives without de-alignment;
 - ``fit``: the 24 parity recipes, the desk recipe at seeds 0 and 1, the ablate
   recipe at seed 0 and the large recipe at seed 0, each under ``FULL``,
   ``LOSS_PLUS_LOCAL`` and ``LOSS_ONLY`` at lambda 0.5 and 0 (the objective,
@@ -50,6 +51,11 @@ RECIPES = {  # name: (n, noise, synthetic seed, init seed, sweeps, rel_tol)
 FIT_RUNS = (("desk", 0), ("desk", 1), ("ablate", 0), ("large", 0))
 
 
+def corruption(seed, dealign=True):
+    """The recipes' corruption at ``seed``: alpha = beta = 0.5, de-aligned by default."""
+    return CorruptionSpec(alpha=0.5, beta=0.5, dealign=dealign, seed=7 + seed)
+
+
 def recipe(name, seed):
     """The clean set, the corrupted set and the solver config of a recipe at ``seed``."""
     n, noise, synthetic_seed, init_seed, sweeps, rel_tol = RECIPES[name]
@@ -57,7 +63,7 @@ def recipe(name, seed):
         n=n, c=30, n_views=3, dims=(40, 60, 80), positives_per_sample=2, noise_sigma=noise,
         seed=synthetic_seed + seed,
     ))
-    train = corrupt(clean, CorruptionSpec(alpha=0.5, beta=0.5, dealign=True, seed=7 + seed))
+    train = corrupt(clean, corruption(seed))
     config = SolverConfig(lam=0.5, mu=5.0, max_iters=sweeps, rel_tol=rel_tol,
                           init_seed=init_seed + seed)
     return clean, train, config
@@ -102,6 +108,8 @@ def main():
         for seed in (0, 1):
             clean, train, _ = recipe(name, seed)
             print(f"data {name} seed {seed}", digest(*dataset_parts(clean), *dataset_parts(train)))
+            aligned = corrupt(clean, corruption(seed, dealign=False))
+            print(f"data {name} seed {seed} aligned", digest(*dataset_parts(aligned)))
     for name, seed in FIT_RUNS:
         clean, train, config = recipe(name, seed)
         for variant in ("full", "loss_plus_local", "loss_only"):

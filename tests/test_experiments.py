@@ -312,6 +312,19 @@ def test_workers_that_claim_at_once_run_every_task_once():
     assert records[0] == records[1]
 
 
+def test_more_tasks_than_claims_run_in_blocks():
+    """Past ``_MAX_CLAIMS`` tasks a claim takes a block of two or more, so the calling
+    lane's first claim is repeats 0 and 1, and any lane count yields one lane's record."""
+    config = small_config(repeats=experiments._MAX_CLAIMS + 2,
+                          solver=SolverConfig(lam=0.3, mu=5.0, max_iters=3))
+    with one_lane():
+        want = json.dumps(strip_timing(run_experiment(config).to_dict()))
+    for lanes in (2, 3):
+        with worker_takes_the_rest(lanes=lanes) as ran:
+            assert json.dumps(strip_timing(run_experiment(config).to_dict())) == want
+        assert ran == [0, 1]
+
+
 def diverging_after_the_first(mu_grid=(5.0, 0.02)):
     """Configurations of which the first converges and the second diverges in every repeat."""
     base = small_config(solver=SolverConfig(lam=0.5, mu=5.0, max_iters=150, rel_tol=0.0,

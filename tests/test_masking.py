@@ -97,6 +97,17 @@ class TestCorrupt:
             np.testing.assert_array_equal(va.labels, vb.labels)
             np.testing.assert_array_equal(va.missing_rows, vb.missing_rows)
 
+    def test_aligned_corruption_writes_new_arrays_only(self):
+        ds = generate_synthetic(SyntheticSpec(n=80, c=5, n_views=2, dims=(6, 7), seed=1))
+        before = [(v.features.copy(), v.labels.copy(), v.missing_rows.copy()) for v in ds.views]
+        out = corrupt(ds, CorruptionSpec(alpha=0.3, beta=0.5, dealign=False, seed=5))
+        for view, kept, new in zip(ds.views, before, out.views):
+            for a, b in zip((view.features, view.labels, view.missing_rows), kept):
+                np.testing.assert_array_equal(a, b)
+            for a in (new.features, new.labels, new.missing_rows):
+                assert not any(np.shares_memory(a, b)
+                               for b in (view.features, view.labels, view.missing_rows))
+
     def test_half_missing_counts_and_coverage(self):
         ds = generate_synthetic(SyntheticSpec(n=1000, c=10, n_views=3,
                                               dims=(8, 9, 10), seed=2))

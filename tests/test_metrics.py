@@ -12,6 +12,7 @@ from mvml import (
     evaluate_predictions,
     hamming_loss,
     nemenyi_cd,
+    nuclear_norm,
     rank_diagnostics,
     ranking_loss,
 )
@@ -378,6 +379,28 @@ class TestRankDiagnostics:
         assert diag.entire_nuclear == pytest.approx(oracles.svd_nuclear(pred), rel=1e-9)
         assert diag.sub_nuclear_mean == pytest.approx(np.mean(subs), rel=1e-9)
         assert diag.sub_nuclear_median == pytest.approx(np.median(subs), rel=1e-9)
+
+    def test_each_matrix_is_decomposed_once(self, rng, monkeypatch):
+        """One ``eigvalsh`` per nonempty block and one for the whole stack give both the
+        ranks and the nuclear norms, and each norm is ``nuclear_norm``'s bit for bit."""
+        pred = rng.standard_normal((40, 5))
+        pred[20:30] = np.outer(rng.standard_normal(10), rng.standard_normal(5))
+        rows = [np.arange(0, 20), np.arange(20, 30), np.array([], dtype=int), np.arange(15, 40)]
+        norms = [nuclear_norm(pred[r]) for r in rows]
+        whole = nuclear_norm(pred)
+        eigvalsh, calls = np.linalg.eigvalsh, []
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        diag = rank_diagnostics(pred, rows)
+        assert len(calls) == 3 + 1
+        assert diag.sub_ranks == (5, 1, 0, 5)
+        assert diag.entire_nuclear == whole
+        assert diag.sub_nuclear_mean == float(np.mean(norms))
+        assert diag.sub_nuclear_median == float(np.median(norms))
 
 
 class TestNemenyiCd:

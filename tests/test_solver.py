@@ -459,7 +459,8 @@ class TestFit:
         monkeypatch.setattr(solver_mod, "nuclear_norm", lambda a: global_norm([a]))
         sweeps = 3
         fit(ds, SolverConfig(lam=0.5, max_iters=sweeps, rel_tol=0.0, variant=variant))
-        norms = bounds + [3 + 5] if variant == "full" else bounds  # labels, then the global term
+        # labels, then the global term: every present row's roots, or no row set
+        norms = bounds + [3 + 5] if variant == "full" else bounds + [0]
         assert rows["svt"] == bounds * sweeps
         assert rows["nuclear_norm"] == norms * sweeps
 
@@ -479,7 +480,7 @@ class TestFit:
         monkeypatch.setattr(solver_mod, "_LabelStacks", Recording)
         fit(ds, SolverConfig(lam=0.5, max_iters=2, rel_tol=0.0, variant=variant))
         compressed_views = sum(min(present_rows(v).size, d) for v, d in zip(ds.views, (3, 5)))
-        want = [want, compressed_views] if variant == "full" else [want]
+        want = [want, compressed_views] if variant == "full" else [want, 0]
         assert [layout.shape[0] for layout in layouts] == want
 
     def test_rejects_a_non_dataset(self):
@@ -784,8 +785,7 @@ class TestFitComposesBlockUpdates:
             again, again_record = solver_mod._step(problem, state)
             state, record = solver_mod._step(problem, state)
             assert again_record == record
-            names = ["z", "multipliers"] + (["global_stack"] if variant == "full" else [])
-            for name in names:
+            for name in ("z", "multipliers", "global_stack"):
                 for a, b in zip(getattr(again, name), getattr(state, name), strict=True):
                     assert np.array_equal(a, b)
             for a, b in zip([*again.preds.w.weights, *again.preds.products],
@@ -801,7 +801,8 @@ class TestFitComposesBlockUpdates:
     @pytest.mark.parametrize("variant", ["full", "loss_plus_local"])
     def test_state_carries_the_global_stack_of_its_weights(self, rng, variant):
         """The seeded state and each stepped state hold ``S`` of their own weights, bit for
-        bit, under ``FULL``; ``LOSS_PLUS_LOCAL`` carries none."""
+        bit; under ``LOSS_PLUS_LOCAL``, whose global layout holds no row set, ``S`` has no
+        rows."""
         ds = make_dataset(rng, n=60, c=4, dims=(3, 5), with_missing=True, aligned=False,
                           ensure_positive_per_row=True)
         cfg = SolverConfig(lam=0.6, mu=3.0, max_iters=3, rel_tol=0.0, init_seed=4,
@@ -810,10 +811,9 @@ class TestFitComposesBlockUpdates:
         problem = solver_mod._Problem(geometry, cfg)
         state = problem.seed(geometry)
         for step in range(cfg.max_iters + 1):
-            if variant == "full":
-                assert np.array_equal(state.global_stack, problem.glob.stack(state.preds.w))
-            else:
-                assert state.global_stack is None
+            assert np.array_equal(state.global_stack, problem.glob.stack(state.preds.w))
+            if variant == "loss_plus_local":
+                assert state.global_stack.shape == (0, 4)
             if step < cfg.max_iters:
                 state, _ = solver_mod._step(problem, state)
 
