@@ -7,7 +7,6 @@ from .data import (
     WeightStack,
     indicator_from,
     present_rows,
-    stack_predictions,
     sublabel_rows,
 )
 from .dataset_io import load_dataset, save_dataset
@@ -37,13 +36,10 @@ from .experiments import (
     strip_timing,
 )
 from .linalg import (
-    EigenPair,
     SpdFactor,
     nuclear_norm,
     singular_values,
-    spd_solve,
     svt,
-    symmetric_eig,
     trace_norm_subgradient,
 )
 from .masking import CorruptionSpec, SyntheticSpec, corrupt, generate_synthetic
@@ -61,15 +57,10 @@ from .metrics import (
 from .objective import ObjectiveValue, masked_loss, objective, regularizer_value
 from .solver import (
     SolverConfig,
-    SolverState,
     SolverTrace,
     Variant,
     fit,
-    init_state,
     predict,
-    update_multipliers,
-    update_w,
-    update_z,
 )
 
 __version__ = "0.1.0"

@@ -48,6 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import StackGeometry
 from .dataset_io import (
     csv_text, json_text, load_dataset, load_weights, save_dataset, save_weights, write_file,
 )
@@ -67,7 +68,6 @@ from .experiments import (
     bench_subgradient,
     derive_seed,
     load_source,
-    prediction_stack_with_sublabels,
     run_experiment,  # no command calls it, but perfbench's tracer wraps cli.run_experiment
     run_experiments,
 )
@@ -188,8 +188,9 @@ def _cmd_evaluate(args):
 def _cmd_rank_diag(args):
     ds = load_dataset(args.data)
     w = load_weights(args.weights)
-    stack, rows_per_label = prediction_stack_with_sublabels(ds, w)
-    diag = rank_diagnostics(stack, rows_per_label, tol=args.tol)
+    geometry = StackGeometry(ds)
+    stack = geometry.stack(w)
+    diag = rank_diagnostics(stack, geometry.label_index, tol=args.tol)
     write_file(_out_dir(args) / "rank_diagnostics.json", json_text(diag.to_dict()))
     print(f"entire rank {diag.entire_rank} of {min(stack.shape)}, "
           f"mean sub-label rank {float(np.mean(diag.sub_ranks)):.2f}")

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    InvalidInput, LabelDomainViolation, _check_int, _check_list, _check_matrix, _check_rows,
-    _check_type,
+    InvalidInput, LabelDomainViolation, _check_int, _check_list, _check_matrix, _check_type,
 )
 
 
@@ -206,10 +205,6 @@ class StackGeometry:
     label_index : list of c index arrays, ascending, possibly empty.
     active_index : the nonempty entries of ``label_index``; a label
         positive nowhere adds nothing to the objective.
-    features : list of (n_i, d_i) arrays, each view's present rows,
-        gathered on access.
-    indicator : (N, c) array, 1.0 where a stacked tag is observed,
-        computed on access.
     """
 
     def __init__(self, ds):
@@ -233,14 +228,6 @@ class StackGeometry:
         among them, gathered straight from the view."""
         return self.views[i].features[self.present[i][rows]]
 
-    @property
-    def features(self):
-        return [self.view_features(i) for i in range(len(self.blocks))]
-
-    @property
-    def indicator(self):
-        return (self.labels != 0).astype(float)
-
     def stack(self, w):
         """The present-row prediction stack of weights ``w``, shape ``(N, c)``, filled
         one view at a time."""
@@ -249,21 +236,3 @@ class StackGeometry:
         for i, (block, wi) in enumerate(zip(self.blocks, w.weights)):
             np.matmul(self.view_features(i), wi, out=stack[block])
         return stack
-
-
-def stack_predictions(ds, w, rows_per_view):
-    """Vertically stack per-view predictions on selected rows.
-
-    Blocks are stacked in view order: block ``i`` is
-    ``ds.views[i].features[rows_per_view[i]] @ w.weights[i]``. Empty
-    selections contribute zero-row blocks.
-    """
-    rows_per_view = _check_list(rows_per_view, "rows_per_view")
-    if len(rows_per_view) != ds.n_views:
-        raise InvalidInput(f"need {ds.n_views} row selections, got {len(rows_per_view)}")
-    check_weight_shapes(w, [view.n_features for view in ds.views], ds.n_labels)
-    blocks = []
-    for i, (view, rows) in enumerate(zip(ds.views, rows_per_view)):
-        rows = _check_rows(rows, view.n_samples, f"rows_per_view[{i}]")
-        blocks.append(view.features[rows] @ w.weights[i])
-    return np.vstack(blocks)

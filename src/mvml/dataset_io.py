@@ -81,12 +81,12 @@ def csv_text(rows, fmt=None):
 def _read_csv(path, n_rows, n_cols, view_name, kind):
     if not path.is_file():
         raise MissingFile(f"view '{view_name}': {kind} file {path} does not exist")
+    with path.open("rb") as fh:  # loadtxt warns on a file of no data row
+        blank = not any(line.split(b"#", 1)[0].strip() for line in fh)
     try:
-        data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+        data = np.zeros((0, n_cols)) if blank else np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise SchemaViolation(f"view '{view_name}': {kind} file {path} is not numeric CSV: {exc}")
-    if data.shape == (1, 0):
-        data = np.zeros((0, n_cols))
     if data.shape != (n_rows, n_cols):
         raise SchemaViolation(
             f"view '{view_name}': {kind} file {path} has shape {data.shape}, "
@@ -218,12 +218,14 @@ def load_weights(path):
     """The weight stack ``save_weights`` wrote: an ``.npz`` of ``view0``, ``view1``, ..."""
     try:
         payload = np.load(path)
+        if isinstance(payload, np.lib.npyio.NpzFile):
+            with payload:  # a member is read, and its CRC checked, only on access
+                arrays = {name: payload[name] for name in payload.files}
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise InvalidInput(f"weights file {path} is not a readable .npz archive: {exc}")
     if not isinstance(payload, np.lib.npyio.NpzFile):
         raise InvalidInput(f"weights file {path} holds one array, not an .npz archive")
-    with payload:
-        names = [f"view{i}" for i in range(len(payload.files))]
-        if set(payload.files) != set(names):
-            raise InvalidInput(f"weights file {path} holds {payload.files}, not view0, view1...")
-        return WeightStack([payload[name] for name in names])
+    names = [f"view{i}" for i in range(len(arrays))]
+    if set(arrays) != set(names):
+        raise InvalidInput(f"weights file {path} holds {list(arrays)}, not view0, view1...")
+    return WeightStack([arrays[name] for name in names])

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import MultiViewDataset, StackGeometry, ViewData
+from .data import MultiViewDataset, ViewData
 from .dataset_io import csv_text, json_text, load_dataset, write_file
 from .errors import (
     InvalidInput, MvmlError, WorkerDied, _check_int, _check_list, _check_real, _check_rows,
@@ -542,18 +542,6 @@ def export_report(record, fmt, out_dir):
     for r, repeat in enumerate(record.repeats):
         written.append(write_file(out / f"convergence_{r:02d}.csv", csv_text(repeat.trace.rows())))
     return written
-
-
-def prediction_stack_with_sublabels(ds, w):
-    """Present-row prediction stack plus per-label row selections into it.
-
-    Returns ``(stack, rows_per_label)`` where ``stack`` vertically
-    concatenates each view's predictions on its present rows and
-    ``rows_per_label[k]`` indexes the stack rows whose sample is tagged
-    positive for label ``k`` in its view.
-    """
-    geometry = StackGeometry(ds)
-    return geometry.stack(w), geometry.label_index
 
 
 def bench_subgradient(

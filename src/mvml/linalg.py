@@ -17,8 +17,6 @@ others it is batched with.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import InvalidInput, SingularSystem, _check_matrix, _check_real
@@ -29,43 +27,6 @@ EIG_DROP_TOL = 1e-10
 
 # Ridge added to an SPD system before factorization: RIDGE_SCALE * trace/dim.
 RIDGE_SCALE = 1e-8
-
-
-class EigenPair(NamedTuple):
-    """Eigendecomposition result: ``vectors[:, i]`` pairs with ``values[i]``."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def symmetric_eig(b):
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
-
-    Parameters
-    ----------
-    b : array_like, shape (m, m)
-        Square matrix with finite entries. It is symmetrized internally
-        as ``(b + b.T) / 2`` before decomposition.
-
-    Returns
-    -------
-    EigenPair
-        ``values`` sorted descending, ``vectors`` with orthonormal
-        columns. For positive semi-definite input the values are
-        nonnegative up to round-off; no clamping is applied here.
-
-    Raises
-    ------
-    InvalidInput
-        If ``b`` is not square or contains non-finite entries.
-    """
-    b = _check_matrix(b, "b")
-    if b.shape[0] != b.shape[1]:
-        raise InvalidInput(f"b must be square, got shape {b.shape}")
-    if b.shape[0] == 0:
-        return EigenPair(np.zeros(0), np.zeros((0, 0)))
-    values, vectors = np.linalg.eigh(0.5 * (b + b.T))
-    return EigenPair(np.ascontiguousarray(values[::-1]), np.ascontiguousarray(vectors[:, ::-1]))
 
 
 def _tall(a):
@@ -262,8 +223,3 @@ class SpdFactor:
         if rhs.shape[0] != self.dim:
             raise InvalidInput(f"rhs has {rhs.shape[0]} rows, expected {self.dim}")
         return self._inv_lower.T @ (self._inv_lower @ rhs)
-
-
-def spd_solve(m, rhs):
-    """One-shot ridged SPD solve; see :class:`SpdFactor` for the conventions."""
-    return SpdFactor(m).solve(rhs)

@@ -19,10 +19,8 @@ with ``I`` the observed-entry indicator, ``Y`` the stacked labels,
 ``D_i`` the per-row count of positive tags. The loss enters the W step
 through its gradient at the previous iterate, so each view does one
 solve against an SPD factor computed once per fit. Labels positive
-nowhere are dropped from the splitting. The public ``update_w``,
-``update_z`` and ``update_multipliers`` run these steps on ``P`` itself,
-with no compression, as the sample-space reference for ``fit``, which
-never reads a sample row in a sweep.
+nowhere are dropped from the splitting. ``fit`` runs these steps on a
+compressed stack and never reads a sample row in a sweep.
 
 ``fit`` is a set-up (``_Problem``), a step (``_step``) and a driver.
 
@@ -116,11 +114,12 @@ import numpy as np
 from .blas import single_threaded
 from .data import MultiViewDataset, StackGeometry, WeightStack, check_weight_shapes
 from .errors import (
-    AllViewsMissing, InvalidInput, NonFiniteObjective, _check_int, _check_matrix, _check_real,
-    _check_seed, _check_type, _set_checked,
+    AllViewsMissing, InvalidInput, NonFiniteObjective, _check_int, _check_real, _check_seed,
+    _check_type, _set_checked,
 )
 from .linalg import (
-    SpdFactor, _nuclear_norm_many, _svt_many, nuclear_norm, svt, trace_norm_subgradient,
+    SpdFactor, _nuclear_norm_many, _svt_many, nuclear_norm, trace_norm_subgradient,
+    svt,  # no sweep calls it, but perfbench's tracer wraps solver.svt
 )
 from .objective import ObjectiveValue
 
@@ -203,16 +202,6 @@ class SolverTrace:
         for t, values in enumerate(zip(self.objective, self.surrogate, self.residual), 1):
             rows.append([str(t), *map(repr, values)])
         return rows
-
-
-@dataclass
-class SolverState:
-    """Iterate: weights, per-label splits Z, multipliers, sweep counter."""
-
-    w: WeightStack
-    z: list[np.ndarray]
-    multipliers: list[np.ndarray]
-    iteration: int = 0
 
 
 def _group_width(rows):
@@ -386,37 +375,6 @@ def _initial_weights(geometry, config):
     return WeightStack([rng.standard_normal((d, c)) / np.sqrt(d) for d in geometry.dims])
 
 
-def _check_state(state, geometry):
-    """``state`` with one finite ``(n_k, c)`` split and multiplier per active label."""
-    _check_type(state, "state", SolverState)
-    c = geometry.labels.shape[1]
-    checked = {}
-    for name in ("z", "multipliers"):
-        mats = getattr(state, name)
-        if not isinstance(mats, (list, tuple)) or len(mats) != len(geometry.active_index):
-            got = len(mats) if isinstance(mats, (list, tuple)) else type(mats).__name__
-            raise InvalidInput(
-                f"state.{name} must be a list of {len(geometry.active_index)} matrices, "
-                f"one per active label, got {got}"
-            )
-        checked[name] = [_check_matrix(m, f"state.{name}[{k}]") for k, m in enumerate(mats)]
-        for k, (m, rows) in enumerate(zip(checked[name], geometry.active_index)):
-            if m.shape != (rows.size, c):
-                raise InvalidInput(
-                    f"state.{name}[{k}] must have shape {(rows.size, c)}, got {m.shape}"
-                )
-    return replace(state, **checked)
-
-
-def init_state(ds, config):
-    """Random weights scaled by 1/sqrt(d) per view, zero splits and multipliers."""
-    geometry = StackGeometry(ds)
-    config = _check_type(config, "config", SolverConfig)
-    z = [np.zeros((rows.size, geometry.labels.shape[1])) for rows in geometry.active_index]
-    mult = [np.zeros_like(zk) for zk in z]
-    return SolverState(w=_initial_weights(geometry, config), z=z, multipliers=mult, iteration=0)
-
-
 def _factor_views(grams, mu):
     """Cached factors of ``mu * gram`` for each view's W-step Gram ``Xp_i' D_i Xp_i``."""
     factors = []
@@ -427,52 +385,9 @@ def _factor_views(grams, mu):
     return factors
 
 
-def _update_w(factors, *shares):
+def _solve_w(factors, *shares):
     """Solve each view's W step against the sum of its right-hand-side shares."""
     return WeightStack([factor.solve(sum(parts)) for factor, *parts in zip(factors, *shares)])
-
-
-def _sample_space(ds, state, config):
-    """Checked config, geometry and state, and the stack ``P`` at ``state.w``."""
-    config = _check_type(config, "config", SolverConfig)
-    geometry = StackGeometry(ds)
-    state = _check_state(state, geometry)
-    return config, geometry, state, geometry.stack(state.w)
-
-
-def update_w(state, ds, config, grad_prev=None):
-    """One W sweep; ``grad_prev`` is the trace-norm subgradient of the
-    present-row prediction stack at the previous weights (or None)."""
-    config, geometry, state, stack = _sample_space(ds, state, config)
-    resid = geometry.indicator * (geometry.labels - stack)
-    for rows, zk, mk in zip(geometry.active_index, state.z, state.multipliers):
-        resid[rows] += config.mu * zk - mk
-    if grad_prev is not None:
-        grad_prev = _check_matrix(grad_prev, "grad_prev")
-        if grad_prev.shape != stack.shape:
-            raise InvalidInput(f"grad_prev must have shape {stack.shape}, got {grad_prev.shape}")
-        resid += config.lam * grad_prev
-    positives = np.sum(geometry.labels == 1, axis=1)
-    features = geometry.features
-    grams = [feats.T @ (positives[block, None] * feats)
-             for feats, block in zip(features, geometry.blocks)]
-    rhs = [feats.T @ resid[block] for feats, block in zip(features, geometry.blocks)]
-    return _update_w(_factor_views(grams, config.mu), rhs)
-
-
-def update_z(state, ds, config):
-    """Shrink each active per-label stack by lam/mu around the multipliers."""
-    config, geometry, state, stack = _sample_space(ds, state, config)
-    tau = config.lam / config.mu
-    return [svt(stack[rows] + mult / config.mu, tau)
-            for rows, mult in zip(geometry.active_index, state.multipliers)]
-
-
-def update_multipliers(state, ds, config):
-    """Ascend the scaled multipliers along the current primal residuals."""
-    config, geometry, state, stack = _sample_space(ds, state, config)
-    return [m + config.mu * (stack[rows] - zk)
-            for rows, m, zk in zip(geometry.active_index, state.multipliers, state.z)]
 
 
 def _rel_change(curr, prev):
@@ -513,7 +428,7 @@ class _Problem:
         self.glob = _LabelStacks(geometry, [np.arange(geometry.labels.shape[0])] if full else [])
 
     def seed(self, geometry):
-        """The seeded state: ``init_state``'s weights, zero ``Z~`` and ``L~``, and ``S``."""
+        """The seeded state: ``_initial_weights``, zero ``Z~`` and ``L~``, and ``S``."""
         w, zero = _initial_weights(geometry, self.config), np.zeros(self.layout.shape)
         return _Iterate(self.grams.predict(w), zero, zero, self.glob.stack(w))
 
@@ -543,9 +458,9 @@ def _step(problem, state):
     config, grams, layout, glob = problem.config, problem.grams, problem.layout, problem.glob
     mu = config.mu
     grad = trace_norm_subgradient(state.global_stack)  # CCCP: linearized at the state's S
-    w = _update_w(problem.factors, grams.w_rhs(state.preds),
-                  layout.back_project(mu * state.z - state.multipliers),
-                  [config.lam * g for g in glob.back_project(grad)])
+    w = _solve_w(problem.factors, grams.w_rhs(state.preds),
+                 layout.back_project(mu * state.z - state.multipliers),
+                 [config.lam * g for g in glob.back_project(grad)])
     stack, preds, global_stack = layout.stack(w), grams.predict(w), glob.stack(w)
     shift = stack + state.multipliers / mu
     if not all(np.isfinite(np.vdot(m, m)) for m in (stack, shift, global_stack)):

@@ -2,15 +2,22 @@
 
 Everything here is written on purpose through a different route than the
 package: full SVD instead of Gram eigendecompositions, explicit Python
-loops and ``sorted`` instead of vectorized rank arithmetic, and a removal
-repair that rescans every sample for each repaired one. Tolerances in
-the tests bound the distance between the two routes.
+loops and ``sorted`` instead of vectorized rank arithmetic, a removal
+repair that rescans every sample for each repaired one, and a solver
+sweep on the uncompressed sample-space stack, which calls the package's
+SPD factor and shrinkage on ``P`` itself where ``fit`` compresses it.
+Tolerances in the tests bound the distance between the two routes.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
+from mvml.data import StackGeometry, WeightStack
 from mvml.errors import InvalidInput
+from mvml.linalg import SpdFactor, svt
 from mvml.masking import _STREAM_REPAIR, _STREAM_VIEW_MISSING, _rng
+from mvml.solver import _initial_weights
 
 # Same relative eigenvalue cut the library uses, expressed on singular
 # values: sigma is kept when sigma^2 > 1e-10 * max(sigma_max^2, 1).
@@ -169,3 +176,65 @@ def loop_view_missing_masks(n, n_views, n_missing, seed):
                 "view removal fractions leave no feasible assignment covering every sample"
             )
     return masks
+
+
+def stack_predictions(ds, w, rows_per_view):
+    """Per-view predictions on the selected rows, stacked in view order: block ``i`` is
+    ``ds.views[i].features[rows_per_view[i]] @ w.weights[i]``."""
+    return np.vstack([view.features[rows] @ wi
+                      for view, rows, wi in zip(ds.views, rows_per_view, w.weights)])
+
+
+class SampleState(NamedTuple):
+    """An iterate of the sample-space sweep: weights, and a split ``Z_k`` and a scaled
+    multiplier ``L_k`` of each active label's rows of ``P``."""
+
+    w: WeightStack
+    z: list
+    multipliers: list
+
+
+def seed_state(ds, config):
+    """``fit``'s seeded weights with zero splits and multipliers."""
+    geometry = StackGeometry(ds)
+    z = [np.zeros((rows.size, ds.n_labels)) for rows in geometry.active_index]
+    return SampleState(_initial_weights(geometry, config), z, [np.zeros_like(zk) for zk in z])
+
+
+def _sample_stack(ds, state):
+    geometry = StackGeometry(ds)
+    return geometry, geometry.stack(state.w)
+
+
+def w_step(state, ds, config, grad_prev=None):
+    """One W step on ``P``: each view solves ``mu Xp_i' D_i Xp_i`` against
+    ``Xp_i' R[block_i]`` for ``R = I o (Y - P) + sum_k scatter_k(mu Z_k - L_k)
+    + lam * grad_prev``, ``grad_prev`` the trace-norm subgradient of ``P`` at the
+    previous weights (or None)."""
+    geometry, stack = _sample_stack(ds, state)
+    resid = (geometry.labels != 0) * (geometry.labels - stack)
+    for rows, zk, mk in zip(geometry.active_index, state.z, state.multipliers):
+        resid[rows] += config.mu * zk - mk
+    if grad_prev is not None:
+        resid += config.lam * grad_prev
+    positives = np.sum(geometry.labels == 1, axis=1)
+    weights = []
+    for i, block in enumerate(geometry.blocks):
+        feats = geometry.view_features(i)
+        gram = feats.T @ (positives[block, None] * feats)
+        weights.append(SpdFactor(config.mu * gram).solve(feats.T @ resid[block]))
+    return WeightStack(weights)
+
+
+def z_step(state, ds, config):
+    """Each active label's rows of ``P`` shrunk by lam/mu around its multiplier."""
+    geometry, stack = _sample_stack(ds, state)
+    return [svt(stack[rows] + mult / config.mu, config.lam / config.mu)
+            for rows, mult in zip(geometry.active_index, state.multipliers)]
+
+
+def multiplier_step(state, ds, config):
+    """The scaled multipliers ascended along the primal residuals ``P_k - Z_k``."""
+    geometry, stack = _sample_stack(ds, state)
+    return [m + config.mu * (stack[rows] - zk)
+            for rows, m, zk in zip(geometry.active_index, state.multipliers, state.z)]

@@ -34,7 +34,8 @@ from mvml import (
     svt,
     trace_norm_subgradient,
 )
-from mvml.experiments import METRIC_NAMES, prediction_stack_with_sublabels
+from mvml.data import StackGeometry
+from mvml.experiments import METRIC_NAMES
 
 import oracles
 from conftest import make_weights, guarantee_conditions_dataset
@@ -131,9 +132,8 @@ def test_criterion_04_monotone_convergence(desk_run):
     # objective and its convex surrogate meet at the fixed point
     assert abs(trace.surrogate[-1] - f[-1]) <= 0.05 * abs(f[-1])
     # the split variables have closed onto the per-tag prediction stacks
-    stack, rows_per_label = prediction_stack_with_sublabels(
-        desk_run["data"], desk_run["weights"]
-    )
+    geometry = StackGeometry(desk_run["data"])
+    stack, rows_per_label = geometry.stack(desk_run["weights"]), geometry.label_index
     scale = max(float(np.linalg.norm(stack[rows])) for rows in rows_per_label)
     assert trace.residual[-1] <= 1e-3 * scale
     print("ACCEPTANCE 4 PASS")
@@ -204,9 +204,8 @@ def test_criterion_08_corruption_monotonicity():
 
 
 def test_criterion_09_rank_diagnostics(desk_run):
-    stack, rows_per_label = prediction_stack_with_sublabels(
-        desk_run["data"], desk_run["weights"]
-    )
+    geometry = StackGeometry(desk_run["data"])
+    stack, rows_per_label = geometry.stack(desk_run["weights"]), geometry.label_index
     signed = np.where(stack >= 0, 1.0, -1.0)
     diag = rank_diagnostics(signed, rows_per_label)
     c = desk_run["data"].n_labels

@@ -1,5 +1,6 @@
 """End-to-end command-line checks: every subcommand, exit codes, chaining."""
 
+import io
 import json
 import multiprocessing
 import shutil
@@ -513,7 +514,8 @@ def test_view_without_positive_tags_exits_one(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: view 0: no present row")
 
 
-@pytest.mark.parametrize("kind", ["misnamed-arrays", "not-npz", "missing-file", "bare-npy"])
+@pytest.mark.parametrize("kind", ["misnamed-arrays", "not-npz", "missing-file", "bare-npy",
+                                  "object-array", "corrupt-member"])
 def test_malformed_weights_exit_one(pipeline, tmp_path, capsys, kind):
     weights = tmp_path / "w.npz"
     if kind == "misnamed-arrays":
@@ -523,6 +525,15 @@ def test_malformed_weights_exit_one(pipeline, tmp_path, capsys, kind):
     elif kind == "bare-npy":
         with weights.open("wb") as fh:  # one array, under the name an archive would have
             np.save(fh, np.zeros((5, 5)))
+    elif kind == "object-array":  # loading it would need pickle
+        np.savez(weights, view0=np.array([None, 1.0], dtype=object), view1=np.zeros((6, 5)))
+    elif kind == "corrupt-member":  # view0.npy's last byte flipped: its CRC no longer holds
+        np.savez(weights, view0=np.zeros((5, 5)), view1=np.zeros((6, 5)))
+        member = io.BytesIO()
+        np.save(member, np.zeros((5, 5)))
+        data = bytearray(weights.read_bytes())
+        data[data.index(member.getvalue()) + len(member.getvalue()) - 1] ^= 0xFF
+        weights.write_bytes(bytes(data))
     code = main(["predict", "--weights", str(weights), "--data", pipeline["clean"],
                  "--out", str(tmp_path / "o")])
     assert code == 1

@@ -12,8 +12,10 @@ from mvml import (
     IoError,
     LabelDomainViolation,
     MissingFile,
+    MultiViewDataset,
     NonFiniteEntry,
     SchemaViolation,
+    ViewData,
     load_dataset,
     save_dataset,
 )
@@ -178,6 +180,14 @@ class TestLoadErrors:
             load_dataset(root)
         assert "hue" in str(info.value)
 
+    @pytest.mark.parametrize("text", ["", "\n\n", "# no data\n"],
+                             ids=["empty", "blank-lines", "comment-only"])
+    def test_emptied_labels_file_names_its_shape(self, rng, tmp_path, text):
+        save_dataset(make_dataset(rng, n=40, c=3, dims=(4,)), tmp_path / "out")
+        (tmp_path / "out" / "view0_labels.csv").write_text(text)
+        with pytest.raises(SchemaViolation, match=r"has shape \(0, 3\), expected \(40, 3\)"):
+            load_dataset(tmp_path / "out")
+
     def test_sample_absent_from_every_view_rejected(self, tmp_path):
         root = copy_fixture(tmp_path)
         # single-view dataset whose missing file orphans row 2
@@ -201,6 +211,14 @@ class TestSaveRoundTrip:
             assert np.array_equal(a.features, b.features)
             assert np.array_equal(a.labels, b.labels)
             assert np.array_equal(a.missing_rows, b.missing_rows)
+
+    def test_zero_sample_dataset_survives(self, tmp_path):
+        views = [ViewData(features=np.zeros((0, d)), labels=np.zeros((0, 3)),
+                          missing_rows=np.zeros(0, dtype=bool)) for d in (2, 4)]
+        save_dataset(MultiViewDataset(views=views), tmp_path / "out")
+        back = load_dataset(tmp_path / "out")
+        assert [(v.features.shape, v.labels.shape) for v in back.views] == [
+            ((0, 2), (0, 3)), ((0, 4), (0, 3))]
 
     def test_non_aligned_flag_survives(self, rng, tmp_path):
         ds = make_dataset(rng, n=6, c=2, dims=(3,), aligned=False)

@@ -6,8 +6,6 @@ than iterate it, an int to each dataset, view or spec argument, and each
 bad matrix to each matrix argument.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -17,28 +15,30 @@ from mvml import (
     MultiViewDataset,
     SolverConfig,
     SpdFactor,
+    StackGeometry,
     ViewData,
     WeightStack,
     bench_subgradient,
     corrupt,
+    adapted_auc,
+    average_precision,
     evaluate_predictions,
+    fit,
     generate_synthetic,
+    hamming_loss,
     indicator_from,
     present_rows,
     run_experiment,
     save_dataset,
     sublabel_rows,
     nemenyi_cd,
-    stack_predictions,
     nuclear_norm,
+    predict,
     rank_diagnostics,
+    ranking_loss,
+    singular_values,
     svt,
-    symmetric_eig,
     trace_norm_subgradient,
-    init_state,
-    update_multipliers,
-    update_w,
-    update_z,
 )
 from mvml.experiments import subset_dataset
 from mvml.objective import objective
@@ -49,10 +49,6 @@ _RNG = np.random.default_rng(3)
 _DS = make_dataset(_RNG, n=8, c=3, dims=(2, 3))
 _W = make_weights(_RNG, (2, 3), 3)
 _A = _RNG.standard_normal((6, 3))
-# every row holds a positive tag, so all 3 labels are active and each view's W step solvable
-_SOLVER_DS = make_dataset(_RNG, n=8, c=3, dims=(2, 3), ensure_positive_per_row=True)
-_CFG = SolverConfig(lam=0.5)
-_STATE = init_state(_SOLVER_DS, _CFG)
 
 # argument name -> (call with that argument set to x, a value out of its range)
 SCALAR_ARGUMENTS = {
@@ -67,11 +63,17 @@ SCALAR_ARGUMENTS = {
     "nemenyi_cd.n_methods": (lambda x: nemenyi_cd(x, 10, 2.5), 1),
     "nemenyi_cd.n_results": (lambda x: nemenyi_cd(3, x, 2.5), 0),
     "nemenyi_cd.q_alpha": (lambda x: nemenyi_cd(3, 10, x), 0.0),
+    # the solver's settings, which fit checks through its config
+    "SolverConfig.lam": (lambda x: SolverConfig(lam=x), -1.0),
+    "SolverConfig.mu": (lambda x: SolverConfig(lam=0.5, mu=x), 0.0),
+    "SolverConfig.rel_tol": (lambda x: SolverConfig(lam=0.5, rel_tol=x), -1e-6),
+    "SolverConfig.max_iters": (lambda x: SolverConfig(lam=0.5, max_iters=x), 0),
+    "SolverConfig.init_seed": (lambda x: SolverConfig(lam=0.5, init_seed=x), -1),
+    "SolverConfig.variant": (lambda x: SolverConfig(lam=0.5, variant=x), "sample_space"),
     # containers: a scalar or a string is rejected, not iterated
     "MultiViewDataset.views": (MultiViewDataset, 5),
     "WeightStack.weights": (WeightStack, 5),
     "rank_diagnostics.sublabel_rows_per_label": (lambda x: rank_diagnostics(_A, x), 5),
-    "stack_predictions.rows_per_view": (lambda x: stack_predictions(_DS, _W, x), 5),
     "bench_subgradient.sizes": (lambda x: bench_subgradient(x, repeats=1), 5),
 }
 
@@ -110,6 +112,10 @@ TYPED_ARGUMENTS = {
     "sublabel_rows.view": lambda x, path: sublabel_rows(x, 0),
     "present_rows.view": lambda x, path: present_rows(x),
     "indicator_from.view": lambda x, path: indicator_from(x),
+    "fit.ds": lambda x, path: fit(x, SolverConfig(lam=0.5)),
+    "fit.config": lambda x, path: fit(_DS, x),
+    "predict.test": lambda x, path: predict(_W, x),
+    "StackGeometry.ds": lambda x, path: StackGeometry(x),
 }
 
 
@@ -124,17 +130,20 @@ def test_argument_of_the_wrong_type_raises_invalid_input(arg, tmp_path):
 MATRIX_ARGUMENTS = {
     "svt.a": lambda x: svt(x, 0.1),
     "nuclear_norm.a": nuclear_norm,
+    "singular_values.a": singular_values,
     "trace_norm_subgradient.a": trace_norm_subgradient,
-    "symmetric_eig.b": symmetric_eig,
     "WeightStack.weights": lambda x: WeightStack([x]),
     "ViewData.features": lambda x: ViewData(x, np.zeros((2, 1)), np.zeros(2, dtype=bool)),
     "ViewData.labels": lambda x: ViewData(np.ones((2, 2)), x, np.zeros(2, dtype=bool)),
     "evaluate_predictions.scores": lambda x: evaluate_predictions(x, [[1.0, -1.0]]),
     "evaluate_predictions.truth": lambda x: evaluate_predictions([[0.5, -0.5]], x),
+    "hamming_loss.scores": lambda x: hamming_loss(x, [[1.0, -1.0]]),
+    "ranking_loss.scores": lambda x: ranking_loss(x, [[1.0, -1.0]]),
+    "average_precision.scores": lambda x: average_precision(x, [[1.0, -1.0]]),
+    "adapted_auc.scores": lambda x: adapted_auc(x, [[1.0, -1.0]]),
     "rank_diagnostics.pred": lambda x: rank_diagnostics(x, []),
     "SpdFactor.m": SpdFactor,
     "SpdFactor.solve.rhs": lambda x: SpdFactor(np.eye(2)).solve(x),
-    "update_w.grad_prev": lambda x: update_w(_STATE, _SOLVER_DS, _CFG, grad_prev=x),
     "MultiViewDataset.views": lambda x: MultiViewDataset([x]),
 }
 
@@ -167,7 +176,6 @@ def test_vector_rhs_still_solves():
 # argument name -> call with that row selection set to x (_A has 6 rows, _DS 8)
 ROW_ARGUMENTS = {
     "rank_diagnostics.sublabel_rows_per_label": lambda x: rank_diagnostics(_A, [x]),
-    "stack_predictions.rows_per_view": lambda x: stack_predictions(_DS, _W, [x, [0]]),
     "subset_dataset.rows": lambda x: subset_dataset(_DS, x),
 }
 
@@ -190,56 +198,4 @@ def test_bad_row_selection_raises_invalid_input(arg, kind):
 
 def test_empty_row_selection_is_valid():
     assert rank_diagnostics(_A, [[]]).sub_ranks == (0,)
-    assert stack_predictions(_DS, _W, [[], []]).shape == (0, 3)
 
-
-def _with_entry(field, k, value):
-    """``_STATE`` with entry ``k`` of its ``field`` list replaced by ``value``."""
-    mats = list(getattr(_STATE, field))
-    mats[k] = value
-    return replace(_STATE, **{field: mats})
-
-
-STEP_FUNCTIONS = {
-    "update_w": lambda state: update_w(state, _SOLVER_DS, _CFG),
-    "update_z": lambda state: update_z(state, _SOLVER_DS, _CFG),
-    "update_multipliers": lambda state: update_multipliers(state, _SOLVER_DS, _CFG),
-}
-
-# kind of malformed state -> (the state, the message it must raise)
-BAD_STATES = {
-    "none": (None, "state must be a SolverState"),
-    "dict": ({"w": _STATE.w, "z": _STATE.z, "multipliers": _STATE.multipliers},
-             "state must be a SolverState"),
-    "z-none": (replace(_STATE, z=None), r"state\.z must be a list of 3"),
-    "multipliers-none": (replace(_STATE, multipliers=None), r"state\.multipliers must be a list"),
-    "z-one-short": (replace(_STATE, z=_STATE.z[:-1]), r"state\.z must be a list of 3 .* got 2"),
-    "z-one-extra": (replace(_STATE, z=[*_STATE.z, _STATE.z[0]]), r"state\.z .* got 4"),
-    "z-too-few-rows": (_with_entry("z", 1, _STATE.z[1][:-1]), r"state\.z\[1\] must have shape"),
-    "z-one-d": (_with_entry("z", 2, np.zeros(3)), r"state\.z\[2\] must be 2-D"),
-    "multipliers-text": (_with_entry("multipliers", 0, [["a", "b", "c"]]),
-                         r"state\.multipliers\[0\] must hold real numbers"),
-    "multipliers-nan": (_with_entry("multipliers", 2, np.full_like(_STATE.multipliers[2], np.nan)),
-                        r"state\.multipliers\[2\] row 0, column 0 is not finite"),
-}
-
-STATE_CASES = [(fn, kind) for fn in STEP_FUNCTIONS for kind in BAD_STATES]
-
-
-@pytest.mark.parametrize("fn, kind", STATE_CASES, ids=[f"{f}-{k}" for f, k in STATE_CASES])
-def test_malformed_state_raises_invalid_input(fn, kind):
-    state, message = BAD_STATES[kind]
-    with pytest.raises(InvalidInput, match=message):
-        STEP_FUNCTIONS[fn](state)
-
-
-def test_grad_prev_of_the_wrong_shape_is_named():
-    with pytest.raises(InvalidInput, match=r"grad_prev must have shape \(\d+, 3\), got \(1, 1\)"):
-        update_w(_STATE, _SOLVER_DS, _CFG, grad_prev=[[1.0]])
-
-
-def test_splits_given_as_nested_lists_pass_every_step():
-    state = replace(_STATE, z=[zk.tolist() for zk in _STATE.z])
-    for step in STEP_FUNCTIONS.values():
-        step(state)
-    assert [zk.shape for zk in update_z(state, _SOLVER_DS, _CFG)] == [zk.shape for zk in _STATE.z]

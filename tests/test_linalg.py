@@ -11,9 +11,7 @@ from mvml import (
     SpdFactor,
     nuclear_norm,
     singular_values,
-    spd_solve,
     svt,
-    symmetric_eig,
     trace_norm_subgradient,
 )
 from mvml.linalg import _nuclear_norm_many, _svt_many
@@ -173,39 +171,13 @@ class TestBatchedKernels:
             assert np.float64(norm).tobytes() == np.float64(nuclear_norm(stack[block])).tobytes()
 
 
-class TestSymmetricEig:
-    def test_identity(self):
-        pair = symmetric_eig(np.eye(3))
-        np.testing.assert_allclose(pair.values, np.ones(3), atol=1e-12)
-
-    def test_diagonal_descending(self):
-        pair = symmetric_eig(np.diag([4.0, 1.0]))
-        np.testing.assert_allclose(pair.values, [4.0, 1.0], atol=1e-12)
-        # vectors form a signed permutation of the identity
-        np.testing.assert_allclose(np.abs(pair.vectors), np.eye(2), atol=1e-12)
-
-    def test_reconstruction(self, rng):
-        b = rng.standard_normal((20, 20))
-        b = (b + b.T) / 2
-        pair = symmetric_eig(b)
-        residual = b @ pair.vectors - pair.vectors * pair.values
-        assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(b)
-        assert np.all(np.diff(pair.values) <= 1e-12)
-        gram = pair.vectors.T @ pair.vectors
-        assert np.linalg.norm(gram - np.eye(20)) <= 1e-10 * 20
-
-    def test_rejects_non_square(self, rng):
-        with pytest.raises(InvalidInput):
-            symmetric_eig(rng.standard_normal((3, 4)))
-
-
 class TestSpdSolve:
     def test_identity_system(self, rng):
         rhs = rng.standard_normal((3, 2))
-        np.testing.assert_allclose(spd_solve(np.eye(3), rhs), rhs, atol=1e-10)
+        np.testing.assert_allclose(SpdFactor(np.eye(3)).solve(rhs), rhs, atol=1e-10)
 
     def test_diagonal_solve(self):
-        x = spd_solve(np.diag([2.0, 4.0]), np.array([[2.0], [4.0]]))
+        x = SpdFactor(np.diag([2.0, 4.0])).solve(np.array([[2.0], [4.0]]))
         np.testing.assert_allclose(x, np.ones((2, 1)), atol=1e-7)
 
     def test_matches_dense_inverse(self, rng):
@@ -213,7 +185,7 @@ class TestSpdSolve:
         m = m @ m.T + 30 * np.eye(30)
         rhs = rng.standard_normal((30, 4))
         expected = np.linalg.inv(m) @ rhs
-        x = spd_solve(m, rhs)
+        x = SpdFactor(m).solve(rhs)
         assert np.linalg.norm(x - expected) <= 1e-7 * np.linalg.norm(expected)
 
     def test_factor_reuse(self, rng):
@@ -222,13 +194,13 @@ class TestSpdSolve:
         factor = SpdFactor(m)
         r1 = rng.standard_normal((8, 2))
         r2 = rng.standard_normal((8, 3))
-        np.testing.assert_allclose(factor.solve(r1), spd_solve(m, r1), atol=1e-12)
-        np.testing.assert_allclose(factor.solve(r2), spd_solve(m, r2), atol=1e-12)
+        np.testing.assert_allclose(factor.solve(r1), SpdFactor(m).solve(r1), atol=1e-12)
+        np.testing.assert_allclose(factor.solve(r2), SpdFactor(m).solve(r2), atol=1e-12)
 
     def test_singular_system_error(self):
         m = np.diag([1.0, -1e12])
         with pytest.raises(SingularSystem):
-            spd_solve(m, np.ones((2, 1)))
+            SpdFactor(m).solve(np.ones((2, 1)))
 
 
 class TestSingularValues:

@@ -12,7 +12,6 @@ from mvml import (
     nuclear_norm,
     regularizer_value,
     sublabel_rows,
-    stack_predictions,
 )
 from mvml.objective import objective
 
@@ -81,9 +80,9 @@ class TestRegularizerValue:
         for k in range(4):
             rows = [sublabel_rows(view, k) for view in ds.views]
             if sum(len(r) for r in rows):
-                expected_local += oracles.svd_nuclear(stack_predictions(ds, w, rows))
+                expected_local += oracles.svd_nuclear(oracles.stack_predictions(ds, w, rows))
         all_rows = [np.flatnonzero(~view.missing_rows) for view in ds.views]
-        expected_global = oracles.svd_nuclear(stack_predictions(ds, w, all_rows))
+        expected_global = oracles.svd_nuclear(oracles.stack_predictions(ds, w, all_rows))
 
         assert local == pytest.approx(expected_local, rel=1e-9)
         assert global_ == pytest.approx(expected_global, rel=1e-9)
@@ -97,7 +96,7 @@ class TestRegularizerValue:
         w = make_weights(rng, (3,), 2)
         local, _ = regularizer_value(ds, w)
         rows = [sublabel_rows(ds.views[0], 0)]
-        only_first = nuclear_norm(stack_predictions(ds, w, rows))
+        only_first = nuclear_norm(oracles.stack_predictions(ds, w, rows))
         assert local == pytest.approx(only_first, rel=1e-12)
 
 

@@ -36,6 +36,11 @@ from conftest import make_dataset, make_weights
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, database=None, derandomize=True)
 
 
+def present_features(geometry):
+    """Each view's present rows, in view order."""
+    return [geometry.view_features(i) for i in range(len(geometry.blocks))]
+
+
 @st.composite
 def tied_scores_and_truth(draw, max_c=4):
     n = draw(st.integers(1, 12))
@@ -132,8 +137,9 @@ def test_compressed_stack_carries_the_global_term(seed, n, c, dims, with_missing
 
     got = [lam * g for g in layout.back_project(trace_norm_subgradient(compressed))]
     oracle = oracles.svd_subgradient(stack)
-    want = [lam * feats.T @ oracle[b] for feats, b in zip(geometry.features, geometry.blocks)]
-    for feats, g, o in zip(geometry.features, got, want):
+    features = present_features(geometry)
+    want = [lam * feats.T @ oracle[b] for feats, b in zip(features, geometry.blocks)]
+    for feats, g, o in zip(features, got, want):
         assert np.linalg.norm(g - o) <= 1e-10 * lam * np.linalg.norm(feats)
 
 
@@ -162,7 +168,7 @@ def label_edge_datasets(draw):
 def test_compressed_label_stacks_carry_the_local_terms(case, lam, mu):
     ds, rng = case
     geometry = StackGeometry(ds)
-    dims = [feats.shape[1] for feats in geometry.features]
+    dims = geometry.dims
     c = geometry.labels.shape[1]
     w, w_mult = make_weights(rng, dims, c), make_weights(rng, dims, c)
     layout = _LabelStacks(geometry, geometry.active_index)
@@ -186,7 +192,8 @@ def test_compressed_label_stacks_carry_the_local_terms(case, lam, mu):
         sample = np.zeros_like(stack)
         sample[rows] = svt(shifted, lam / mu)
         scale = 1e-10 * np.linalg.norm(shifted)
-        for feats, block, got in zip(geometry.features, geometry.blocks, layout.back_project(ext)):
+        for feats, block, got in zip(present_features(geometry), geometry.blocks,
+                                     layout.back_project(ext)):
             assert np.linalg.norm(got - feats.T @ sample[block]) <= scale * np.linalg.norm(feats)
 
 
@@ -268,19 +275,20 @@ def test_a_step_is_a_pure_map_and_two_steps_are_a_two_sweep_fit(case):
 def test_loss_grams_carry_the_loss_and_its_gradient(case):
     ds, rng = case
     geometry = StackGeometry(ds)
-    dims = [feats.shape[1] for feats in geometry.features]
+    dims = geometry.dims
     w = make_weights(rng, dims, geometry.labels.shape[1])
     stack = geometry.stack(w)
     grams = _LossGrams(geometry)
     preds = grams.predict(w)
 
-    masked_preds = geometry.indicator * stack
+    indicator = (geometry.labels != 0).astype(float)
+    masked_preds = indicator * stack
     scale = grams.constant + 0.5 * np.sum(masked_preds**2)
     assert abs(_masked_loss_from_preds(grams, preds) - stack_loss(geometry, stack)) <= 1e-12 * scale
 
-    resid = geometry.indicator * (stack - geometry.labels)
-    norms = np.linalg.norm(masked_preds) + np.linalg.norm(geometry.indicator * geometry.labels)
-    for feats, block, got in zip(geometry.features, geometry.blocks, grams.w_rhs(preds)):
+    resid = indicator * (stack - geometry.labels)
+    norms = np.linalg.norm(masked_preds) + np.linalg.norm(indicator * geometry.labels)
+    for feats, block, got in zip(present_features(geometry), geometry.blocks, grams.w_rhs(preds)):
         want = -feats.T @ resid[block]
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(feats) * norms
 

@@ -1,4 +1,4 @@
-"""Solver loop: state init, the three block updates, fit, and predict."""
+"""Solver loop: the seeded state, the three block updates, fit, and predict."""
 
 import multiprocessing
 import sys
@@ -13,25 +13,21 @@ from mvml import (
     MultiViewDataset,
     NonFiniteObjective,
     SolverConfig,
-    SolverState,
     ViewData,
     WeightStack,
     fit,
-    init_state,
     predict,
     trace_norm_subgradient,
-    update_multipliers,
-    update_w,
-    update_z,
 )
 from mvml import solver as solver_mod
 from mvml.linalg import RIDGE_SCALE, _nuclear_norm_many, _svt_many, nuclear_norm, svt
 from mvml.masking import CorruptionSpec, SyntheticSpec, corrupt, generate_synthetic
-from mvml.data import StackGeometry, present_rows, stack_predictions, sublabel_rows
+from mvml.data import StackGeometry, present_rows, sublabel_rows
 from mvml.objective import objective
 from mvml.solver import _gram_root, _group_width, _observed_grams
 
 import oracles
+from oracles import SampleState, multiplier_step, seed_state, w_step, z_step
 from conftest import DIVERGING_SOLVER, diverging_training_set, make_dataset
 
 
@@ -40,12 +36,12 @@ def small_training_set(rng, n=40, c=3, dims=(4, 6)):
 
 
 def manual_state(ds, rng, config, scale=1.0):
-    """A solver state with random weights, splits, and multipliers."""
-    state = init_state(ds, config)
+    """A sample-space state with random weights, splits, and multipliers."""
+    state = seed_state(ds, config)
     weights = [scale * rng.standard_normal(w.shape) for w in state.w.weights]
     z = [rng.standard_normal(zk.shape) for zk in state.z]
     mult = [rng.standard_normal(m.shape) for m in state.multipliers]
-    return SolverState(w=WeightStack(weights), z=z, multipliers=mult, iteration=0)
+    return SampleState(w=WeightStack(weights), z=z, multipliers=mult)
 
 
 def label_stack_rows(ds):
@@ -84,29 +80,33 @@ def dense_w_oracle(ds, state, config, grad_prev):
     return WeightStack(out)
 
 
+def seeded_iterate(ds, config):
+    """The state ``fit`` starts its sweeps from."""
+    geometry = StackGeometry(ds)
+    return solver_mod._Problem(geometry, config).seed(geometry)
+
+
 class TestInitState:
     def test_same_seed_gives_identical_states(self, rng):
         ds = small_training_set(rng)
         cfg = SolverConfig(lam=0.5, init_seed=99)
-        a, b = init_state(ds, cfg), init_state(ds, cfg)
-        for wa, wb in zip(a.w.weights, b.w.weights):
+        a, b = seeded_iterate(ds, cfg), seeded_iterate(ds, cfg)
+        for wa, wb in zip(a.preds.w.weights, b.preds.w.weights):
             assert np.array_equal(wa, wb)
 
     def test_splits_and_multipliers_start_at_zero(self, rng):
         ds = small_training_set(rng)
-        state = init_state(ds, SolverConfig(lam=0.5))
-        assert state.z and state.multipliers
-        for zk, mk in zip(state.z, state.multipliers):
-            assert not zk.any() and not mk.any()
-            assert zk.shape == mk.shape == (zk.shape[0], ds.n_labels)
-        assert state.iteration == 0
+        state = seeded_iterate(ds, SolverConfig(lam=0.5))
+        assert state.z.size and state.multipliers.size
+        assert not state.z.any() and not state.multipliers.any()
+        assert state.z.shape == state.multipliers.shape == (state.z.shape[0], ds.n_labels)
 
     def test_column_norms_average_to_one(self, rng):
         ds = small_training_set(rng, n=10, c=2, dims=(16,))
         norms = []
         for seed in range(1000):
-            state = init_state(ds, SolverConfig(lam=0.0, init_seed=seed))
-            norms.extend(np.linalg.norm(state.w.weights[0], axis=0))
+            state = seeded_iterate(ds, SolverConfig(lam=0.0, init_seed=seed))
+            norms.extend(np.linalg.norm(state.preds.w.weights[0], axis=0))
         assert np.mean(norms) == pytest.approx(1.0, rel=0.10)
 
 
@@ -120,11 +120,10 @@ class TestUpdateW:
                         missing_rows=np.zeros(6, dtype=bool))
         ds = MultiViewDataset(views=[view], aligned=True)
         cfg = SolverConfig(lam=0.0, mu=5.0, init_seed=1)
-        state = init_state(ds, cfg)
+        state = seed_state(ds, cfg)
         w_fit = np.linalg.lstsq(features, labels, rcond=None)[0]
-        state = SolverState(w=WeightStack([w_fit]), z=state.z,
-                            multipliers=state.multipliers, iteration=0)
-        w_new = update_w(state, ds, cfg)
+        state = SampleState(w=WeightStack([w_fit]), z=state.z, multipliers=state.multipliers)
+        w_new = w_step(state, ds, cfg)
         assert np.abs(w_new.weights[0]).max() <= 1e-12
 
     def test_matches_dense_oracle_single_view(self, rng):
@@ -134,7 +133,7 @@ class TestUpdateW:
         stack = np.vstack([v.features[present_rows(v)] @ w
                            for v, w in zip(ds.views, state.w.weights)])
         grad = trace_norm_subgradient(stack)
-        got = update_w(state, ds, cfg, grad_prev=grad)
+        got = w_step(state, ds, cfg, grad_prev=grad)
         want = dense_w_oracle(ds, state, cfg, grad)
         for g, w in zip(got.weights, want.weights):
             assert np.linalg.norm(g - w) <= 1e-9 * max(1.0, np.linalg.norm(w))
@@ -147,7 +146,7 @@ class TestUpdateW:
         stack = np.vstack([v.features[present_rows(v)] @ w
                            for v, w in zip(ds.views, state.w.weights)])
         grad = trace_norm_subgradient(stack)
-        got = update_w(state, ds, cfg, grad_prev=grad)
+        got = w_step(state, ds, cfg, grad_prev=grad)
         want = dense_w_oracle(ds, state, cfg, grad)
         for g, w in zip(got.weights, want.weights):
             assert np.linalg.norm(g - w) <= 1e-9 * max(1.0, np.linalg.norm(w))
@@ -155,25 +154,17 @@ class TestUpdateW:
     def test_self_residual_small_on_short_run(self, rng):
         ds = small_training_set(rng, n=30)
         cfg = SolverConfig(lam=0.5, mu=5.0, max_iters=5, rel_tol=0.0, init_seed=2)
-        state = init_state(ds, cfg)
+        state = seed_state(ds, cfg)
         for _ in range(5):
             stack = np.vstack([v.features[present_rows(v)] @ w
                                for v, w in zip(ds.views, state.w.weights)])
             grad = trace_norm_subgradient(stack)
-            w_new = update_w(state, ds, cfg, grad_prev=grad)
+            w_new = w_step(state, ds, cfg, grad_prev=grad)
             oracle = dense_w_oracle(ds, state, cfg, grad)
             for g, w in zip(w_new.weights, oracle.weights):
                 assert np.linalg.norm(g - w) <= 1e-8 * max(1.0, np.linalg.norm(w))
-            state = SolverState(w=w_new, z=update_z(state, ds, cfg),
-                                multipliers=update_multipliers(state, ds, cfg),
-                                iteration=state.iteration + 1)
-
-    def test_rejects_wrong_gradient_shape(self, rng):
-        ds = small_training_set(rng)
-        cfg = SolverConfig(lam=0.5)
-        state = init_state(ds, cfg)
-        with pytest.raises(InvalidInput):
-            update_w(state, ds, cfg, grad_prev=np.zeros((3, 3)))
+            state = SampleState(w=w_new, z=z_step(state, ds, cfg),
+                                multipliers=multiplier_step(state, ds, cfg))
 
 
 class TestUpdateZ:
@@ -182,7 +173,7 @@ class TestUpdateZ:
         cfg = SolverConfig(lam=0.0, mu=5.0, init_seed=4)
         state = manual_state(ds, rng, cfg)
         rows = label_stack_rows(ds)
-        new_z = update_z(state, ds, cfg)
+        new_z = z_step(state, ds, cfg)
         for a, per_view in enumerate(rows):
             stack = np.vstack([v.features[r] @ w for v, r, w
                                in zip(ds.views, per_view, state.w.weights)])
@@ -193,7 +184,7 @@ class TestUpdateZ:
         ds = small_training_set(rng)
         cfg = SolverConfig(lam=1e9, mu=1.0, init_seed=4)
         state = manual_state(ds, rng, cfg, scale=0.01)
-        for zk in update_z(state, ds, cfg):
+        for zk in z_step(state, ds, cfg):
             assert not zk.any()
 
     def test_matches_proximal_oracle(self, rng):
@@ -201,7 +192,7 @@ class TestUpdateZ:
         cfg = SolverConfig(lam=0.8, mu=2.5, init_seed=4)
         state = manual_state(ds, rng, cfg)
         rows = label_stack_rows(ds)
-        new_z = update_z(state, ds, cfg)
+        new_z = z_step(state, ds, cfg)
         for a, per_view in enumerate(rows):
             stack = np.vstack([v.features[r] @ w for v, r, w
                                in zip(ds.views, per_view, state.w.weights)])
@@ -220,8 +211,8 @@ class TestUpdateMultipliers:
         for per_view in rows:
             z.append(np.vstack([v.features[r] @ w for v, r, w
                                 in zip(ds.views, per_view, state.w.weights)]))
-        state = SolverState(w=state.w, z=z, multipliers=state.multipliers, iteration=0)
-        new = update_multipliers(state, ds, cfg)
+        state = SampleState(w=state.w, z=z, multipliers=state.multipliers)
+        new = multiplier_step(state, ds, cfg)
         for m_new, m_old in zip(new, state.multipliers):
             assert np.allclose(m_new, m_old, atol=1e-12)
 
@@ -230,9 +221,9 @@ class TestUpdateMultipliers:
         cfg = SolverConfig(lam=0.5, mu=5.0, init_seed=6)
         state = manual_state(ds, rng, cfg)
         zero_mult = [np.zeros_like(m) for m in state.multipliers]
-        state = SolverState(w=state.w, z=state.z, multipliers=zero_mult, iteration=0)
+        state = SampleState(w=state.w, z=state.z, multipliers=zero_mult)
         rows = label_stack_rows(ds)
-        new = update_multipliers(state, ds, cfg)
+        new = multiplier_step(state, ds, cfg)
         for a, per_view in enumerate(rows):
             stack = np.vstack([v.features[r] @ w for v, r, w
                                in zip(ds.views, per_view, state.w.weights)])
@@ -242,9 +233,9 @@ class TestUpdateMultipliers:
         ds = small_training_set(rng)
         cfg = SolverConfig(lam=0.5, mu=3.0, init_seed=6)
         state = manual_state(ds, rng, cfg)
-        once = update_multipliers(state, ds, cfg)
-        state2 = SolverState(w=state.w, z=state.z, multipliers=once, iteration=1)
-        twice = update_multipliers(state2, ds, cfg)
+        once = multiplier_step(state, ds, cfg)
+        state2 = SampleState(w=state.w, z=state.z, multipliers=once)
+        twice = multiplier_step(state2, ds, cfg)
         for m0, m1, m2 in zip(state.multipliers, once, twice):
             assert np.allclose(m2 - m1, m1 - m0, atol=1e-10)
 
@@ -512,9 +503,6 @@ class TestFit:
             config = SolverConfig(lam=0.5, max_iters=5, variant=variant)
             with pytest.raises(InvalidInput, match=f"view {view}: no present row"):
                 fit(ds, config)
-            state = init_state(ds, config)
-            with pytest.raises(InvalidInput, match=f"view {view}: no present row"):
-                update_w(state, ds, config)
         fit(ds, SolverConfig(lam=0.5, variant="loss_only"))  # one direct solve per label
 
 
@@ -667,17 +655,16 @@ def manual_rounds(ds, cfg, held_grad=None):
 
     Each round takes the trace-norm subgradient at its input weights, or ``held_grad``
     in every round when it is given."""
-    state = init_state(ds, cfg)
+    state = seed_state(ds, cfg)
     for _ in range(cfg.max_iters):
         grad = held_grad
         if grad is None:
-            stack = stack_predictions(ds, state.w, [present_rows(v) for v in ds.views])
+            stack = oracles.stack_predictions(ds, state.w, [present_rows(v) for v in ds.views])
             grad = trace_norm_subgradient(stack)
-        w = update_w(state, ds, cfg, grad_prev=grad)
-        z = update_z(SolverState(w=w, z=state.z, multipliers=state.multipliers), ds, cfg)
-        mult = update_multipliers(
-            SolverState(w=w, z=z, multipliers=state.multipliers), ds, cfg)
-        state = SolverState(w=w, z=z, multipliers=mult, iteration=state.iteration + 1)
+        w = w_step(state, ds, cfg, grad_prev=grad)
+        z = z_step(SampleState(w=w, z=state.z, multipliers=state.multipliers), ds, cfg)
+        mult = multiplier_step(SampleState(w=w, z=z, multipliers=state.multipliers), ds, cfg)
+        state = SampleState(w=w, z=z, multipliers=mult)
     return state
 
 
@@ -831,7 +818,8 @@ class TestFitComposesBlockUpdates:
         for _ in range(cfg.max_iters):
             state, _ = solver_mod._step(problem, state._replace(global_stack=held))
 
-        seeded = stack_predictions(ds, init_state(ds, cfg).w, [present_rows(v) for v in ds.views])
+        seeded = oracles.stack_predictions(ds, seed_state(ds, cfg).w,
+                                           [present_rows(v) for v in ds.views])
         rounds = manual_rounds(ds, cfg, held_grad=trace_norm_subgradient(seeded))
         w_fit, _ = fit(ds, cfg)
         for got, want in zip(state.preds.w.weights, rounds.w.weights, strict=True):
@@ -893,8 +881,8 @@ class TestFitComposesBlockUpdates:
         state = manual_rounds(ds, cfg)
         # the 1e-8 ridge alone fixes the weights along a null or tiny direction of a view,
         # so the rounds are compared by the predictions every term of the objective reads
-        got = stack_predictions(ds, w_fit, rows)
-        want = stack_predictions(ds, state.w, rows)
+        got = oracles.stack_predictions(ds, w_fit, rows)
+        want = oracles.stack_predictions(ds, state.w, rows)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         total = objective(ds, w_fit, cfg.lam).total
         assert abs(total - trace.objective[-1]) <= 1e-12 * abs(trace.objective[-1])
